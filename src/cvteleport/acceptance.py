@@ -9,6 +9,7 @@ Monte Carlo run uses a fixed seed so the outcome never flickers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -113,7 +114,9 @@ def criterion_full_tailoring_limit() -> CriterionResult:
     )
 
 
-def _fig3_curves() -> tuple[list[float], list[float], list[float], list[float], list[float]]:
+@functools.cache
+def _fig3_curves() -> tuple[tuple[float, ...], ...]:
+    """(eta*, g2*, f_full, f_disp_only, f_standard) over the default grid."""
     grid = default_lambda_grid()
     eta_stars, g2_stars, f_full, f_disp, f_std = [], [], [], [], []
     for lam in grid:
@@ -127,7 +130,7 @@ def _fig3_curves() -> tuple[list[float], list[float], list[float], list[float], 
             avg_fidelity_unit_gain(variances_tailored(sq, half, g2_optimal(sq, half))).value
         )
         f_std.append((1.0 + lam) / 2.0)
-    return eta_stars, g2_stars, f_full, f_disp, f_std
+    return tuple(eta_stars), tuple(g2_stars), tuple(f_full), tuple(f_disp), tuple(f_std)
 
 
 def criterion_fig3_asymptotes() -> CriterionResult:
@@ -358,5 +361,9 @@ ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
 
 
 def run_all() -> list[CriterionResult]:
-    """Run every acceptance criterion in order."""
+    """Run every acceptance criterion in order.
+
+    Criteria 4 and 5 share one computation of the fig3 curves per run.
+    """
+    _fig3_curves.cache_clear()
     return [criterion() for criterion in ALL_CRITERIA]

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fidelity import ComplexAmplitude, avg_fidelity_unit_gain
-from .measurement import mc_average_fidelity
+from .measurement import MIN_SAMPLES, mc_average_fidelity
 from .optimize import optimize_eta_g2, optimize_gain
 from .protocol import (
     LAMBDA_MAX,
@@ -82,8 +82,10 @@ class ExperimentConfig:
             raise ValueError(f"lambda grid values must lie in [0, {LAMBDA_MAX}]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda grid must be strictly increasing")
-        if self.n_samples < 1_000:
-            raise ValueError(f"need at least 1000 samples per point, got {self.n_samples}")
+        if self.n_samples < MIN_SAMPLES:
+            raise ValueError(
+                f"need at least {MIN_SAMPLES} samples per point, got {self.n_samples}"
+            )
         if not (0 <= self.seed < _U64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not (self.alpha_line > 0.0):

@@ -18,17 +18,28 @@ Monte Carlo runs are chunked: chunk k of a run with seed s draws from
 reduction adds per-chunk partial sums in chunk order.  Results are
 therefore bit-identical for a fixed (seed, n) regardless of how many
 workers execute the chunks.
+
+A chunk allocates no sample arrays: each thread draws into and evaluates
+in place on its own float64 workspace of 6 x MC_CHUNK values (3 MiB),
+allocated on the thread's first chunk and kept until the thread ends
+(for the main thread, the life of the process).
+
+Known limitation: the standard error comes from sum(f^2) - n mean^2,
+which cancels when every sample is close to 1 (lam -> 1), so at the
+0.999 cap its 8th significant digit depends on last-bit rounding of the
+samples.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import ComplexAmplitude, transfer_exponent
+from .fidelity import ComplexAmplitude
 from .protocol import LAMBDA_MAX, SqueezeLevel
 from .strategies import (
     CircleTailored,
@@ -43,6 +54,9 @@ from .strategies import (
 MC_CHUNK = 1 << 16
 
 MIN_SAMPLES = 1_000
+
+# Per-thread workspace of the chunk kernel, allocated on a thread's first chunk.
+_workspace = threading.local()
 
 
 @dataclass(frozen=True)
@@ -99,18 +113,107 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
+def _chunk_workspace(m: int) -> np.ndarray:
+    """The calling thread's (6, m) view of its (6, MC_CHUNK) workspace."""
+    work = getattr(_workspace, "rows", None)
+    if work is None:
+        work = _workspace.rows = np.empty((6, MC_CHUNK))
+    return work[:, :m]
+
+
+def _normal_into(rng: np.random.Generator, loc, sigma: float, out: np.ndarray) -> None:
+    """Fill ``out`` with the draws of ``rng.normal(loc, sigma, out.size)``.
+
+    ``Generator.normal`` computes loc + sigma * z from the same standard
+    normal stream, so the values are bit-identical to it.
+    """
+    rng.standard_normal(out=out)
+    out *= sigma
+    out += loc
+
+
+def _one_shot_into(strategy: Strategy, alpha, lam: float, work: np.ndarray) -> np.ndarray:
+    """One-shot fidelities of the outcomes in ``work[0]``, ``work[1]``.
+
+    ``alpha`` is the target as an (x, y) pair; x may be an array of
+    per-sample targets, which must not live in rows 0 to 4.  The strategy's
+    displacement and ``exp(transfer_exponent(...))`` are evaluated with
+    ``out=`` ufuncs in the same operation order as the scalar
+    :func:`~cvteleport.fidelity.transfer_exponent`, so every sample is
+    bit-identical to the out-of-place expression.  Rows 0 to 5 are
+    overwritten; the returned fidelities are a view of row 3.
+    """
+    ax, ay = alpha
+    bx, by, t2, t3, t4, t5 = work
+    # displacement: ex -> t3, ey -> t2
+    if isinstance(strategy, Standard):
+        np.multiply(bx, strategy.gain, out=t3)
+        np.multiply(by, strategy.gain, out=t2)
+    elif isinstance(strategy, OptimalKnownTarget):
+        # the guess is the true target handed to the engine
+        np.multiply(bx, lam, out=t3)
+        np.add(t3, (1.0 - lam) * ax, out=t3)
+        np.multiply(by, lam, out=t2)
+        np.add(t2, (1.0 - lam) * ay, out=t2)
+    elif isinstance(strategy, LineTailored):
+        np.hypot(bx, by, out=t3)
+        np.multiply(t3, 1.0 - lam, out=t3)
+        np.multiply(bx, lam, out=t4)
+        np.add(t3, t4, out=t3)
+        np.multiply(by, lam, out=t2)
+    elif isinstance(strategy, CircleTailored):
+        scale = (1.0 - lam) * strategy.radius
+        np.arctan2(by, bx, out=t2)
+        np.cos(t2, out=t3)
+        np.multiply(t3, scale, out=t3)
+        np.sin(t2, out=t2)
+        np.multiply(t2, scale, out=t2)
+        np.multiply(bx, lam, out=t4)
+        np.add(t3, t4, out=t3)
+        np.multiply(by, lam, out=t4)
+        np.add(t2, t4, out=t2)
+    else:
+        raise TypeError(f"unknown strategy: {strategy!r}")
+    # u = alpha - epsilon -> (t3, t2); w = alpha - beta -> (bx, by)
+    np.subtract(ax, t3, out=t3)
+    np.subtract(ay, t2, out=t2)
+    np.subtract(ax, bx, out=bx)
+    np.subtract(ay, by, out=by)
+    # Re(u* w) -> t4
+    np.multiply(t3, bx, out=t4)
+    np.multiply(t2, by, out=t5)
+    np.add(t4, t5, out=t4)
+    # |u|^2 -> t3, |w|^2 -> bx
+    np.multiply(t3, t3, out=t3)
+    np.multiply(t2, t2, out=t2)
+    np.add(t3, t2, out=t3)
+    np.multiply(bx, bx, out=bx)
+    np.multiply(by, by, out=by)
+    np.add(bx, by, out=bx)
+    # (-|u|^2 - lam^2 |w|^2) + 2 lam Re(u* w), then exp
+    np.negative(t3, out=t3)
+    np.multiply(bx, lam * lam, out=bx)
+    np.subtract(t3, bx, out=t3)
+    np.multiply(t4, 2.0 * lam, out=t4)
+    np.add(t3, t4, out=t3)
+    return np.exp(t3, out=t3)
+
+
 def _chunked_estimate(n, seed, max_workers, sample_chunk) -> McEstimate:
     """Chunked mean/stderr reduction common to the Monte Carlo entry points.
 
-    ``sample_chunk(rng, m)`` returns m one-shot fidelity samples.  Chunk k
-    uses its own derived generator and the partial sums are added in chunk
-    order, so the estimate depends only on (seed, n).
+    ``sample_chunk(rng, work)`` fills the thread's (6, m) workspace view
+    ``work`` and returns a row of it holding m one-shot fidelity samples.
+    Chunk k uses its own derived generator and the partial sums are added
+    in chunk order, so the estimate depends only on (seed, n).
     """
 
     def run_chunk(k: int) -> tuple[float, float]:
         m = min(n - k * MC_CHUNK, MC_CHUNK)
-        f = sample_chunk(_chunk_rng(seed, k), m)
-        return float(f.sum()), float((f * f).sum())
+        f = sample_chunk(_chunk_rng(seed, k), _chunk_workspace(m))
+        total = float(f.sum())
+        np.multiply(f, f, out=f)
+        return total, float(f.sum())
 
     n_chunks = (n + MC_CHUNK - 1) // MC_CHUNK
     if max_workers > 1:
@@ -127,44 +230,6 @@ def _chunked_estimate(n, seed, max_workers, sample_chunk) -> McEstimate:
     mean = total / n
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
     return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
-
-
-def _displacements(
-    strategy: Strategy,
-    alpha: ComplexAmplitude,
-    sq: SqueezeLevel,
-    bx: np.ndarray,
-    by: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised strategy dispatch: outcome arrays -> displacement arrays."""
-    lam = sq.lam
-    if isinstance(strategy, Standard):
-        return strategy.gain * bx, strategy.gain * by
-    if isinstance(strategy, OptimalKnownTarget):
-        # the guess is the true target handed to the engine
-        return (1.0 - lam) * alpha.x + lam * bx, (1.0 - lam) * alpha.y + lam * by
-    if isinstance(strategy, LineTailored):
-        return (1.0 - lam) * np.hypot(bx, by) + lam * bx, lam * by
-    if isinstance(strategy, CircleTailored):
-        phi = np.arctan2(by, bx)
-        r = strategy.radius
-        return (
-            (1.0 - lam) * r * np.cos(phi) + lam * bx,
-            (1.0 - lam) * r * np.sin(phi) + lam * by,
-        )
-    raise TypeError(f"unknown strategy: {strategy!r}")
-
-
-def _one_shot_samples(
-    strategy: Strategy,
-    alpha: ComplexAmplitude,
-    sq: SqueezeLevel,
-    bx: np.ndarray,
-    by: np.ndarray,
-) -> np.ndarray:
-    ex, ey = _displacements(strategy, alpha, sq, bx, by)
-    expo = transfer_exponent(alpha.x - ex, alpha.y - ey, alpha.x - bx, alpha.y - by, sq.lam)
-    return np.exp(expo)
 
 
 def mc_average_fidelity(
@@ -186,10 +251,10 @@ def mc_average_fidelity(
     model = OutcomeModel(sq)  # validates the lam cap
     sigma = model.component_sigma
 
-    def sample_chunk(rng: np.random.Generator, m: int) -> np.ndarray:
-        bx = rng.normal(alpha.x, sigma, m)
-        by = rng.normal(alpha.y, sigma, m)
-        return _one_shot_samples(strategy, alpha, sq, bx, by)
+    def sample_chunk(rng: np.random.Generator, work: np.ndarray) -> np.ndarray:
+        _normal_into(rng, alpha.x, sigma, work[0])
+        _normal_into(rng, alpha.y, sigma, work[1])
+        return _one_shot_into(strategy, (alpha.x, alpha.y), sq.lam, work)
 
     return _chunked_estimate(n, seed, max_workers, sample_chunk)
 
@@ -213,15 +278,14 @@ def mc_average_fidelity_line_segment(
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     model = OutcomeModel(sq)
     sigma = model.component_sigma
-    lam = sq.lam
 
-    def sample_chunk(rng: np.random.Generator, m: int) -> np.ndarray:
-        ax = rng.uniform(0.0, alpha_max, m)
-        bx = ax + sigma * rng.standard_normal(m)
-        by = sigma * rng.standard_normal(m)
-        ex = (1.0 - lam) * np.hypot(bx, by) + lam * bx
-        ey = lam * by
-        return np.exp(transfer_exponent(ax - ex, -ey, ax - bx, -by, lam))
+    def sample_chunk(rng: np.random.Generator, work: np.ndarray) -> np.ndarray:
+        ax = work[5]
+        rng.random(out=ax)  # rng.uniform(0, alpha_max) is 0 + alpha_max * u
+        ax *= alpha_max
+        _normal_into(rng, ax, sigma, work[0])
+        _normal_into(rng, 0.0, sigma, work[1])
+        return _one_shot_into(LineTailored(), (ax, 0.0), sq.lam, work)
 
     return _chunked_estimate(n, seed, max_workers, sample_chunk)
 
@@ -240,7 +304,8 @@ def quadrature_average_fidelity(
     model = OutcomeModel(sq)
     scale = math.sqrt(2.0) * model.component_sigma
     nodes, weights = np.polynomial.hermite.hermgauss(order)
-    bx = alpha.x + scale * nodes[:, None]
-    by = alpha.y + scale * nodes[None, :]
-    f = _one_shot_samples(strategy, alpha, sq, bx, by)
+    work = np.empty((6, order, order))
+    work[0] = alpha.x + scale * nodes[:, None]
+    work[1] = alpha.y + scale * nodes[None, :]
+    f = _one_shot_into(strategy, (alpha.x, alpha.y), sq.lam, work)
     return float((weights[:, None] * weights[None, :] * f).sum() / math.pi)

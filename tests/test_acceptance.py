@@ -61,7 +61,18 @@ def test_criterion_10_property_suites():
     _assert_criterion(acceptance.criterion_property_suites())
 
 
-def test_run_all_covers_every_criterion():
+def test_run_all_covers_every_criterion(monkeypatch):
+    # criteria 4 and 5 share one fig3 computation: one full-tailoring
+    # optimisation per grid point, plus criterion 3's single point
+    calls = []
+    optimize = acceptance.optimize_eta_g2
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return optimize(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "optimize_eta_g2", counted)
     results = acceptance.run_all()
     assert [r.number for r in results] == list(range(1, 11))
     assert len({r.name for r in results}) == 10
+    assert len(calls) == len(acceptance.default_lambda_grid()) + 1

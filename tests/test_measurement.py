@@ -1,6 +1,7 @@
 """Outcome sampling, the Monte Carlo engine and its quadrature oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from cvteleport.measurement import (
     MC_CHUNK,
     McEstimate,
     OutcomeModel,
+    _normal_into,
+    _one_shot_into,
     mc_average_fidelity,
     mc_average_fidelity_line_segment,
     quadrature_average_fidelity,
@@ -133,6 +136,102 @@ class TestMcAverageFidelity:
         a = mc_average_fidelity(Standard(1.0), ALPHA5, squeeze_from_lambda(0.5), 10_000, 1)
         b = mc_average_fidelity(Standard(1.0), ALPHA5, squeeze_from_lambda(0.5), 10_000, 2)
         assert a.mean != b.mean
+
+
+def _reference_one_shot(strategy, ax, ay, lam, bx, by):
+    """Out-of-place displacement rules and transfer exponent, one array each."""
+    if isinstance(strategy, Standard):
+        ex, ey = strategy.gain * bx, strategy.gain * by
+    elif isinstance(strategy, OptimalKnownTarget):
+        ex, ey = (1.0 - lam) * ax + lam * bx, (1.0 - lam) * ay + lam * by
+    elif isinstance(strategy, LineTailored):
+        ex, ey = (1.0 - lam) * np.hypot(bx, by) + lam * bx, lam * by
+    else:
+        phi = np.arctan2(by, bx)
+        r = strategy.radius
+        ex = (1.0 - lam) * r * np.cos(phi) + lam * bx
+        ey = (1.0 - lam) * r * np.sin(phi) + lam * by
+    return np.exp(transfer_exponent(ax - ex, ay - ey, ax - bx, ay - by, lam))
+
+
+class TestChunkKernel:
+    # 1003 samples: a tail length that is not a multiple of any SIMD width
+    M = 1003
+
+    def _outcomes(self, alpha, lam, seed):
+        rng = np.random.default_rng(seed)
+        sigma = OutcomeModel(squeeze_from_lambda(lam)).component_sigma
+        bx = rng.normal(alpha.x, sigma, self.M)
+        by = rng.normal(alpha.y, sigma, self.M)
+        bx[:3] = by[:3] = 0.0  # beta = 0, where arg(beta) is undefined
+        bx[3] = 0.0
+        by[4] = 0.0
+        return bx, by
+
+    def _tail_view(self, bx, by):
+        work = np.empty((6, MC_CHUNK))[:, : self.M]
+        work[0], work[1] = bx, by
+        return work
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [Standard(1.0), Standard(0.7), OptimalKnownTarget(), LineTailored(), CircleTailored(5.0)],
+    )
+    @pytest.mark.parametrize(
+        "alpha",
+        [ALPHA5, ComplexAmplitude(1.3, -0.7), ComplexAmplitude(6e7, -8e7)],
+    )
+    @pytest.mark.parametrize("lam", [0.0, 0.35, 0.999])
+    def test_bit_identical_to_reference(self, strategy, alpha, lam):
+        bx, by = self._outcomes(alpha, lam, 58)
+        ref = _reference_one_shot(strategy, alpha.x, alpha.y, lam, bx, by)
+        got = _one_shot_into(strategy, (alpha.x, alpha.y), lam, self._tail_view(bx, by))
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.35, 0.999])
+    def test_bit_identical_with_per_sample_targets(self, lam):
+        # the line-segment average hands the kernel an array of targets
+        rng = np.random.default_rng(59)
+        ax = rng.uniform(0.0, 4.0, self.M)
+        bx, by = self._outcomes(ComplexAmplitude(0.0, 0.0), lam, 60)
+        bx += ax
+        ref = _reference_one_shot(LineTailored(), ax, 0.0, lam, bx, by)
+        work = self._tail_view(bx, by)
+        work[5] = ax
+        got = _one_shot_into(LineTailored(), (work[5], 0.0), lam, work)
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_in_place_draws_match_generator(self, seed):
+        # the kernel's draws rely on Generator.normal being loc + sigma * z
+        # and Generator.uniform being low + (high - low) * u over the same
+        # streams; a numpy release that changes either fails here
+        loc, sigma, m = 5.0 - 0.37 * seed, 0.5 + 0.1 * seed, self.M
+        ref_rng = np.random.default_rng(seed)
+        ref_u = ref_rng.uniform(0.0, 4.0, m)
+        ref_x = ref_rng.normal(loc, sigma, m)
+        ref_a = ref_rng.normal(ref_u, sigma, m)
+        rng = np.random.default_rng(seed)
+        u, x, a = np.empty((3, m))
+        rng.random(out=u)
+        u *= 4.0
+        _normal_into(rng, loc, sigma, x)
+        _normal_into(rng, u, sigma, a)
+        assert np.array_equal(u, ref_u)
+        assert np.array_equal(x, ref_x)
+        assert np.array_equal(a, ref_a)
+        assert rng.random() == ref_rng.random()
+
+    def test_chunks_allocate_no_sample_arrays(self):
+        args = (LineTailored(), ALPHA5, squeeze_from_lambda(0.4), 1_000_000, 61)
+        mc_average_fidelity(*args)  # allocates this thread's workspace
+        tracemalloc.start()
+        try:
+            mc_average_fidelity(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestQuadratureOracle:
