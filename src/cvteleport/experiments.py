@@ -88,12 +88,16 @@ class ExperimentConfig:
             )
         if not (0 <= self.seed < _U64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if not (self.alpha_line > 0.0):
-            raise ValueError(f"line amplitude must be positive, got {self.alpha_line}")
-        if not (self.s > 0.0):
-            raise ValueError(f"alphabet standard deviation must be positive, got {self.s}")
-        if not (self.tol > 0.0):
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not (0.0 < self.alpha_line < math.inf):
+            raise ValueError(
+                f"line amplitude must be positive and finite, got {self.alpha_line}"
+            )
+        if not (0.0 < self.s < math.inf):
+            raise ValueError(
+                f"alphabet standard deviation must be positive and finite, got {self.s}"
+            )
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         if self.threads < 1:
             raise ValueError(f"thread count must be at least 1, got {self.threads}")
 
@@ -281,6 +285,8 @@ def load_config_file(path: Path) -> dict[str, str]:
             key = key.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             values[key] = value.strip()
     return values
 

@@ -22,7 +22,34 @@ workers execute the chunks.
 A chunk allocates no sample arrays: each thread draws into and evaluates
 in place on its own float64 workspace of 6 x MC_CHUNK values (3 MiB),
 allocated on the thread's first chunk and kept until the thread ends
-(for the main thread, the life of the process).
+(for the main thread, the life of the process).  The one exception is the
+uniform-segment average, whose per-sample targets need a boolean mask of
+MC_CHUNK bytes per chunk.
+
+The chunk kernel works on the centred noise w = beta - alpha, drawn as
+sigma * z, never on beta itself.  Every rule displaces by
+epsilon = (1 - lam) guess + lam beta (the standard rule with gain g is
+epsilon = g beta), so the one-shot exponent collapses to
+
+    log F = -|(alpha - epsilon) - lam (alpha - beta)|^2
+          = -(1 - lam)^2 |alpha - guess(beta)|^2,
+
+evaluated as -|(1 - g) alpha - (g - lam) w|^2 for the standard rule, 0 for
+a known target, and -(1 - lam)^2 ((alpha_x - |beta|)^2 + alpha_y^2) for the
+line rule.  For alpha_x > 0 the line rule forms |beta| - alpha_x as
+(w_x (2 alpha_x + w_x) + beta_y^2) / (alpha_x + |beta|), so the difference
+of two nearly equal amplitudes never cancels.  The estimates therefore
+stay right at large amplitudes (|alpha| = 1e16 is tested), where
+subtracting beta = alpha + w from alpha would round w away; |beta|^2
+overflows only above |beta| ~ 1e154.
+
+The circle rule is the exception: it forms beta = alpha + w, rounded as
+Generator.normal(alpha, sigma) rounds it, and evaluates the expanded
+exponent -|u|^2 - lam^2 |v|^2 + 2 lam Re(u* v) (u = alpha - epsilon,
+v = alpha - beta) in the operation order of the scalar transfer_exponent,
+bit for bit.  The reason is the standard error below: at lam = 0.999 its
+8th significant digit follows the last bits of the samples, and the
+benchmark's reference CSVs (perfbench/reference) pin the circle's value.
 
 Known limitation: the standard error comes from sum(f^2) - n mean^2,
 which cancels when every sample is close to 1 (lam -> 1), so at the
@@ -121,59 +148,98 @@ def _chunk_workspace(m: int) -> np.ndarray:
     return work[:, :m]
 
 
-def _normal_into(rng: np.random.Generator, loc, sigma: float, out: np.ndarray) -> None:
-    """Fill ``out`` with the draws of ``rng.normal(loc, sigma, out.size)``.
+def _scaled_normal_into(rng: np.random.Generator, sigma: float, out: np.ndarray) -> None:
+    """Fill ``out`` with the centred draws sigma * z of ``rng.standard_normal``.
 
-    ``Generator.normal`` computes loc + sigma * z from the same standard
-    normal stream, so the values are bit-identical to it.
+    ``Generator.normal(loc, sigma)`` computes loc + sigma * z from the same
+    stream, so adding loc afterwards gives bit-identical values to it.
     """
     rng.standard_normal(out=out)
     out *= sigma
-    out += loc
 
 
 def _one_shot_into(strategy: Strategy, alpha, lam: float, work: np.ndarray) -> np.ndarray:
-    """One-shot fidelities of the outcomes in ``work[0]``, ``work[1]``.
+    """One-shot fidelities of the outcomes alpha + w, w in ``work[0]``, ``work[1]``.
 
     ``alpha`` is the target as an (x, y) pair; x may be an array of
-    per-sample targets, which must not live in rows 0 to 4.  The strategy's
-    displacement and ``exp(transfer_exponent(...))`` are evaluated with
+    per-sample targets, which must not live in rows 0 to 4.  Every
+    strategy but the circle is evaluated in guess form on the centred
+    noise w (see the module docstring).  Rows 0 to 5 may be overwritten;
+    the returned fidelities are a view of one of them.
+    """
+    ax, ay = alpha
+    wx, wy, t2, t3, t4, _ = work
+    if isinstance(strategy, CircleTailored):
+        np.add(wx, ax, out=wx)
+        np.add(wy, ay, out=wy)
+        return _circle_one_shot_into(strategy.radius, ax, ay, lam, work)
+    if isinstance(strategy, OptimalKnownTarget):
+        t2.fill(1.0)
+        return t2
+    if isinstance(strategy, Standard):
+        # -log F = |(1 - g) alpha - (g - lam) w|^2
+        g = strategy.gain
+        np.multiply(wx, g - lam, out=t2)
+        np.subtract((1.0 - g) * ax, t2, out=t2)
+        np.multiply(t2, t2, out=t2)
+        np.multiply(wy, g - lam, out=t3)
+        np.subtract((1.0 - g) * ay, t3, out=t3)
+        np.multiply(t3, t3, out=t3)
+        np.add(t2, t3, out=t2)
+        np.negative(t2, out=t2)
+        return np.exp(t2, out=t2)
+    if not isinstance(strategy, LineTailored):
+        raise TypeError(f"unknown strategy: {strategy!r}")
+    # -log F = (1 - lam)^2 ((ax - |beta|)^2 + ay^2), beta = alpha + w.
+    # For ax > 0, |beta| - ax = (wx (2 ax + wx) + by^2) / (ax + |beta|),
+    # which does not cancel however large ax is; otherwise the plain
+    # difference |beta| - ax has no cancellation to lose.
+    np.add(wx, ax, out=t2)  # bx
+    np.add(wy, ay, out=t3)  # by
+    np.multiply(t3, t3, out=t3)
+    np.add(t2, ax, out=t4)  # bx + ax = 2 ax + wx
+    np.multiply(t2, t2, out=t2)
+    np.add(t2, t3, out=t2)
+    np.sqrt(t2, out=t2)  # |beta|
+    np.multiply(t4, wx, out=t4)
+    np.add(t4, t3, out=t4)  # |beta|^2 - ax^2
+    np.add(t2, ax, out=t3)
+    if np.ndim(ax):
+        positive = ax > 0.0
+        np.divide(t4, t3, out=t4, where=positive)
+        np.subtract(t2, ax, out=t4, where=~positive)
+    elif ax > 0.0:
+        np.divide(t4, t3, out=t4)
+    else:
+        np.subtract(t2, ax, out=t4)
+    np.multiply(t4, t4, out=t4)
+    if ay != 0.0:
+        np.add(t4, ay * ay, out=t4)
+    np.multiply(t4, -(1.0 - lam) ** 2, out=t4)
+    return np.exp(t4, out=t4)
+
+
+def _circle_one_shot_into(radius: float, ax, ay, lam: float, work: np.ndarray) -> np.ndarray:
+    """Circle-tailored fidelities of the outcomes beta in ``work[0]``, ``work[1]``.
+
+    Evaluates the displacement and ``exp(transfer_exponent(...))`` with
     ``out=`` ufuncs in the same operation order as the scalar
     :func:`~cvteleport.fidelity.transfer_exponent`, so every sample is
     bit-identical to the out-of-place expression.  Rows 0 to 5 are
     overwritten; the returned fidelities are a view of row 3.
     """
-    ax, ay = alpha
     bx, by, t2, t3, t4, t5 = work
     # displacement: ex -> t3, ey -> t2
-    if isinstance(strategy, Standard):
-        np.multiply(bx, strategy.gain, out=t3)
-        np.multiply(by, strategy.gain, out=t2)
-    elif isinstance(strategy, OptimalKnownTarget):
-        # the guess is the true target handed to the engine
-        np.multiply(bx, lam, out=t3)
-        np.add(t3, (1.0 - lam) * ax, out=t3)
-        np.multiply(by, lam, out=t2)
-        np.add(t2, (1.0 - lam) * ay, out=t2)
-    elif isinstance(strategy, LineTailored):
-        np.hypot(bx, by, out=t3)
-        np.multiply(t3, 1.0 - lam, out=t3)
-        np.multiply(bx, lam, out=t4)
-        np.add(t3, t4, out=t3)
-        np.multiply(by, lam, out=t2)
-    elif isinstance(strategy, CircleTailored):
-        scale = (1.0 - lam) * strategy.radius
-        np.arctan2(by, bx, out=t2)
-        np.cos(t2, out=t3)
-        np.multiply(t3, scale, out=t3)
-        np.sin(t2, out=t2)
-        np.multiply(t2, scale, out=t2)
-        np.multiply(bx, lam, out=t4)
-        np.add(t3, t4, out=t3)
-        np.multiply(by, lam, out=t4)
-        np.add(t2, t4, out=t2)
-    else:
-        raise TypeError(f"unknown strategy: {strategy!r}")
+    scale = (1.0 - lam) * radius
+    np.arctan2(by, bx, out=t2)
+    np.cos(t2, out=t3)
+    np.multiply(t3, scale, out=t3)
+    np.sin(t2, out=t2)
+    np.multiply(t2, scale, out=t2)
+    np.multiply(bx, lam, out=t4)
+    np.add(t3, t4, out=t3)
+    np.multiply(by, lam, out=t4)
+    np.add(t2, t4, out=t2)
     # u = alpha - epsilon -> (t3, t2); w = alpha - beta -> (bx, by)
     np.subtract(ax, t3, out=t3)
     np.subtract(ay, t2, out=t2)
@@ -252,8 +318,8 @@ def mc_average_fidelity(
     sigma = model.component_sigma
 
     def sample_chunk(rng: np.random.Generator, work: np.ndarray) -> np.ndarray:
-        _normal_into(rng, alpha.x, sigma, work[0])
-        _normal_into(rng, alpha.y, sigma, work[1])
+        _scaled_normal_into(rng, sigma, work[0])
+        _scaled_normal_into(rng, sigma, work[1])
         return _one_shot_into(strategy, (alpha.x, alpha.y), sq.lam, work)
 
     return _chunked_estimate(n, seed, max_workers, sample_chunk)
@@ -283,8 +349,8 @@ def mc_average_fidelity_line_segment(
         ax = work[5]
         rng.random(out=ax)  # rng.uniform(0, alpha_max) is 0 + alpha_max * u
         ax *= alpha_max
-        _normal_into(rng, ax, sigma, work[0])
-        _normal_into(rng, 0.0, sigma, work[1])
+        _scaled_normal_into(rng, sigma, work[0])
+        _scaled_normal_into(rng, sigma, work[1])
         return _one_shot_into(LineTailored(), (ax, 0.0), sq.lam, work)
 
     return _chunked_estimate(n, seed, max_workers, sample_chunk)
@@ -295,9 +361,17 @@ def quadrature_average_fidelity(
 ) -> float:
     """Deterministic Gauss-Hermite evaluation of the same outcome average.
 
-    Tensor-product rule over the two beta components; an independent
-    oracle for :func:`mc_average_fidelity` (they agree within Monte Carlo
-    error already at order 32).
+    Tensor-product rule over the two components of the centred noise
+    w = beta - alpha.  It converges fast for the standard and known-target
+    rules, whose one-shot fidelity is smooth in w, and agrees with
+    :func:`mc_average_fidelity` within Monte Carlo error at order 32.  It
+    is not an oracle for the tailored rules: their guess has a kink at
+    beta = 0, inside the outcome Gaussian, and the rule need not converge
+    in the order there.  For ``CircleTailored`` at amplitude 5 its error is
+    1.2e-5 at lam = 0.96 (order 128) and 9.1e-6 at lam = 0.94 (order 256,
+    worse than order 128).  The polar quadrature ``exact_line_circle`` in
+    ``tests/test_acceptance.py`` is the exact reference for the line and
+    circle averages.
     """
     if order < 8:
         raise ValueError(f"quadrature order must be at least 8, got {order}")
@@ -305,7 +379,7 @@ def quadrature_average_fidelity(
     scale = math.sqrt(2.0) * model.component_sigma
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     work = np.empty((6, order, order))
-    work[0] = alpha.x + scale * nodes[:, None]
-    work[1] = alpha.y + scale * nodes[None, :]
+    work[0] = scale * nodes[:, None]
+    work[1] = scale * nodes[None, :]
     f = _one_shot_into(strategy, (alpha.x, alpha.y), sq.lam, work)
     return float((weights[:, None] * weights[None, :] * f).sum() / math.pi)

@@ -1,12 +1,14 @@
 """Experiment runners, CSV reproducibility, config handling and the CLI."""
 
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cvteleport
 from cvteleport.experiments import (
     ExperimentConfig,
     config_with_output,
@@ -66,6 +68,9 @@ class TestConfigValidation:
             {"s": -0.2},
             {"tol": 0.0},
             {"threads": 0},
+            {"alpha_line": math.inf},
+            {"s": math.inf},
+            {"tol": math.inf},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -202,6 +207,12 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             load_config_file(path)
 
+    def test_duplicate_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("samples = 2000\n# second value below\nsamples = 3000\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:3: duplicate key 'samples'"):
+            load_config_file(path)
+
     def test_config_with_output(self, tmp_path):
         config = ExperimentConfig()
         moved = config_with_output(config, tmp_path / "x.csv")
@@ -220,11 +231,16 @@ class TestConfigFile:
 
 
 def run_cli(*args, cwd=None):
+    # the child imports the same package as the tests, installed or not
+    src = str(Path(cvteleport.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
     return subprocess.run(
         [sys.executable, "-m", "cvteleport.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
         timeout=300,
     )
 
@@ -268,6 +284,39 @@ class TestCli:
         proc = run_cli("fig1", "--samples", "10")
         assert proc.returncode == 2
         assert "samples" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("fig1", "--alpha", "inf"),
+            ("gaussian", "--s", "inf"),
+            ("fig3", "--tol", "inf"),
+        ],
+    )
+    def test_non_finite_value_exit_2(self, tmp_path, args):
+        proc = run_cli(*args, "--lambda-points", "2", "--samples", "2000",
+                       "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2, proc.stderr
+        assert "finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_duplicate_config_key_exit_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 3.5\nalpha = 4.5\n")
+        proc = run_cli("fig1", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert f"{cfg}:2: duplicate key 'alpha'" in proc.stderr
+
+    def test_fig1_large_amplitude(self, tmp_path):
+        # the line-tailored curve at |alpha| = 1e16 starts at 1/sqrt(2)
+        out = tmp_path / "fig1.csv"
+        proc = run_cli("fig1", "--alpha", "1e16", "--lambda-points", "2",
+                       "--samples", "20000", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        lam, _, mean, stderr = map(float, out.read_text().splitlines()[1].split(","))
+        assert lam == 0.0
+        assert abs(mean - 1.0 / math.sqrt(2.0)) <= 5 * stderr
 
     def test_io_error_exit_3(self, tmp_path):
         proc = run_cli(

@@ -1,5 +1,6 @@
 """Outcome sampling, the Monte Carlo engine and its quadrature oracle."""
 
+import decimal
 import math
 import tracemalloc
 
@@ -11,8 +12,8 @@ from cvteleport.measurement import (
     MC_CHUNK,
     McEstimate,
     OutcomeModel,
-    _normal_into,
     _one_shot_into,
+    _scaled_normal_into,
     mc_average_fidelity,
     mc_average_fidelity_line_segment,
     quadrature_average_fidelity,
@@ -132,6 +133,17 @@ class TestMcAverageFidelity:
         threaded = mc_average_fidelity(*args, max_workers=4)
         assert (serial.mean, serial.std_error) == (threaded.mean, threaded.std_error)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_large_amplitude(self, lam):
+        # at |alpha| = 1e16 the line rule tends to sqrt((1 + lam)/2) and the
+        # standard rule is (1 + lam)/2 at every amplitude; forming alpha - guess
+        # from beta = alpha + w directly loses w to rounding there
+        alpha, sq = ComplexAmplitude(1e16, 0.0), squeeze_from_lambda(lam)
+        line = mc_average_fidelity(LineTailored(), alpha, sq, 100_000, 62)
+        standard = mc_average_fidelity(Standard(1.0), alpha, sq, 100_000, 63)
+        assert abs(line.mean - math.sqrt((1.0 + lam) / 2.0)) <= 5 * line.std_error
+        assert abs(standard.mean - (1.0 + lam) / 2.0) <= 5 * standard.std_error
+
     def test_seed_changes_stream(self):
         a = mc_average_fidelity(Standard(1.0), ALPHA5, squeeze_from_lambda(0.5), 10_000, 1)
         b = mc_average_fidelity(Standard(1.0), ALPHA5, squeeze_from_lambda(0.5), 10_000, 2)
@@ -139,7 +151,7 @@ class TestMcAverageFidelity:
 
 
 def _reference_one_shot(strategy, ax, ay, lam, bx, by):
-    """Out-of-place displacement rules and transfer exponent, one array each."""
+    """Out-of-place displacement rules and the expanded transfer exponent."""
     if isinstance(strategy, Standard):
         ex, ey = strategy.gain * bx, strategy.gain * by
     elif isinstance(strategy, OptimalKnownTarget):
@@ -154,24 +166,111 @@ def _reference_one_shot(strategy, ax, ay, lam, bx, by):
     return np.exp(transfer_exponent(ax - ex, ay - ey, ax - bx, ay - by, lam))
 
 
+def _guess_form_one_shot(strategy, ax, ay, lam, wx, wy):
+    """Out-of-place guess form of the non-circle rules on centred noise w."""
+    if isinstance(strategy, OptimalKnownTarget):
+        return np.ones_like(wx)
+    if isinstance(strategy, Standard):
+        g = strategy.gain
+        dx = (1.0 - g) * ax - wx * (g - lam)
+        dy = (1.0 - g) * ay - wy * (g - lam)
+        return np.exp(-(dx * dx + dy * dy))
+    bx, by = wx + ax, wy + ay
+    by2 = by * by
+    r = np.sqrt(bx * bx + by2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d = np.where(np.greater(ax, 0.0), ((bx + ax) * wx + by2) / (r + ax), r - ax)
+    d2 = d * d
+    if ay != 0.0:
+        d2 = d2 + ay * ay
+    return np.exp(d2 * -(1.0 - lam) ** 2)
+
+
+def _decimal_log_fidelity(strategy, ax, ay, lam, wx, wy):
+    """log F of each outcome beta = alpha + w in 60-digit decimal arithmetic.
+
+    Built from the displacement rule and the expanded transfer exponent
+    -|u|^2 - lam^2 |v|^2 + 2 lam Re(u* v), u = alpha - epsilon,
+    v = alpha - beta, so it shares no algebra with the kernel's guess form.
+    At |alpha| = 1e16 those terms reach 1e32 and cancel to O(1), which at
+    40 digits would leave an absolute error of 1e-8; 60 digits leave 1e-28.
+    """
+    out = np.empty(len(wx))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        lam_d = D(lam)
+        for i, (x, y, px, py) in enumerate(np.broadcast(ax, ay, wx, wy)):
+            x, y = D(float(x)), D(float(y))
+            bx, by = x + D(float(px)), y + D(float(py))
+            if isinstance(strategy, Standard):
+                g = D(strategy.gain)
+                ex, ey = g * bx, g * by
+            elif isinstance(strategy, OptimalKnownTarget):
+                ex, ey = (1 - lam_d) * x + lam_d * bx, (1 - lam_d) * y + lam_d * by
+            else:
+                r = (bx * bx + by * by).sqrt()
+                ex, ey = (1 - lam_d) * r + lam_d * bx, lam_d * by
+            ux, uy, vx, vy = x - ex, y - ey, x - bx, y - by
+            out[i] = float(
+                -(ux * ux + uy * uy)
+                - lam_d * lam_d * (vx * vx + vy * vy)
+                + 2 * lam_d * (ux * vx + uy * vy)
+            )
+    return out
+
+
+# |log f - log f_ref| <= ORACLE_BOUND * max(1, |log f_ref|)
+ORACLE_BOUND = 1e-13
+
+
+def _oracle_excess(f, log_ref):
+    """Largest scaled log error of f against the decimal oracle.
+
+    Where the oracle's f is below the normal doubles (log f < -700) the
+    kernel's f must be negligible too.
+    """
+    normal = log_ref > -700.0
+    assert np.all(f[~normal] < 1e-300)
+    with np.errstate(divide="ignore"):
+        err = np.abs(np.log(f[normal]) - log_ref[normal])
+    return float(np.max(err / np.maximum(1.0, np.abs(log_ref[normal])), initial=0.0))
+
+
+ORACLE_STRATEGIES = [Standard(1.0), Standard(0.7), OptimalKnownTarget(), LineTailored()]
+
+
 class TestChunkKernel:
     # 1003 samples: a tail length that is not a multiple of any SIMD width
     M = 1003
 
-    def _outcomes(self, alpha, lam, seed):
+    def _noise(self, alpha, lam, seed):
+        """Centred outcomes w = beta - alpha, with beta = 0 in the first three."""
         rng = np.random.default_rng(seed)
         sigma = OutcomeModel(squeeze_from_lambda(lam)).component_sigma
-        bx = rng.normal(alpha.x, sigma, self.M)
-        by = rng.normal(alpha.y, sigma, self.M)
-        bx[:3] = by[:3] = 0.0  # beta = 0, where arg(beta) is undefined
-        bx[3] = 0.0
-        by[4] = 0.0
-        return bx, by
+        wx = rng.normal(0.0, sigma, self.M)
+        wy = rng.normal(0.0, sigma, self.M)
+        wx[:3], wy[:3] = -alpha.x, -alpha.y  # where arg(beta) is undefined
+        wx[3] = -alpha.x  # beta_x = 0
+        wy[4] = -alpha.y  # beta_y = 0
+        return wx, wy
 
-    def _tail_view(self, bx, by):
+    def _tail_view(self, wx, wy):
         work = np.empty((6, MC_CHUNK))[:, : self.M]
-        work[0], work[1] = bx, by
+        work[0], work[1] = wx, wy
         return work
+
+    def _segment_noise(self, lam):
+        """Per-sample targets on [-1, 4] with zero and negative entries, and noise."""
+        rng = np.random.default_rng(59)
+        ax = rng.uniform(-1.0, 4.0, self.M)
+        wx, wy = self._noise(ComplexAmplitude(0.0, 0.0), lam, 60)
+        ax[:3] = 0.0  # beta = 0 at ax = 0
+        ax[5:8] = -1.5
+        wx[5:7], wy[5:7] = 1.5, 0.0  # beta = 0 at ax < 0
+        ax[8:10] = 0.0  # ax = 0, beta != 0
+        wx[10] = -ax[10]  # beta_x = 0 at ax > 0
+        return ax, wx, wy
 
     @pytest.mark.parametrize(
         "strategy",
@@ -183,29 +282,75 @@ class TestChunkKernel:
     )
     @pytest.mark.parametrize("lam", [0.0, 0.35, 0.999])
     def test_bit_identical_to_reference(self, strategy, alpha, lam):
-        bx, by = self._outcomes(alpha, lam, 58)
-        ref = _reference_one_shot(strategy, alpha.x, alpha.y, lam, bx, by)
-        got = _one_shot_into(strategy, (alpha.x, alpha.y), lam, self._tail_view(bx, by))
+        # the circle keeps the expanded expression on beta = alpha + w bit for
+        # bit (it pins the circle-vs-line stderr at lam = 0.999); the other
+        # rules match their out-of-place guess form bit for bit, and their
+        # accuracy is checked against the decimal oracle below
+        wx, wy = self._noise(alpha, lam, 58)
+        if isinstance(strategy, CircleTailored):
+            ref = _reference_one_shot(strategy, alpha.x, alpha.y, lam, alpha.x + wx, alpha.y + wy)
+        else:
+            ref = _guess_form_one_shot(strategy, alpha.x, alpha.y, lam, wx, wy)
+        got = _one_shot_into(strategy, (alpha.x, alpha.y), lam, self._tail_view(wx, wy))
         assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("lam", [0.0, 0.35, 0.999])
     def test_bit_identical_with_per_sample_targets(self, lam):
         # the line-segment average hands the kernel an array of targets
-        rng = np.random.default_rng(59)
-        ax = rng.uniform(0.0, 4.0, self.M)
-        bx, by = self._outcomes(ComplexAmplitude(0.0, 0.0), lam, 60)
-        bx += ax
-        ref = _reference_one_shot(LineTailored(), ax, 0.0, lam, bx, by)
-        work = self._tail_view(bx, by)
+        ax, wx, wy = self._segment_noise(lam)
+        ref = _guess_form_one_shot(LineTailored(), ax, 0.0, lam, wx, wy)
+        work = self._tail_view(wx, wy)
         work[5] = ax
         got = _one_shot_into(LineTailored(), (work[5], 0.0), lam, work)
         assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("strategy", ORACLE_STRATEGIES)
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            ALPHA5,
+            ComplexAmplitude(1.3, -0.7),
+            ComplexAmplitude(6e7, -8e7),
+            ComplexAmplitude(1e16, 0.0),
+            ComplexAmplitude(-2.0, 0.5),
+            ComplexAmplitude(0.0, -1.5),
+        ],
+    )
+    @pytest.mark.parametrize("lam", [0.0, 0.35, 0.999])
+    def test_matches_decimal_oracle(self, strategy, alpha, lam):
+        wx, wy = self._noise(alpha, lam, 58)
+        ref = _decimal_log_fidelity(strategy, alpha.x, alpha.y, lam, wx, wy)
+        got = _one_shot_into(strategy, (alpha.x, alpha.y), lam, self._tail_view(wx, wy))
+        assert _oracle_excess(got, ref) <= ORACLE_BOUND
+
+    @pytest.mark.parametrize("lam", [0.0, 0.35, 0.999])
+    def test_per_sample_targets_match_decimal_oracle(self, lam):
+        ax, wx, wy = self._segment_noise(lam)
+        ref = _decimal_log_fidelity(LineTailored(), ax, 0.0, lam, wx, wy)
+        work = self._tail_view(wx, wy)
+        work[5] = ax
+        got = _one_shot_into(LineTailored(), (work[5], 0.0), lam, work)
+        assert _oracle_excess(got, ref) <= ORACLE_BOUND
+
+    @pytest.mark.parametrize(
+        "alpha, lam", [(ALPHA5, 0.999), (ComplexAmplitude(1e16, 0.0), 0.0)]
+    )
+    def test_expanded_form_fails_the_oracle(self, alpha, lam):
+        # the oracle's bound is tight enough to reject the expanded
+        # expression the kernel replaced, near lam = 1 and at large |alpha|
+        wx, wy = self._noise(alpha, lam, 58)
+        ref = _decimal_log_fidelity(LineTailored(), alpha.x, alpha.y, lam, wx, wy)
+        old = _reference_one_shot(
+            LineTailored(), alpha.x, alpha.y, lam, alpha.x + wx, alpha.y + wy
+        )
+        assert _oracle_excess(old, ref) > ORACLE_BOUND
+
     @pytest.mark.parametrize("seed", range(20))
     def test_in_place_draws_match_generator(self, seed):
-        # the kernel's draws rely on Generator.normal being loc + sigma * z
-        # and Generator.uniform being low + (high - low) * u over the same
-        # streams; a numpy release that changes either fails here
+        # the circle's outcomes alpha + w rely on Generator.normal being
+        # loc + sigma * z, and the segment's targets on Generator.uniform
+        # being low + (high - low) * u, over the same streams; a numpy
+        # release that changes either fails here
         loc, sigma, m = 5.0 - 0.37 * seed, 0.5 + 0.1 * seed, self.M
         ref_rng = np.random.default_rng(seed)
         ref_u = ref_rng.uniform(0.0, 4.0, m)
@@ -215,8 +360,10 @@ class TestChunkKernel:
         u, x, a = np.empty((3, m))
         rng.random(out=u)
         u *= 4.0
-        _normal_into(rng, loc, sigma, x)
-        _normal_into(rng, u, sigma, a)
+        _scaled_normal_into(rng, sigma, x)
+        x += loc
+        _scaled_normal_into(rng, sigma, a)
+        a += u
         assert np.array_equal(u, ref_u)
         assert np.array_equal(x, ref_x)
         assert np.array_equal(a, ref_a)
