@@ -60,10 +60,7 @@ from .strategies import (
     OptimalKnownTarget,
     Standard,
     Strategy,
-    circle_displacement,
-    line_displacement,
     optimal_displacement,
-    standard_displacement,
 )
 
 __version__ = "0.1.0"
@@ -92,12 +89,10 @@ __all__ = [
     "avg_fidelity_general_gain",
     "avg_fidelity_unit_gain",
     "bfk_classical_limit",
-    "circle_displacement",
     "gaussian_weighted_fidelity",
     "gaussian_weighted_fidelity_quadrature",
     "g1_of_eta",
     "g2_optimal",
-    "line_displacement",
     "maximize_scalar",
     "mc_average_fidelity",
     "mc_average_fidelity_line_segment",
@@ -111,7 +106,6 @@ __all__ = [
     "sample_target",
     "squeeze_from_G",
     "squeeze_from_lambda",
-    "standard_displacement",
     "variance_standard_gain",
     "variances_tailored",
 ]

@@ -17,7 +17,12 @@ from typing import Callable
 import numpy as np
 
 from .alphabet import gaussian_weighted_fidelity, gaussian_weighted_fidelity_quadrature
-from .experiments import default_lambda_grid
+from .experiments import (
+    ExperimentConfig,
+    default_lambda_grid,
+    run_fig3,
+    run_gaussian_alphabet,
+)
 from .fidelity import (
     ComplexAmplitude,
     avg_fidelity_unit_gain,
@@ -30,7 +35,6 @@ from .optimize import optimize_eta_g2, optimize_gain
 from .protocol import (
     ProtocolSettings,
     g1_of_eta,
-    g2_optimal,
     output_coefficients_tailored,
     squeeze_from_G,
     squeeze_from_lambda,
@@ -115,27 +119,17 @@ def criterion_full_tailoring_limit() -> CriterionResult:
 
 
 @functools.cache
-def _fig3_curves() -> tuple[tuple[float, ...], ...]:
-    """(eta*, g2*, f_full, f_disp_only, f_standard) over the default grid."""
-    grid = default_lambda_grid()
-    eta_stars, g2_stars, f_full, f_disp, f_std = [], [], [], [], []
-    for lam in grid:
-        sq = squeeze_from_lambda(lam)
-        res = optimize_eta_g2(sq)
-        eta_stars.append(res.argmax[0])
-        g2_stars.append(res.argmax[1])
-        f_full.append(res.value)
-        half = math.pi / 4
-        f_disp.append(
-            avg_fidelity_unit_gain(variances_tailored(sq, half, g2_optimal(sq, half))).value
-        )
-        f_std.append((1.0 + lam) / 2.0)
-    return tuple(eta_stars), tuple(g2_stars), tuple(f_full), tuple(f_disp), tuple(f_std)
+def _fig3_rows() -> tuple[tuple[float, ...], ...]:
+    """``run_fig3`` rows at the default config, shared by criteria 4 and 5.
+
+    Columns: lambda, f_full, f_disp_only, f_standard, eta_star, g2_star.
+    """
+    return run_fig3(ExperimentConfig()).rows
 
 
 def criterion_fig3_asymptotes() -> CriterionResult:
     """eta*(lam) runs 0 -> pi/4 and g2*(lam) runs 0 -> 1/sqrt(2), both monotone."""
-    eta_stars, g2_stars, _, _, _ = _fig3_curves()
+    *_, eta_stars, g2_stars = zip(*_fig3_rows())
     mono_eta = all(b >= a for a, b in zip(eta_stars, eta_stars[1:]))
     mono_g2 = all(b >= a for a, b in zip(g2_stars, g2_stars[1:]))
     start_ok = eta_stars[0] == 0.0 and g2_stars[0] == 0.0
@@ -153,17 +147,11 @@ def criterion_fig3_asymptotes() -> CriterionResult:
 
 def criterion_curve_ordering() -> CriterionResult:
     """f_full >= f_disp_only >= f_standard everywhere, strict for lam <= 0.98."""
-    grid = default_lambda_grid()
-    _, _, f_full, f_disp, f_std = _fig3_curves()
-    weak_ok = all(a >= b >= c for a, b, c in zip(f_full, f_disp, f_std))
-    strict_ok = all(
-        f_full[i] > f_disp[i] > f_std[i]
-        for i in range(len(grid))
-        if grid[i] <= 0.98
-    )
-    min_gap = min(
-        f_full[i] - f_disp[i] for i in range(len(grid)) if grid[i] <= 0.98
-    )
+    rows = _fig3_rows()
+    interior = [r for r in rows if r[0] <= 0.98]
+    weak_ok = all(full >= disp >= std for _, full, disp, std, _, _ in rows)
+    strict_ok = all(full > disp > std for _, full, disp, std, _, _ in interior)
+    min_gap = min(full - disp for _, full, disp, _, _, _ in interior)
     return _result(
         5,
         "curve ordering",
@@ -193,13 +181,11 @@ def criterion_cross_picture() -> CriterionResult:
 
 def criterion_wide_alphabet() -> CriterionResult:
     """s=100 alphabet: optimum at g=1, F=1/2, and the whole curve is standard."""
-    res0 = optimize_gain(squeeze_from_lambda(0.0), 100.0)
-    f_err = abs(res0.value - 0.5)
-    g_err = abs(res0.argmax[0] - 1.0)
-    worst_curve = 0.0
-    for lam in default_lambda_grid():
-        res = optimize_gain(squeeze_from_lambda(lam), 100.0)
-        worst_curve = max(worst_curve, abs(res.value - (1.0 + lam) / 2.0))
+    rows = run_gaussian_alphabet(ExperimentConfig(s=100.0)).rows
+    _, f0, g0 = rows[0]  # lam = 0
+    f_err = abs(f0 - 0.5)
+    g_err = abs(g0 - 1.0)
+    worst_curve = max(abs(f - (1.0 + lam) / 2.0) for lam, f, _ in rows)
     passed = f_err <= 1e-3 and g_err <= 1e-3 and worst_curve <= 0.01
     return _result(
         7,
@@ -380,7 +366,7 @@ ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
 def run_all() -> list[CriterionResult]:
     """Run every acceptance criterion in order.
 
-    Criteria 4 and 5 share one computation of the fig3 curves per run.
+    Criteria 4 and 5 share one computation of the fig3 rows per run.
     """
-    _fig3_curves.cache_clear()
+    _fig3_rows.cache_clear()
     return [criterion() for criterion in ALL_CRITERIA]

@@ -2,8 +2,7 @@
 
 Subcommands reproduce each figure-style dataset as CSV plus a key=value
 summary block on stdout; ``check`` runs the acceptance suite.  Exit
-codes: 0 success, 1 acceptance/validation failure, 2 usage error,
-3 I/O error.
+codes: 0 ok, 1 check failure, 2 bad input, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -11,9 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import acceptance, experiments
-from .experiments import ExperimentConfig, default_lambda_grid, load_config_file
+from .experiments import ExperimentConfig, default_lambda_grid
 
 _RUNNERS = {
     "fig1": experiments.run_fig1,
@@ -22,46 +22,53 @@ _RUNNERS = {
     "circle-vs-line": experiments.run_circle_vs_line,
 }
 
-_DEFAULTS = {
-    "lambda_points": experiments.DEFAULT_LAMBDA_POINTS,
-    "samples": experiments.DEFAULT_SAMPLES,
-    "seed": experiments.DEFAULT_SEED,
-    "alpha": experiments.DEFAULT_ALPHA,
-    "s": experiments.DEFAULT_S,
-    "tol": experiments.DEFAULT_TOL,
-    "threads": 1,
-}
 
-_PARSERS = {
-    "lambda_points": int,
-    "samples": int,
-    "seed": int,
-    "alpha": float,
-    "s": float,
-    "out": str,
-    "tol": float,
-    "threads": int,
-}
+class Setting(NamedTuple):
+    """One run setting: config-file key, value parser, default and flag help."""
+
+    key: str
+    type: Callable[[str], object]
+    default: object
+    metavar: str
+    help: str
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+
+# The one list of settings: it defines the CLI flags, the keys a config
+# file may set, how their values parse, and their defaults.  ``--s`` is a
+# flag of ``gaussian`` only; ``out`` defaults to ``<command>.csv``.
+SETTINGS = (
+    Setting("lambda_points", int, experiments.DEFAULT_LAMBDA_POINTS, "N",
+            "uniform grid points on [0, 0.98] (plus the 0.999 cap)"),
+    Setting("samples", int, experiments.DEFAULT_SAMPLES, "N",
+            "Monte Carlo samples per grid point"),
+    Setting("seed", int, experiments.DEFAULT_SEED, "U64",
+            "base seed; per-point seeds are seed XOR point index"),
+    Setting("alpha", float, experiments.DEFAULT_ALPHA, "X",
+            "target amplitude for the line/circle curves"),
+    Setting("s", float, experiments.DEFAULT_S, "X", "alphabet standard deviation"),
+    Setting("out", Path, None, "PATH", "output CSV path (default <command>.csv)"),
+    Setting("tol", float, experiments.DEFAULT_TOL, "X", "optimizer abscissa tolerance"),
+    Setting("threads", int, 1, "N", "worker threads across grid points"),
+)
+_BY_KEY = {setting.key: setting for setting in SETTINGS}
+
+
+def _add_flag(parser: argparse.ArgumentParser, setting: Setting) -> None:
+    parser.add_argument(setting.flag, type=setting.type, default=None,
+                        metavar=setting.metavar, help=setting.help)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--lambda-points", type=int, default=None, metavar="N",
-                        help="uniform grid points on [0, 0.98] (plus the 0.999 cap)")
-    common.add_argument("--samples", type=int, default=None, metavar="N",
-                        help="Monte Carlo samples per grid point")
-    common.add_argument("--seed", type=int, default=None, metavar="U64",
-                        help="base seed; per-point seeds are seed XOR point index")
-    common.add_argument("--alpha", type=float, default=None, metavar="X",
-                        help="target amplitude for the line/circle curves")
-    common.add_argument("--out", type=str, default=None, metavar="PATH",
-                        help="output CSV path (default <command>.csv)")
-    common.add_argument("--tol", type=float, default=None, metavar="X",
-                        help="optimizer abscissa tolerance")
+    for setting in SETTINGS:
+        if setting.key != "s":
+            _add_flag(common, setting)
     common.add_argument("--config", type=str, default=None, metavar="PATH",
                         help="key = value config file; CLI flags take precedence")
-    common.add_argument("--threads", type=int, default=None, metavar="N",
-                        help="worker threads across grid points")
 
     parser = argparse.ArgumentParser(
         prog="cvteleport",
@@ -74,29 +81,60 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="full tailoring, displacement-only and standard curves")
     gaussian = sub.add_parser("gaussian", parents=[common],
                               help="gain-optimised fidelity for a Gaussian alphabet")
-    gaussian.add_argument("--s", type=float, default=None, metavar="X",
-                          help="alphabet standard deviation")
+    _add_flag(gaussian, _BY_KEY["s"])
     sub.add_parser("circle-vs-line", parents=[common],
                    help="Monte Carlo comparison of circle and line strategies")
     sub.add_parser("check", help="run the acceptance suite; nonzero exit on failure")
     return parser
 
 
+def load_config_file(path: Path) -> dict[str, str]:
+    """Parse a plain ``key = value`` config file with ``#`` comments."""
+    values: dict[str, str] = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in _BY_KEY:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            values[key] = value.strip()
+    return values
+
+
 def _merge_settings(args: argparse.Namespace) -> dict:
-    settings = dict(_DEFAULTS)
-    settings["out"] = f"{args.command}.csv"
+    settings = {setting.key: setting.default for setting in SETTINGS}
+    settings["out"] = Path(f"{args.command}.csv")
     if args.config is not None:
         raw = load_config_file(Path(args.config))
         for key, text in raw.items():
             try:
-                settings[key] = _PARSERS[key](text)
+                settings[key] = _BY_KEY[key].type(text)
             except ValueError as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
-    for key in _PARSERS:
+    for key in _BY_KEY:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             settings[key] = cli_value
     return settings
+
+
+def _experiment_config(settings: dict) -> ExperimentConfig:
+    return ExperimentConfig(
+        lambda_grid=default_lambda_grid(settings["lambda_points"]),
+        n_samples=settings["samples"],
+        seed=settings["seed"],
+        alpha_line=settings["alpha"],
+        s=settings["s"],
+        tol=settings["tol"],
+        threads=settings["threads"],
+    )
 
 
 def _run_check() -> int:
@@ -116,31 +154,19 @@ def main(argv: list[str] | None = None) -> int:
         return _run_check()
 
     try:
-        settings = _merge_settings(args)
-        config = ExperimentConfig(
-            lambda_grid=default_lambda_grid(settings["lambda_points"]),
-            n_samples=settings["samples"],
-            seed=settings["seed"],
-            alpha_line=settings["alpha"],
-            s=settings["s"],
-            output_path=Path(settings["out"]),
-            tol=settings["tol"],
-            threads=settings["threads"],
-        )
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        try:
+            settings = _merge_settings(args)
+            config = _experiment_config(settings)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         result = _RUNNERS[args.command](config)
+        experiments.write_csv(settings["out"], result.header, result.rows)
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    print(f"wrote {result.output_path} ({len(result.rows)} rows)")
+    print(f"wrote {settings['out']} ({len(result.rows)} rows)")
     for key, value in result.summary.items():
         print(f"{key}={format(value, '.9g')}")
     return 0

@@ -1,21 +1,23 @@
-"""Figure-style experiment runners producing plot-ready CSV datasets.
+"""Figure-style experiment runners producing plot-ready datasets.
 
 Each runner evaluates one fidelity-versus-squeezing curve family over a
-lambda grid, writes a CSV file (header line, comma-separated, reals with
-9 significant digits, no locale formatting) and returns the rows together
-with a key=value summary of the headline numbers for automated checking.
+lambda grid and returns the rows together with a key=value summary of the
+headline numbers for automated checking; it opens no file.
+:func:`write_csv` is the one CSV format (header line, comma-separated,
+reals with 9 significant digits, no locale formatting).
 
 Reproducibility contract: a given :class:`ExperimentConfig` (seed
-included) always produces byte-identical CSV output.  Grid points are
-independent; the per-point Monte Carlo seed is ``seed XOR point_index``,
-so runs may be parallelised across points without changing the result.
+included) always produces the same rows, hence byte-identical CSV output.
+Grid points are independent; the per-point Monte Carlo seed is
+``seed XOR point_index``, so runs may be parallelised across points
+without changing the result.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -68,14 +70,12 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     alpha_line: float = DEFAULT_ALPHA
     s: float = DEFAULT_S
-    output_path: Path = Path("experiment.csv")
     tol: float = DEFAULT_TOL
     threads: int = 1
 
     def __post_init__(self) -> None:
         grid = tuple(float(x) for x in self.lambda_grid)
         object.__setattr__(self, "lambda_grid", grid)
-        object.__setattr__(self, "output_path", Path(self.output_path))
         if not grid:
             raise ValueError("lambda grid must not be empty")
         if any(not (0.0 <= x <= LAMBDA_MAX) for x in grid):
@@ -107,12 +107,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Rows written to the CSV plus the summary block of headline numbers."""
+    """Column names, rows and the summary block of headline numbers."""
 
     header: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
     summary: dict[str, float]
-    output_path: Path
 
 
 def _format_real(x: float) -> str:
@@ -163,8 +162,7 @@ def run_fig1(config: ExperimentConfig) -> ExperimentResult:
         "f_tailored_mc_lambda_end": rows[-1][2],
         "min_tailored_margin_3se": min(r[2] - r[1] + 3.0 * r[3] for r in rows),
     }
-    write_csv(config.output_path, header, rows)
-    return ExperimentResult(header, tuple(rows), summary, config.output_path)
+    return ExperimentResult(header, tuple(rows), summary)
 
 
 def run_fig3(config: ExperimentConfig) -> ExperimentResult:
@@ -200,8 +198,7 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
         "g2_star_lambda_end": rows[-1][5],
         "ordering_violations": float(ordering_violations),
     }
-    write_csv(config.output_path, header, rows)
-    return ExperimentResult(header, tuple(rows), summary, config.output_path)
+    return ExperimentResult(header, tuple(rows), summary)
 
 
 def run_gaussian_alphabet(config: ExperimentConfig) -> ExperimentResult:
@@ -223,8 +220,7 @@ def run_gaussian_alphabet(config: ExperimentConfig) -> ExperimentResult:
         "g_opt_lambda0": rows[0][2],
         "f_opt_lambda_end": rows[-1][1],
     }
-    write_csv(config.output_path, header, rows)
-    return ExperimentResult(header, tuple(rows), summary, config.output_path)
+    return ExperimentResult(header, tuple(rows), summary)
 
 
 def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
@@ -266,31 +262,4 @@ def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
             d - a for d, a in zip(diffs, allowances)
         ),
     }
-    write_csv(config.output_path, header, rows)
-    return ExperimentResult(header, tuple(rows), summary, config.output_path)
-
-
-def load_config_file(path: Path) -> dict[str, str]:
-    """Parse a plain ``key = value`` config file with ``#`` comments."""
-    known = {"lambda_points", "samples", "seed", "alpha", "s", "out", "tol", "threads"}
-    values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = value.strip()
-    return values
-
-
-def config_with_output(config: ExperimentConfig, path: Path) -> ExperimentConfig:
-    """Copy of ``config`` writing to ``path``."""
-    return replace(config, output_path=Path(path))
+    return ExperimentResult(header, tuple(rows), summary)

@@ -81,11 +81,14 @@ def maximize_scalar(
         a = xs[max(i - 1, 0)]
         b = xs[min(i + 1, _FALLBACK_GRID - 1)]
 
-    # golden-section on [a, b]
+    # golden-section on [a, b], until it is tol wide or, with tol below
+    # the float spacing there, stops shrinking
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = eval_f(x1), eval_f(x2)
-    while b - a > tol:
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)

@@ -1,4 +1,4 @@
-"""Receiver displacement rules for each protocol variant.
+"""Receiver strategies of each protocol variant.
 
 Every tailored rule is the convex combination
 
@@ -6,12 +6,12 @@ Every tailored rule is the convex combination
 
 of a best guess for the target and the measurement outcome beta; the
 variants differ only in how the guess is formed from prior knowledge.
+The Monte Carlo kernel in :mod:`cvteleport.measurement` evaluates each
+rule; :func:`optimal_displacement` is the known-target rule for one outcome.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 from typing import Union
 
@@ -69,49 +69,3 @@ def optimal_displacement(
         (1.0 - lam) * alpha_guess.y + lam * beta.y,
     )
 
-
-def line_displacement(beta: ComplexAmplitude, sq: SqueezeLevel) -> ComplexAmplitude:
-    """Displacement for targets on the positive real axis.
-
-    The guess is alpha_x = |beta|, alpha_y = 0, giving
-
-        eps_x = (1 - lam) |beta| + lam beta_x,   eps_y = lam beta_y.
-    """
-    lam = sq.lam
-    return ComplexAmplitude((1.0 - lam) * abs(beta) + lam * beta.x, lam * beta.y)
-
-
-def circle_displacement(
-    beta: ComplexAmplitude, radius: float, sq: SqueezeLevel
-) -> ComplexAmplitude:
-    """Displacement for targets of known amplitude ``radius``.
-
-    The guess is the point on the circle at the measured angle:
-
-        eps_x = (1 - lam) radius cos(arg beta) + lam beta_x
-        eps_y = (1 - lam) radius sin(arg beta) + lam beta_y.
-
-    arg(0) is undefined; the (measure-zero) outcome beta = 0 is resolved
-    deterministically as arg = 0 and flagged with a RuntimeWarning.
-    """
-    if radius < 0.0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    if beta.x == 0.0 and beta.y == 0.0:
-        warnings.warn(
-            "measurement outcome at the phase-space origin: taking arg(0) = 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    lam = sq.lam
-    phi = math.atan2(beta.y, beta.x)
-    return ComplexAmplitude(
-        (1.0 - lam) * radius * math.cos(phi) + lam * beta.x,
-        (1.0 - lam) * radius * math.sin(phi) + lam * beta.y,
-    )
-
-
-def standard_displacement(beta: ComplexAmplitude, g: float) -> ComplexAmplitude:
-    """Standard-protocol displacement epsilon = g * beta."""
-    if g < 0.0:
-        raise ValueError(f"gain must be non-negative, got {g}")
-    return ComplexAmplitude(g * beta.x, g * beta.y)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from cvteleport import acceptance
+from cvteleport import acceptance, experiments
 from cvteleport.experiments import default_lambda_grid
 from cvteleport.fidelity import ComplexAmplitude
 from cvteleport.measurement import quadrature_average_fidelity
@@ -176,17 +176,26 @@ def test_criterion_10_property_suites():
 
 
 def test_run_all_covers_every_criterion(monkeypatch):
-    # criteria 4 and 5 share one fig3 computation: one full-tailoring
-    # optimisation per grid point, plus criterion 3's single point
-    calls = []
-    optimize = acceptance.optimize_eta_g2
+    # criteria 4 and 5 share one fig3 run: one full-tailoring optimisation
+    # per grid point, plus criterion 3's single point; criterion 7 reads the
+    # gaussian runner's rows (its lam = 0 row included), plus criterion 8's
+    # single point
+    calls = {"optimize_eta_g2": 0, "optimize_gain": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return optimize(*args, **kwargs)
+    def count(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(acceptance, "optimize_eta_g2", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (acceptance, experiments):
+        for name in calls:
+            count(module, name)
     results = acceptance.run_all()
     assert [r.number for r in results] == list(range(1, 11))
     assert len({r.name for r in results}) == 10
-    assert len(calls) == len(acceptance.default_lambda_grid()) + 1
+    points = len(acceptance.default_lambda_grid())
+    assert calls == {"optimize_eta_g2": points + 1, "optimize_gain": points + 1}

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,29 +10,31 @@ from pathlib import Path
 import pytest
 
 import cvteleport
+from cvteleport import cli
+from cvteleport.cli import load_config_file
 from cvteleport.experiments import (
     ExperimentConfig,
-    config_with_output,
     default_lambda_grid,
-    load_config_file,
     run_circle_vs_line,
     run_fig1,
     run_fig3,
     run_gaussian_alphabet,
+    write_csv,
 )
 
 SMALL_GRID = default_lambda_grid(10)  # 11 points incl. 0 and 0.999
 
 
-def small_config(tmp_path, **overrides):
-    settings = dict(
-        lambda_grid=SMALL_GRID,
-        n_samples=20_000,
-        seed=8711,
-        output_path=tmp_path / "out.csv",
-    )
+def small_config(**overrides):
+    settings = dict(lambda_grid=SMALL_GRID, n_samples=20_000, seed=8711)
     settings.update(overrides)
     return ExperimentConfig(**settings)
+
+
+def csv_bytes(result, path):
+    """The bytes ``write_csv`` writes for ``result``."""
+    write_csv(path, result.header, result.rows)
+    return path.read_bytes()
 
 
 class TestLambdaGrid:
@@ -85,30 +88,29 @@ class TestConfigValidation:
 
 class TestReproducibility:
     def test_identical_config_identical_bytes(self, tmp_path):
-        config = small_config(tmp_path, lambda_grid=default_lambda_grid(4), n_samples=2000)
-        run_fig1(config)
-        first = config.output_path.read_bytes()
-        run_fig1(config)
-        assert config.output_path.read_bytes() == first
+        config = small_config(lambda_grid=default_lambda_grid(4), n_samples=2000)
+        first = csv_bytes(run_fig1(config), tmp_path / "first.csv")
+        assert csv_bytes(run_fig1(config), tmp_path / "second.csv") == first
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
-        base = small_config(tmp_path, lambda_grid=default_lambda_grid(4), n_samples=2000)
-        run_circle_vs_line(base)
-        serial = base.output_path.read_bytes()
-        threaded = small_config(
-            tmp_path,
-            lambda_grid=default_lambda_grid(4),
-            n_samples=2000,
-            threads=3,
-            output_path=tmp_path / "threaded.csv",
-        )
-        run_circle_vs_line(threaded)
-        assert threaded.output_path.read_bytes() == serial
+        base = small_config(lambda_grid=default_lambda_grid(4), n_samples=2000)
+        serial = csv_bytes(run_circle_vs_line(base), tmp_path / "serial.csv")
+        threaded = small_config(lambda_grid=default_lambda_grid(4), n_samples=2000, threads=3)
+        assert csv_bytes(run_circle_vs_line(threaded), tmp_path / "threaded.csv") == serial
+
+    @pytest.mark.parametrize(
+        "runner", [run_fig1, run_fig3, run_gaussian_alphabet, run_circle_vs_line]
+    )
+    def test_runner_writes_no_file(self, tmp_path, monkeypatch, runner):
+        monkeypatch.chdir(tmp_path)
+        result = runner(small_config(lambda_grid=(0.0, 0.5), n_samples=2000))
+        assert len(result.rows) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFig1:
-    def test_rows_and_summary(self, tmp_path):
-        config = small_config(tmp_path, n_samples=50_000)
+    def test_rows_and_summary(self):
+        config = small_config(n_samples=50_000)
         result = run_fig1(config)
         assert result.header == (
             "lambda", "f_standard", "f_tailored_disp_mc", "f_tailored_disp_mc_stderr",
@@ -123,9 +125,8 @@ class TestFig1:
         assert result.summary["min_tailored_margin_3se"] >= 0.0
 
     def test_csv_format(self, tmp_path):
-        config = small_config(tmp_path, lambda_grid=(0.0, 0.5), n_samples=2000)
-        run_fig1(config)
-        lines = config.output_path.read_text().splitlines()
+        config = small_config(lambda_grid=(0.0, 0.5), n_samples=2000)
+        lines = csv_bytes(run_fig1(config), tmp_path / "out.csv").decode().splitlines()
         assert lines[0] == "lambda,f_standard,f_tailored_disp_mc,f_tailored_disp_mc_stderr"
         assert len(lines) == 3
         for line in lines[1:]:
@@ -137,8 +138,8 @@ class TestFig1:
 
 
 class TestFig3:
-    def test_rows(self, tmp_path):
-        result = run_fig3(small_config(tmp_path))
+    def test_rows(self):
+        result = run_fig3(small_config())
         first, last = result.rows[0], result.rows[-1]
         assert first[1] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-9)
         assert first[2] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
@@ -151,24 +152,22 @@ class TestFig3:
 
 
 class TestGaussianAlphabet:
-    def test_wide_alphabet(self, tmp_path):
-        result = run_gaussian_alphabet(small_config(tmp_path, s=100.0))
+    def test_wide_alphabet(self):
+        result = run_gaussian_alphabet(small_config(s=100.0))
         first = result.rows[0]
         assert first[1] == pytest.approx(0.5, abs=1e-3)
         assert first[2] == pytest.approx(1.0, abs=1e-3)
 
-    def test_narrow_alphabet(self, tmp_path):
-        result = run_gaussian_alphabet(small_config(tmp_path, s=0.2))
+    def test_narrow_alphabet(self):
+        result = run_gaussian_alphabet(small_config(s=0.2))
         first, last = result.rows[0], result.rows[-1]
         assert 0.928 <= first[1] <= 0.936
         assert last[1] >= 0.99
 
 
 class TestCircleVsLine:
-    def test_rows(self, tmp_path):
-        config = small_config(
-            tmp_path, lambda_grid=(0.0, 0.45, 0.9), n_samples=10_000
-        )
+    def test_rows(self):
+        config = small_config(lambda_grid=(0.0, 0.45, 0.9), n_samples=10_000)
         result = run_circle_vs_line(config)
         first = result.rows[0]
         assert first[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=0.01)
@@ -213,24 +212,46 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=r"run\.cfg:3: duplicate key 'samples'"):
             load_config_file(path)
 
-    def test_config_with_output(self, tmp_path):
-        config = ExperimentConfig()
-        moved = config_with_output(config, tmp_path / "x.csv")
-        assert moved.output_path == tmp_path / "x.csv"
-        assert moved.seed == config.seed
 
-    def test_runner_raises_on_unwritable_path(self, tmp_path):
-        config = small_config(
-            tmp_path,
-            lambda_grid=(0.0, 0.5),
-            n_samples=2000,
-            output_path=tmp_path / "no-such-dir" / "out.csv",
-        )
-        with pytest.raises(OSError):
-            run_fig1(config)
+# a value other than the default for every key of the CLI settings table
+SETTING_VALUES = {
+    "lambda_points": "4",
+    "samples": "2000",
+    "seed": "7",
+    "alpha": "3.5",
+    "s": "0.3",
+    "out": "elsewhere.csv",
+    "tol": "1e-6",
+    "threads": "2",
+}
 
 
-def run_cli(*args, cwd=None):
+class TestSettingsTable:
+    @pytest.mark.parametrize("setting", cli.SETTINGS, ids=lambda s: s.key)
+    def test_config_file_and_flag_agree(self, tmp_path, setting):
+        value = SETTING_VALUES[setting.key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{setting.key} = {value}\n")
+        parser = cli._build_parser()
+        defaults = cli._merge_settings(parser.parse_args(["gaussian"]))
+        from_file = cli._merge_settings(parser.parse_args(["gaussian", "--config", str(cfg)]))
+        from_flag = cli._merge_settings(parser.parse_args(["gaussian", setting.flag, value]))
+        assert from_file == from_flag
+        assert from_file[setting.key] != defaults[setting.key]
+        config = cli._experiment_config(from_file)
+        assert config == cli._experiment_config(from_flag)
+        if setting.key != "out":
+            assert config != cli._experiment_config(defaults)
+
+    def test_readme_names_every_flag(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme[readme.index("Shared flags:"):].split("\n\n", 1)[0]
+        named = re.findall(r"`(--[a-z-]+) ([A-Z0-9]+)`", paragraph)
+        expected = {(s.flag, s.metavar) for s in cli.SETTINGS} | {("--config", "PATH")}
+        assert sorted(named) == sorted(expected)
+
+
+def run_cli(*args, cwd=None, timeout=300):
     # the child imports the same package as the tests, installed or not
     src = str(Path(cvteleport.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
@@ -241,7 +262,7 @@ def run_cli(*args, cwd=None):
         text=True,
         cwd=cwd,
         env=env,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -328,6 +349,19 @@ class TestCli:
     def test_missing_config_exit_3(self, tmp_path):
         proc = run_cli("fig1", "--config", str(tmp_path / "absent.cfg"))
         assert proc.returncode == 3
+
+    def test_unreadable_config_exit_3(self, tmp_path):
+        proc = run_cli("fig1", "--config", str(tmp_path))  # a directory
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [("fig3", "--lambda-points", "2", "--tol", "1e-300"), ("gaussian", "--tol", "1e-17")],
+    )
+    def test_tol_below_float_spacing_returns(self, tmp_path, args):
+        proc = run_cli(*args, "--out", str(tmp_path / "x.csv"), timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_check_prints_criterion_lines(self):
         proc = run_cli("check")

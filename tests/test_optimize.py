@@ -1,6 +1,7 @@
 """Scalar search and the protocol-tuning optimizers."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -62,6 +63,25 @@ class TestMaximizeScalar:
         with pytest.raises(NonFiniteObjectiveError) as exc_info:
             maximize_scalar(bad, 0.0, 1.0, tol=1e-6)
         assert exc_info.value.x > 0.5
+
+    @pytest.mark.parametrize("assume_unimodal", [True, False])
+    def test_tol_below_float_spacing_returns(self, assume_unimodal):
+        # 1e-300 is far below the float spacing near 0.3 (5.6e-17): the
+        # search must stop once its bracket no longer shrinks
+        def timeout(signum, frame):
+            raise TimeoutError("maximize_scalar did not return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            res = maximize_scalar(
+                lambda x: -((x - 0.3) ** 2), 0.0, 2.0, tol=1e-300,
+                assume_unimodal=assume_unimodal,
+            )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert res.argmax[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,12 @@
-"""Displacement rules of the four strategies."""
+"""Displacement rules of the four strategies.
+
+The standard, line and circle rules live only in the Monte Carlo kernel,
+which returns one-shot fidelities.  A rule displaces by epsilon at outcome
+beta when its fidelity equals ``one_shot_fidelity(alpha, beta, epsilon)``
+for three targets alpha that are not collinear: the fidelity is
+exp(-|(1 - lam) alpha + lam beta - epsilon|^2), and three such distances
+fix epsilon.
+"""
 
 import math
 
@@ -6,15 +14,29 @@ import numpy as np
 import pytest
 
 from cvteleport.fidelity import ComplexAmplitude, one_shot_fidelity
+from cvteleport.measurement import _one_shot_into
 from cvteleport.protocol import squeeze_from_lambda
 from cvteleport.strategies import (
     CircleTailored,
+    LineTailored,
     Standard,
-    circle_displacement,
-    line_displacement,
     optimal_displacement,
-    standard_displacement,
 )
+
+TARGETS = (ComplexAmplitude(1.0, 0.0), ComplexAmplitude(-0.5, 2.0), ComplexAmplitude(0.0, -1.5))
+
+
+def kernel_fidelity(strategy, alpha, beta, sq):
+    """The kernel's one-shot fidelity for target ``alpha`` at outcome ``beta``."""
+    work = np.empty((6, 1))
+    work[0], work[1] = beta.x - alpha.x, beta.y - alpha.y
+    return float(_one_shot_into(strategy, (alpha.x, alpha.y), sq.lam, work)[0])
+
+
+def assert_displaces_to(strategy, beta, sq, eps):
+    for alpha in TARGETS:
+        expected = one_shot_fidelity(alpha, beta, eps, sq).value
+        assert kernel_fidelity(strategy, alpha, beta, sq) == pytest.approx(expected, rel=1e-12)
 
 
 class TestOptimalDisplacement:
@@ -40,49 +62,49 @@ class TestOptimalDisplacement:
 
 class TestLineDisplacement:
     def test_arithmetic(self):
-        eps = line_displacement(ComplexAmplitude(3.0, 4.0), squeeze_from_lambda(0.5))
-        assert (eps.x, eps.y) == (4.0, 2.0)
+        beta = ComplexAmplitude(3.0, 4.0)
+        assert_displaces_to(
+            LineTailored(), beta, squeeze_from_lambda(0.5), ComplexAmplitude(4.0, 2.0)
+        )
 
     def test_pure_guess_limit(self):
         beta = ComplexAmplitude(-1.0, 2.0)
-        eps = line_displacement(beta, squeeze_from_lambda(0.0))
-        assert (eps.x, eps.y) == (abs(beta), 0.0)
+        assert_displaces_to(
+            LineTailored(), beta, squeeze_from_lambda(0.0), ComplexAmplitude(abs(beta), 0.0)
+        )
 
     def test_outcome_on_line(self):
-        eps = line_displacement(ComplexAmplitude(2.0, 0.0), squeeze_from_lambda(0.3))
-        assert (eps.x, eps.y) == (2.0, 0.0)
+        beta = ComplexAmplitude(2.0, 0.0)
+        assert_displaces_to(LineTailored(), beta, squeeze_from_lambda(0.3), beta)
 
 
 class TestCircleDisplacement:
     def test_projects_onto_circle(self):
-        eps = circle_displacement(ComplexAmplitude(0.0, 5.0), 2.0, squeeze_from_lambda(0.0))
-        assert eps.x == pytest.approx(0.0, abs=1e-15)
-        assert eps.y == pytest.approx(2.0, abs=1e-15)
+        assert_displaces_to(
+            CircleTailored(2.0), ComplexAmplitude(0.0, 5.0), squeeze_from_lambda(0.0),
+            ComplexAmplitude(0.0, 2.0),
+        )
 
     def test_large_squeezing_limit(self):
+        # every fidelity here is within 1e-17 of 1, so this pins epsilon to
+        # beta only within 1e-6; test_interpolation pins the rule exactly
         r = 3.0
         beta = ComplexAmplitude(r * math.cos(1.1), r * math.sin(1.1))
-        eps = circle_displacement(beta, r, squeeze_from_lambda(1.0 - 1e-9))
-        assert eps.x == pytest.approx(beta.x, abs=1e-8)
-        assert eps.y == pytest.approx(beta.y, abs=1e-8)
+        assert_displaces_to(CircleTailored(r), beta, squeeze_from_lambda(1.0 - 1e-9), beta)
 
     def test_outcome_on_circle(self):
         # |beta| equal to the radius makes the displacement exactly beta
-        eps = circle_displacement(ComplexAmplitude(3.0, 4.0), 5.0, squeeze_from_lambda(0.5))
-        assert eps.x == pytest.approx(3.0, abs=1e-12)
-        assert eps.y == pytest.approx(4.0, abs=1e-12)
+        beta = ComplexAmplitude(3.0, 4.0)
+        assert_displaces_to(CircleTailored(5.0), beta, squeeze_from_lambda(0.5), beta)
 
-    def test_origin_outcome_flagged(self):
-        with pytest.warns(RuntimeWarning):
-            eps = circle_displacement(
-                ComplexAmplitude(0.0, 0.0), 2.0, squeeze_from_lambda(0.4)
-            )
+    def test_origin_outcome_takes_arg_zero(self):
         # arg(0) resolved as 0: the guess sits on the positive real axis
-        assert (eps.x, eps.y) == ((1.0 - 0.4) * 2.0, 0.0)
+        assert_displaces_to(
+            CircleTailored(2.0), ComplexAmplitude(0.0, 0.0), squeeze_from_lambda(0.4),
+            ComplexAmplitude((1.0 - 0.4) * 2.0, 0.0),
+        )
 
     def test_negative_radius(self):
-        with pytest.raises(ValueError):
-            circle_displacement(ComplexAmplitude(1.0, 0.0), -1.0, squeeze_from_lambda(0.0))
         with pytest.raises(ValueError):
             CircleTailored(radius=-2.0)
 
@@ -97,12 +119,12 @@ class TestStandardDisplacement:
         ],
     )
     def test_scaling(self, g, beta, expected):
-        eps = standard_displacement(ComplexAmplitude(*beta), g)
-        assert (eps.x, eps.y) == expected
+        assert_displaces_to(
+            Standard(g), ComplexAmplitude(*beta), squeeze_from_lambda(0.6),
+            ComplexAmplitude(*expected),
+        )
 
     def test_negative_gain(self):
-        with pytest.raises(ValueError):
-            standard_displacement(ComplexAmplitude(1.0, 0.0), -0.5)
         with pytest.raises(ValueError):
             Standard(gain=-1.0)
 
@@ -121,18 +143,16 @@ class TestProperties:
             assert eps.x == pytest.approx((1 - lam) * guess.x + lam * beta.x, abs=1e-12)
             assert eps.y == pytest.approx((1 - lam) * guess.y + lam * beta.y, abs=1e-12)
 
-            eps = line_displacement(beta, sq)
-            assert eps.x == pytest.approx((1 - lam) * abs(beta) + lam * beta.x, abs=1e-12)
-            assert eps.y == pytest.approx(lam * beta.y, abs=1e-12)
+            line_guess = ComplexAmplitude(abs(beta), 0.0)
+            assert_displaces_to(
+                LineTailored(), beta, sq, optimal_displacement(line_guess, beta, sq)
+            )
 
             r = rng.uniform(0.0, 5.0)
-            eps = circle_displacement(beta, r, sq)
             phi = beta.arg()
-            assert eps.x == pytest.approx(
-                (1 - lam) * r * math.cos(phi) + lam * beta.x, abs=1e-12
-            )
-            assert eps.y == pytest.approx(
-                (1 - lam) * r * math.sin(phi) + lam * beta.y, abs=1e-12
+            circle_guess = ComplexAmplitude(r * math.cos(phi), r * math.sin(phi))
+            assert_displaces_to(
+                CircleTailored(r), beta, sq, optimal_displacement(circle_guess, beta, sq)
             )
 
     def test_line_circle_agree_on_positive_axis(self):
@@ -140,9 +160,10 @@ class TestProperties:
             sq = squeeze_from_lambda(lam)
             for x in (0.5, 2.0, 7.5):
                 beta = ComplexAmplitude(x, 0.0)
-                line = line_displacement(beta, sq)
-                circ = circle_displacement(beta, abs(beta), sq)
-                assert (circ.x, circ.y) == (line.x, line.y)
+                for alpha in TARGETS:
+                    line = kernel_fidelity(LineTailored(), alpha, beta, sq)
+                    circle = kernel_fidelity(CircleTailored(x), alpha, beta, sq)
+                    assert circle == pytest.approx(line, rel=1e-12)
 
     def test_optimal_displacement_is_argmax(self):
         rng = np.random.default_rng(22)
