@@ -29,7 +29,6 @@ from .measurement import (
     McEstimate,
     OutcomeModel,
     mc_average_fidelity,
-    mc_average_fidelity_line_segment,
     quadrature_average_fidelity,
     sample_measurement,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "g2_optimal",
     "maximize_scalar",
     "mc_average_fidelity",
-    "mc_average_fidelity_line_segment",
     "one_shot_fidelity",
     "optimal_displacement",
     "optimize_eta_g2",

@@ -5,12 +5,18 @@ Each criterion is a deterministic function returning a
 and exits nonzero if any fail, and the test suite asserts them one by
 one.  All tolerances are pinned here, next to the checks, and every
 Monte Carlo run uses a fixed seed so the outcome never flickers.
+
+The criteria run one after another.  Within criteria 1, 6 and 9 the Monte
+Carlo grid points run on every CPU the process may use (its affinity
+set); each point has its own seeds, so the results do not depend on the
+CPU count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +26,7 @@ from .alphabet import gaussian_weighted_fidelity, gaussian_weighted_fidelity_qua
 from .experiments import (
     ExperimentConfig,
     default_lambda_grid,
+    map_points,
     run_fig3,
     run_gaussian_alphabet,
 )
@@ -68,19 +75,30 @@ def _seed(k: int) -> int:
     return (BASE_SEED ^ (k * 0x9E3779B9)) % 2 ** 64
 
 
+def available_cpus() -> int:
+    """CPUs the process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def criterion_standard_baseline() -> CriterionResult:
     """Analytic standard curve (1+lam)/2 and its Monte Carlo reproduction."""
     f0 = avg_fidelity_unit_gain(variance_standard_gain(squeeze_from_G(1.0), 1.0)).value
     if f0 != 0.5:
         return _result(1, "standard baseline", False, f"analytic F(0)={f0!r} != 0.5")
     alpha = ComplexAmplitude(5.0, 0.0)
-    worst = 0.0
-    for i, lam in enumerate((0.0, 0.25, 0.5, 0.75, 0.9)):
+    lams = (0.0, 0.25, 0.5, 0.75, 0.9)
+
+    def pull(i: int) -> float:
+        lam = lams[i]
         est = mc_average_fidelity(
             Standard(1.0), alpha, squeeze_from_lambda(lam), 100_000, _seed(100 + i)
         )
-        pull = abs(est.mean - (1.0 + lam) / 2.0) / est.std_error
-        worst = max(worst, pull)
+        return abs(est.mean - (1.0 + lam) / 2.0) / est.std_error
+
+    worst = max(map_points(pull, len(lams), available_cpus()))
     return _result(
         1,
         "standard baseline",
@@ -165,12 +183,14 @@ def criterion_cross_picture() -> CriterionResult:
     """Outcome-sampling line curve equals the closed-form curve within 0.01."""
     grid = default_lambda_grid()
     alpha = ComplexAmplitude(5.0, 0.0)
-    worst = 0.0
-    for i, lam in enumerate(grid):
+
+    def gap(i: int) -> float:
+        lam = grid[i]
         sq = squeeze_from_lambda(lam)
         est = mc_average_fidelity(LineTailored(), alpha, sq, 100_000, _seed(600 + i))
-        heis = math.sqrt((1.0 + lam) / 2.0)
-        worst = max(worst, abs(est.mean - heis))
+        return abs(est.mean - math.sqrt((1.0 + lam) / 2.0))
+
+    worst = max(map_points(gap, len(grid), available_cpus()))
     return _result(
         6,
         "cross-picture consistency",
@@ -227,8 +247,10 @@ def circle_line_estimates() -> list[tuple[float, McEstimate, McEstimate]]:
     point; the circle target sits at a seeded uniform random angle.
     """
     amp = 5.0
-    estimates = []
-    for i, lam in enumerate(default_lambda_grid()):
+    grid = default_lambda_grid()
+
+    def point(i: int) -> tuple[float, McEstimate, McEstimate]:
+        lam = grid[i]
         sq = squeeze_from_lambda(lam)
         line = mc_average_fidelity(
             LineTailored(), ComplexAmplitude(amp, 0.0), sq, 100_000, _seed(900 + i)
@@ -241,8 +263,9 @@ def circle_line_estimates() -> list[tuple[float, McEstimate, McEstimate]]:
             100_000,
             _seed(975 + i),
         )
-        estimates.append((lam, line, circle))
-    return estimates
+        return lam, line, circle
+
+    return map_points(point, len(grid), available_cpus())
 
 
 def criterion_circle_line_equivalence() -> CriterionResult:

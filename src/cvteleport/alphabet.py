@@ -12,6 +12,7 @@ asymmetric alphabets, which the closed form does not).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -79,6 +80,15 @@ def sample_target(
     raise TypeError(f"unknown alphabet: {dist!r}")
 
 
+@functools.cache
+def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and weights of ``order``, computed once."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def gaussian_weighted_fidelity(sq: SqueezeLevel, g: float, s: float) -> float:
     """Closed-form alphabet-weighted fidelity for a symmetric Gaussian alphabet.
 
@@ -116,7 +126,7 @@ def gaussian_weighted_fidelity_quadrature(
     v = variance_standard_gain(sq, g).v_plus
     a = 2.0 / (v + 1.0)
     c = 2.0 * (1.0 - g) ** 2 / (v + 1.0)
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes, weights = gauss_hermite(order)
     ax = math.sqrt(2.0) * s_x * nodes[:, None]
     ay = math.sqrt(2.0) * s_y * nodes[None, :]
     f = a * np.exp(-c * (ax * ax + ay * ay))

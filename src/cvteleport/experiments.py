@@ -9,8 +9,8 @@ reals with 9 significant digits, no locale formatting).
 Reproducibility contract: a given :class:`ExperimentConfig` (seed
 included) always produces the same rows, hence byte-identical CSV output.
 Grid points are independent; the per-point Monte Carlo seed is
-``seed XOR point_index``, so runs may be parallelised across points
-without changing the result.
+``seed XOR point_index``, so :func:`map_points` runs them on ``threads``
+threads without changing the result.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -42,6 +42,8 @@ DEFAULT_S = 0.2
 DEFAULT_TOL = 1e-8
 
 _U64 = 2 ** 64
+
+T = TypeVar("T")
 
 # Mixes the per-point seed into an independent stream for the second
 # Monte Carlo run of a grid point (circle curve vs line curve).
@@ -126,14 +128,18 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]]
             fh.write(",".join(_format_real(x) for x in row) + "\n")
 
 
-def _map_points(
-    config: ExperimentConfig, worker: Callable[[int], tuple[float, ...]]
-) -> list[tuple[float, ...]]:
-    indices = range(len(config.lambda_grid))
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(worker, indices))
-    return [worker(i) for i in indices]
+def map_points(worker: Callable[[int], T], count: int, threads: int) -> list[T]:
+    """``[worker(i) for i in range(count)]`` on up to ``threads`` threads.
+
+    The package's one parallel path.  Results come back in point order, so
+    when every point seeds its own streams the list does not depend on
+    ``threads``.
+    """
+    threads = min(threads, count)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(worker, range(count)))
+    return [worker(i) for i in range(count)]
 
 
 def run_fig1(config: ExperimentConfig) -> ExperimentResult:
@@ -154,7 +160,7 @@ def run_fig1(config: ExperimentConfig) -> ExperimentResult:
         )
         return (lam, (1.0 + lam) / 2.0, est.mean, est.std_error)
 
-    rows = _map_points(config, point)
+    rows = map_points(point, len(config.lambda_grid), config.threads)
     header = ("lambda", "f_standard", "f_tailored_disp_mc", "f_tailored_disp_mc_stderr")
     summary = {
         "f_standard_lambda0": rows[0][1],
@@ -185,7 +191,7 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
         ).value
         return (lam, res.value, disp_only, (1.0 + lam) / 2.0, eta_star, g2_star)
 
-    rows = _map_points(config, point)
+    rows = map_points(point, len(config.lambda_grid), config.threads)
     header = ("lambda", "f_full", "f_disp_only", "f_standard", "eta_star", "g2_star")
     ordering_violations = sum(
         1 for r in rows if not (r[1] >= r[2] >= r[3])
@@ -212,7 +218,7 @@ def run_gaussian_alphabet(config: ExperimentConfig) -> ExperimentResult:
         res = optimize_gain(squeeze_from_lambda(lam), config.s, tol=config.tol)
         return (lam, res.value, res.argmax[0])
 
-    rows = _map_points(config, point)
+    rows = map_points(point, len(config.lambda_grid), config.threads)
     header = ("lambda", "f_opt", "g_opt")
     summary = {
         "s": config.s,
@@ -250,7 +256,7 @@ def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
         )
         return (lam, line.mean, line.std_error, circle.mean, circle.std_error)
 
-    rows = _map_points(config, point)
+    rows = map_points(point, len(config.lambda_grid), config.threads)
     header = ("lambda", "f_line", "f_line_stderr", "f_circle", "f_circle_stderr")
     diffs = [abs(r[1] - r[3]) for r in rows]
     allowances = [3.0 * (r[2] + r[4]) for r in rows]

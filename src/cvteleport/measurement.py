@@ -15,16 +15,19 @@ derivation).
 
 Monte Carlo runs are chunked: chunk k of a run with seed s draws from
 ``default_rng(SeedSequence(entropy=s, spawn_key=(k,)))``, and the final
-reduction adds per-chunk partial sums in chunk order.  Results are
-therefore bit-identical for a fixed (seed, n) regardless of how many
-workers execute the chunks.
+reduction adds per-chunk partial sums in chunk order, so the estimate
+depends only on (seed, n).  One estimate runs on one thread; callers
+parallelise across independent estimates (grid points) instead.
 
-A chunk allocates no sample arrays: each thread draws into and evaluates
-in place on its own float64 workspace of 6 x MC_CHUNK values (3 MiB),
-allocated on the thread's first chunk and kept until the thread ends
-(for the main thread, the life of the process).  The one exception is the
-uniform-segment average, whose per-sample targets need a boolean mask of
-MC_CHUNK bytes per chunk.
+A chunk allocates no sample arrays.  Each thread holds its own float64
+workspace: one row of MC_CHUNK values and five scratch rows of MC_BLOCK
+values (832 KiB), allocated on the thread's first chunk and kept until
+the thread ends (for the main thread, the life of the process).  A
+chunk's stream gives all of w_x, then all of w_y.  w_x fills the row;
+w_y is drawn MC_BLOCK values at a time into the scratch, where
+consecutive ``standard_normal(out=)`` calls continue the stream bit for
+bit; each block is evaluated there and its fidelities are written back
+over its w_x, and the chunk's sums reduce the full row as one array.
 
 The chunk kernel works on the centred noise w = beta - alpha, drawn as
 sigma * z, never on beta itself.  Every rule displaces by
@@ -61,11 +64,11 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .alphabet import gauss_hermite
 from .fidelity import ComplexAmplitude
 from .protocol import LAMBDA_MAX, SqueezeLevel
 from .strategies import (
@@ -79,6 +82,9 @@ from .strategies import (
 # Fixed chunk size of the Monte Carlo reduction; part of the determinism
 # contract, so changing it changes the streams.
 MC_CHUNK = 1 << 16
+
+# Samples the chunk kernel evaluates at a time; changing it changes no value.
+MC_BLOCK = 1 << 13
 
 MIN_SAMPLES = 1_000
 
@@ -140,12 +146,12 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
-def _chunk_workspace(m: int) -> np.ndarray:
-    """The calling thread's (6, m) view of its (6, MC_CHUNK) workspace."""
+def _chunk_workspace() -> tuple[np.ndarray, np.ndarray]:
+    """The calling thread's (MC_CHUNK,) sample row and (5, MC_BLOCK) scratch rows."""
     work = getattr(_workspace, "rows", None)
     if work is None:
-        work = _workspace.rows = np.empty((6, MC_CHUNK))
-    return work[:, :m]
+        work = _workspace.rows = (np.empty(MC_CHUNK), np.empty((5, MC_BLOCK)))
+    return work
 
 
 def _scaled_normal_into(rng: np.random.Generator, sigma: float, out: np.ndarray) -> None:
@@ -158,14 +164,14 @@ def _scaled_normal_into(rng: np.random.Generator, sigma: float, out: np.ndarray)
     out *= sigma
 
 
-def _one_shot_into(strategy: Strategy, alpha, lam: float, work: np.ndarray) -> np.ndarray:
+def _one_shot_into(strategy: Strategy, alpha, lam: float, work) -> np.ndarray:
     """One-shot fidelities of the outcomes alpha + w, w in ``work[0]``, ``work[1]``.
 
-    ``alpha`` is the target as an (x, y) pair; x may be an array of
-    per-sample targets, which must not live in rows 0 to 4.  Every
-    strategy but the circle is evaluated in guess form on the centred
-    noise w (see the module docstring).  Rows 0 to 5 may be overwritten;
-    the returned fidelities are a view of one of them.
+    ``alpha`` is the target as an (x, y) pair of floats and ``work`` six
+    equal-shape float64 rows.  Every strategy but the circle is evaluated
+    in guess form on the centred noise w (see the module docstring).  Rows
+    0 to 5 may be overwritten; the returned fidelities are one of rows 2
+    to 5.
     """
     ax, ay = alpha
     wx, wy, t2, t3, t4, _ = work
@@ -203,12 +209,8 @@ def _one_shot_into(strategy: Strategy, alpha, lam: float, work: np.ndarray) -> n
     np.sqrt(t2, out=t2)  # |beta|
     np.multiply(t4, wx, out=t4)
     np.add(t4, t3, out=t4)  # |beta|^2 - ax^2
-    np.add(t2, ax, out=t3)
-    if np.ndim(ax):
-        positive = ax > 0.0
-        np.divide(t4, t3, out=t4, where=positive)
-        np.subtract(t2, ax, out=t4, where=~positive)
-    elif ax > 0.0:
+    if ax > 0.0:
+        np.add(t2, ax, out=t3)
         np.divide(t4, t3, out=t4)
     else:
         np.subtract(t2, ax, out=t4)
@@ -265,37 +267,21 @@ def _circle_one_shot_into(radius: float, ax, ay, lam: float, work: np.ndarray) -
     return np.exp(t3, out=t3)
 
 
-def _chunked_estimate(n, seed, max_workers, sample_chunk) -> McEstimate:
-    """Chunked mean/stderr reduction common to the Monte Carlo entry points.
+def _fidelities_into(strategy, alpha, lam, sigma, rng, row, scratch) -> None:
+    """Overwrite ``row`` with the one-shot fidelities of len(row) outcomes.
 
-    ``sample_chunk(rng, work)`` fills the thread's (6, m) workspace view
-    ``work`` and returns a row of it holding m one-shot fidelity samples.
-    Chunk k uses its own derived generator and the partial sums are added
-    in chunk order, so the estimate depends only on (seed, n).
+    Draws w_x into ``row``, then w_y block by block into ``scratch[0]``;
+    each block is evaluated with scratch rows 1 to 4 as temporaries and
+    its fidelities are copied back over its w_x.  ``scratch`` has five
+    rows; its width is the block size, which changes no value.
     """
-
-    def run_chunk(k: int) -> tuple[float, float]:
-        m = min(n - k * MC_CHUNK, MC_CHUNK)
-        f = sample_chunk(_chunk_rng(seed, k), _chunk_workspace(m))
-        total = float(f.sum())
-        np.multiply(f, f, out=f)
-        return total, float(f.sum())
-
-    n_chunks = (n + MC_CHUNK - 1) // MC_CHUNK
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            partials = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        partials = [run_chunk(k) for k in range(n_chunks)]
-
-    total = 0.0
-    total_sq = 0.0
-    for s1, s2 in partials:  # fixed chunk order: worker-count independent
-        total += s1
-        total_sq += s2
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
+    _scaled_normal_into(rng, sigma, row)
+    width = scratch.shape[1]
+    for lo in range(0, len(row), width):
+        wx = row[lo : lo + width]
+        block = scratch[:, : len(wx)]
+        _scaled_normal_into(rng, sigma, block[0])  # continues the w_y stream
+        np.copyto(wx, _one_shot_into(strategy, alpha, lam, (wx, *block)))
 
 
 def mc_average_fidelity(
@@ -304,56 +290,31 @@ def mc_average_fidelity(
     sq: SqueezeLevel,
     n: int,
     seed: int,
-    max_workers: int = 1,
 ) -> McEstimate:
     """Monte Carlo average of the one-shot fidelity over measurement outcomes.
 
     Draws n outcomes beta conditioned on alpha, applies the strategy's
-    displacement to each and averages the one-shot fidelity.  The result
-    depends only on (seed, n), not on ``max_workers``.
+    displacement to each and averages the one-shot fidelity.  Chunk k
+    uses its own derived generator and the partial sums are added in
+    chunk order, so the result depends only on (seed, n).
     """
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    model = OutcomeModel(sq)  # validates the lam cap
-    sigma = model.component_sigma
-
-    def sample_chunk(rng: np.random.Generator, work: np.ndarray) -> np.ndarray:
-        _scaled_normal_into(rng, sigma, work[0])
-        _scaled_normal_into(rng, sigma, work[1])
-        return _one_shot_into(strategy, (alpha.x, alpha.y), sq.lam, work)
-
-    return _chunked_estimate(n, seed, max_workers, sample_chunk)
-
-
-def mc_average_fidelity_line_segment(
-    alpha_max: float,
-    sq: SqueezeLevel,
-    n: int,
-    seed: int,
-    max_workers: int = 1,
-) -> McEstimate:
-    """Line-tailored MC average with the target drawn uniformly on [0, alpha_max].
-
-    Companion to :func:`mc_average_fidelity` at fixed target amplitude;
-    the gap between the two quantifies the small-amplitude bias of the
-    |beta| guess near the origin.
-    """
-    if alpha_max <= 0.0:
-        raise ValueError(f"alpha_max must be positive, got {alpha_max}")
-    if n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    model = OutcomeModel(sq)
-    sigma = model.component_sigma
-
-    def sample_chunk(rng: np.random.Generator, work: np.ndarray) -> np.ndarray:
-        ax = work[5]
-        rng.random(out=ax)  # rng.uniform(0, alpha_max) is 0 + alpha_max * u
-        ax *= alpha_max
-        _scaled_normal_into(rng, sigma, work[0])
-        _scaled_normal_into(rng, sigma, work[1])
-        return _one_shot_into(LineTailored(), (ax, 0.0), sq.lam, work)
-
-    return _chunked_estimate(n, seed, max_workers, sample_chunk)
+    sigma = OutcomeModel(sq).component_sigma  # validates the lam cap
+    row, scratch = _chunk_workspace()
+    total = 0.0
+    total_sq = 0.0
+    for k in range((n + MC_CHUNK - 1) // MC_CHUNK):
+        f = row[: min(n - k * MC_CHUNK, MC_CHUNK)]
+        _fidelities_into(
+            strategy, (alpha.x, alpha.y), sq.lam, sigma, _chunk_rng(seed, k), f, scratch
+        )
+        total += float(f.sum())
+        np.multiply(f, f, out=f)
+        total_sq += float(f.sum())
+    mean = total / n
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
 
 
 def quadrature_average_fidelity(
@@ -377,7 +338,7 @@ def quadrature_average_fidelity(
         raise ValueError(f"quadrature order must be at least 8, got {order}")
     model = OutcomeModel(sq)
     scale = math.sqrt(2.0) * model.component_sigma
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes, weights = gauss_hermite(order)
     work = np.empty((6, order, order))
     work[0] = scale * nodes[:, None]
     work[1] = scale * nodes[None, :]

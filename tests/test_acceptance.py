@@ -13,6 +13,7 @@ allowance at every grid point (README, "Known acceptance result").
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -199,3 +200,19 @@ def test_run_all_covers_every_criterion(monkeypatch):
     assert len({r.name for r in results}) == 10
     points = len(acceptance.default_lambda_grid())
     assert calls == {"optimize_eta_g2": points + 1, "optimize_gain": points + 1}
+
+
+def test_run_all_independent_of_cpu_count(monkeypatch):
+    # the Monte Carlo points of criteria 1, 6 and 9 run on one thread per
+    # available CPU; the verdicts and their details must not depend on it
+    runs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(acceptance, "available_cpus", lambda: cpus)
+        runs.append(acceptance.run_all())
+    assert runs[0] == runs[1]
+
+
+def test_available_cpus_is_the_affinity_set():
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("no sched_getaffinity on this platform")
+    assert acceptance.available_cpus() == len(os.sched_getaffinity(0))

@@ -251,7 +251,7 @@ class TestSettingsTable:
         assert sorted(named) == sorted(expected)
 
 
-def run_cli(*args, cwd=None, timeout=300):
+def run_cli(*args, cwd=None, timeout=300, preexec_fn=None):
     # the child imports the same package as the tests, installed or not
     src = str(Path(cvteleport.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
@@ -263,6 +263,7 @@ def run_cli(*args, cwd=None, timeout=300):
         cwd=cwd,
         env=env,
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -370,3 +371,16 @@ class TestCli:
         assert all(l.startswith(("[PASS]", "[FAIL]")) for l in lines)
         assert proc.returncode in (0, 1)
         assert ("criteria passed" in proc.stdout)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs sched_setaffinity and at least two CPUs",
+    )
+    def test_check_output_independent_of_affinity(self):
+        # check runs its Monte Carlo points on every CPU in its affinity set;
+        # pinned to one CPU it must print the same bytes
+        one_cpu = min(os.sched_getaffinity(0))
+        unpinned = run_cli("check")
+        pinned = run_cli("check", preexec_fn=lambda: os.sched_setaffinity(0, {one_cpu}))
+        assert (unpinned.returncode, pinned.returncode) == (1, 1), pinned.stderr
+        assert pinned.stdout == unpinned.stdout

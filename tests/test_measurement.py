@@ -2,20 +2,25 @@
 
 import decimal
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cvteleport.experiments import map_points
 from cvteleport.fidelity import ComplexAmplitude, transfer_exponent
 from cvteleport.measurement import (
+    MC_BLOCK,
     MC_CHUNK,
     McEstimate,
     OutcomeModel,
+    _chunk_rng,
+    _chunk_workspace,
+    _fidelities_into,
     _one_shot_into,
     _scaled_normal_into,
     mc_average_fidelity,
-    mc_average_fidelity_line_segment,
     quadrature_average_fidelity,
     sample_measurement,
 )
@@ -126,12 +131,15 @@ class TestMcAverageFidelity:
         assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
     def test_worker_count_invariance(self):
-        # crosses a chunk boundary so several chunks are actually in play
+        # grid points are the one parallel path: estimates that cross chunk
+        # boundaries come back the same, in point order, on 1 and 4 threads
         n = 3 * MC_CHUNK + 17
-        args = (LineTailored(), ALPHA5, squeeze_from_lambda(0.4), n, 46)
-        serial = mc_average_fidelity(*args, max_workers=1)
-        threaded = mc_average_fidelity(*args, max_workers=4)
-        assert (serial.mean, serial.std_error) == (threaded.mean, threaded.std_error)
+
+        def point(i):
+            sq = squeeze_from_lambda(0.2 * i)
+            return mc_average_fidelity(LineTailored(), ALPHA5, sq, n, 46 + i)
+
+        assert map_points(point, 5, 4) == map_points(point, 5, 1)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_large_amplitude(self, lam):
@@ -260,18 +268,6 @@ class TestChunkKernel:
         work[0], work[1] = wx, wy
         return work
 
-    def _segment_noise(self, lam):
-        """Per-sample targets on [-1, 4] with zero and negative entries, and noise."""
-        rng = np.random.default_rng(59)
-        ax = rng.uniform(-1.0, 4.0, self.M)
-        wx, wy = self._noise(ComplexAmplitude(0.0, 0.0), lam, 60)
-        ax[:3] = 0.0  # beta = 0 at ax = 0
-        ax[5:8] = -1.5
-        wx[5:7], wy[5:7] = 1.5, 0.0  # beta = 0 at ax < 0
-        ax[8:10] = 0.0  # ax = 0, beta != 0
-        wx[10] = -ax[10]  # beta_x = 0 at ax > 0
-        return ax, wx, wy
-
     @pytest.mark.parametrize(
         "strategy",
         [Standard(1.0), Standard(0.7), OptimalKnownTarget(), LineTailored(), CircleTailored(5.0)],
@@ -294,16 +290,6 @@ class TestChunkKernel:
         got = _one_shot_into(strategy, (alpha.x, alpha.y), lam, self._tail_view(wx, wy))
         assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.35, 0.999])
-    def test_bit_identical_with_per_sample_targets(self, lam):
-        # the line-segment average hands the kernel an array of targets
-        ax, wx, wy = self._segment_noise(lam)
-        ref = _guess_form_one_shot(LineTailored(), ax, 0.0, lam, wx, wy)
-        work = self._tail_view(wx, wy)
-        work[5] = ax
-        got = _one_shot_into(LineTailored(), (work[5], 0.0), lam, work)
-        assert np.array_equal(got, ref)
-
     @pytest.mark.parametrize("strategy", ORACLE_STRATEGIES)
     @pytest.mark.parametrize(
         "alpha",
@@ -323,15 +309,6 @@ class TestChunkKernel:
         got = _one_shot_into(strategy, (alpha.x, alpha.y), lam, self._tail_view(wx, wy))
         assert _oracle_excess(got, ref) <= ORACLE_BOUND
 
-    @pytest.mark.parametrize("lam", [0.0, 0.35, 0.999])
-    def test_per_sample_targets_match_decimal_oracle(self, lam):
-        ax, wx, wy = self._segment_noise(lam)
-        ref = _decimal_log_fidelity(LineTailored(), ax, 0.0, lam, wx, wy)
-        work = self._tail_view(wx, wy)
-        work[5] = ax
-        got = _one_shot_into(LineTailored(), (work[5], 0.0), lam, work)
-        assert _oracle_excess(got, ref) <= ORACLE_BOUND
-
     @pytest.mark.parametrize(
         "alpha, lam", [(ALPHA5, 0.999), (ComplexAmplitude(1e16, 0.0), 0.0)]
     )
@@ -348,9 +325,9 @@ class TestChunkKernel:
     @pytest.mark.parametrize("seed", range(20))
     def test_in_place_draws_match_generator(self, seed):
         # the circle's outcomes alpha + w rely on Generator.normal being
-        # loc + sigma * z, and the segment's targets on Generator.uniform
-        # being low + (high - low) * u, over the same streams; a numpy
-        # release that changes either fails here
+        # loc + sigma * z over the same stream (Generator.uniform being
+        # low + (high - low) * u is checked alongside); a numpy release
+        # that changes either fails here
         loc, sigma, m = 5.0 - 0.37 * seed, 0.5 + 0.1 * seed, self.M
         ref_rng = np.random.default_rng(seed)
         ref_u = ref_rng.uniform(0.0, 4.0, m)
@@ -379,6 +356,81 @@ class TestChunkKernel:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _whole_chunk(strategy, alpha, lam, seed, m):
+    """One chunk's fidelities from a single (6, m) kernel call on its stream."""
+    rng = np.random.default_rng(seed)
+    sigma = OutcomeModel(squeeze_from_lambda(lam)).component_sigma
+    work = np.empty((6, m))
+    _scaled_normal_into(rng, sigma, work[0])
+    _scaled_normal_into(rng, sigma, work[1])
+    return _one_shot_into(strategy, (alpha.x, alpha.y), lam, work).copy()
+
+
+class TestBlockedChunk:
+    STRATEGIES = [
+        Standard(1.0), Standard(0.7), OptimalKnownTarget(), LineTailored(), CircleTailored(5.0)
+    ]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    # a full chunk, the tail chunk of 1e5 samples, and a short odd tail
+    @pytest.mark.parametrize("m", [MC_CHUNK, 100_000 - MC_CHUNK, 1003])
+    @pytest.mark.parametrize("width", [1000, 4096, MC_BLOCK, MC_CHUNK])
+    def test_blocks_equal_whole_chunk(self, strategy, m, width):
+        alpha, lam = ComplexAmplitude(3.0, -4.0), 0.7
+        sigma = OutcomeModel(squeeze_from_lambda(lam)).component_sigma
+        row, scratch = np.empty(m), np.empty((5, width))
+        rng = np.random.default_rng(64)
+        _fidelities_into(strategy, (alpha.x, alpha.y), lam, sigma, rng, row, scratch)
+        assert np.array_equal(row, _whole_chunk(strategy, alpha, lam, 64, m))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_blockwise_draws_continue_the_stream(self, seed):
+        # w_x in one fill, then w_y block by block, is one fill of 2m values
+        m = 100_000 - MC_CHUNK
+        ref = np.random.default_rng(seed).standard_normal(2 * m)
+        rng = np.random.default_rng(seed)
+        got = np.empty(2 * m)
+        _scaled_normal_into(rng, 1.0, got[:m])
+        for lo in range(m, 2 * m, MC_BLOCK):
+            _scaled_normal_into(rng, 1.0, got[lo : min(lo + MC_BLOCK, 2 * m)])
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("strategy", [Standard(0.7), LineTailored(), CircleTailored(5.0)])
+    def test_estimate_matches_whole_chunk_reduction(self, strategy):
+        # the estimate reduces each chunk's full row exactly as a (6, m)
+        # whole-chunk kernel would: same sums, same chunk order
+        n, seed, lam = 2 * MC_CHUNK + 1003, 65, 0.4
+        sigma = OutcomeModel(squeeze_from_lambda(lam)).component_sigma
+        total = total_sq = 0.0
+        for k in range(3):
+            m = min(n - k * MC_CHUNK, MC_CHUNK)
+            rng = _chunk_rng(seed, k)
+            work = np.empty((6, m))
+            _scaled_normal_into(rng, sigma, work[0])
+            _scaled_normal_into(rng, sigma, work[1])
+            f = _one_shot_into(strategy, (ALPHA5.x, ALPHA5.y), lam, work)
+            total += float(f.sum())
+            total_sq += float((f * f).sum())
+        mean = total / n
+        se = math.sqrt(max(total_sq - n * mean * mean, 0.0) / (n - 1) / n)
+        est = mc_average_fidelity(strategy, ALPHA5, squeeze_from_lambda(lam), n, seed)
+        assert (est.mean, est.std_error) == (mean, se)
+
+    def test_thread_workspace_under_1_mib(self):
+        sizes = []
+
+        def run():
+            mc_average_fidelity(LineTailored(), ALPHA5, squeeze_from_lambda(0.4), 10_000, 66)
+            sizes.append(sum(a.nbytes for a in _chunk_workspace()))
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert sizes == [MC_CHUNK * 8 + 5 * MC_BLOCK * 8]
+        assert sizes[0] <= 1 << 20
 
 
 class TestQuadratureOracle:
@@ -464,43 +516,3 @@ class TestCircleLineEquivalence:
             for t in (0.0, 1.0, 2.5)
         ]
         assert max(vals) - min(vals) <= 1e-9
-
-
-class TestLineSegmentAverage:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mc_average_fidelity_line_segment(0.0, squeeze_from_lambda(0.2), 10_000, 51)
-        with pytest.raises(ValueError):
-            mc_average_fidelity_line_segment(5.0, squeeze_from_lambda(0.2), 100, 51)
-
-    def test_deterministic(self):
-        a = mc_average_fidelity_line_segment(5.0, squeeze_from_lambda(0.3), 50_000, 52)
-        b = mc_average_fidelity_line_segment(5.0, squeeze_from_lambda(0.3), 50_000, 52)
-        assert (a.mean, a.std_error) == (b.mean, b.std_error)
-
-    def test_small_amplitude_bias_is_visible(self):
-        # averaging the target over [0, 5] includes near-origin states where
-        # the |beta| guess misfires, nudging the average below the
-        # fixed-amplitude value (a ~2e-3 effect at lam = 0)
-        sq = squeeze_from_lambda(0.0)
-        segment = mc_average_fidelity_line_segment(5.0, sq, 1_000_000, 53)
-        fixed_exact = quadrature_average_fidelity(LineTailored(), ALPHA5, sq, 96)
-        assert 0.0 <= segment.mean <= 1.0
-        assert segment.mean < fixed_exact - 3 * segment.std_error
-
-    def test_matches_direct_reimplementation(self):
-        sq = squeeze_from_lambda(0.35)
-        est = mc_average_fidelity_line_segment(4.0, sq, 500_000, 55)
-        # independent numpy restatement of the same average
-        rng = np.random.default_rng(56)
-        n = 2_000_000
-        lam = sq.lam
-        sigma = OutcomeModel(sq).component_sigma
-        ax = rng.uniform(0.0, 4.0, n)
-        bx = ax + sigma * rng.standard_normal(n)
-        by = sigma * rng.standard_normal(n)
-        ex = (1.0 - lam) * np.hypot(bx, by) + lam * bx
-        ey = lam * by
-        f = np.exp(transfer_exponent(ax - ex, -ey, ax - bx, -by, lam))
-        ref, ref_se = f.mean(), f.std(ddof=1) / math.sqrt(n)
-        assert abs(est.mean - ref) <= 3 * (est.std_error + ref_se)
