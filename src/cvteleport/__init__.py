@@ -27,10 +27,9 @@ from .fidelity import (
 )
 from .measurement import (
     McEstimate,
-    OutcomeModel,
+    component_sigma,
     mc_average_fidelity,
     quadrature_average_fidelity,
-    sample_measurement,
 )
 from .optimize import (
     NonFiniteObjectiveError,
@@ -78,7 +77,6 @@ __all__ = [
     "NonFiniteObjectiveError",
     "OptimalKnownTarget",
     "OptimizationResult",
-    "OutcomeModel",
     "ProtocolSettings",
     "QuadratureCoefficients",
     "QuadratureVariances",
@@ -88,6 +86,7 @@ __all__ = [
     "avg_fidelity_general_gain",
     "avg_fidelity_unit_gain",
     "bfk_classical_limit",
+    "component_sigma",
     "gaussian_weighted_fidelity",
     "gaussian_weighted_fidelity_quadrature",
     "g1_of_eta",
@@ -100,7 +99,6 @@ __all__ = [
     "optimize_gain",
     "output_coefficients_tailored",
     "quadrature_average_fidelity",
-    "sample_measurement",
     "sample_target",
     "squeeze_from_G",
     "squeeze_from_lambda",

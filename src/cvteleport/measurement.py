@@ -92,24 +92,14 @@ MIN_SAMPLES = 1_000
 _workspace = threading.local()
 
 
-@dataclass(frozen=True)
-class OutcomeModel:
-    """Conditional distribution of the measurement outcome beta given alpha."""
-
-    sq: SqueezeLevel
-
-    def __post_init__(self) -> None:
-        if self.sq.lam > LAMBDA_MAX:
-            raise ValueError(
-                f"squeezing parameter capped at {LAMBDA_MAX} for outcome sampling, "
-                f"got {self.sq.lam}"
-            )
-
-    @property
-    def component_sigma(self) -> float:
-        """Standard deviation 1/sqrt(2 (1 - lam^2)) of each beta component."""
-        lam = self.sq.lam
-        return 1.0 / math.sqrt(2.0 * (1.0 - lam * lam))
+def component_sigma(sq: SqueezeLevel) -> float:
+    """Standard deviation 1/sqrt(2 (1 - lam^2)) of each beta component."""
+    if sq.lam > LAMBDA_MAX:
+        raise ValueError(
+            f"squeezing parameter capped at {LAMBDA_MAX} for outcome sampling, "
+            f"got {sq.lam}"
+        )
+    return 1.0 / math.sqrt(2.0 * (1.0 - sq.lam * sq.lam))
 
 
 @dataclass(frozen=True)
@@ -128,16 +118,6 @@ class McEstimate:
             raise ValueError(
                 f"bad estimate: mean={self.mean}, std_error={self.std_error}"
             )
-
-
-def sample_measurement(
-    alpha: ComplexAmplitude, model: OutcomeModel, rng: np.random.Generator
-) -> ComplexAmplitude:
-    """Draw one measurement outcome beta from P(beta | alpha)."""
-    sigma = model.component_sigma
-    return ComplexAmplitude(
-        rng.normal(alpha.x, sigma), rng.normal(alpha.y, sigma)
-    )
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -300,7 +280,7 @@ def mc_average_fidelity(
     """
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    sigma = OutcomeModel(sq).component_sigma  # validates the lam cap
+    sigma = component_sigma(sq)  # validates the lam cap
     row, scratch = _chunk_workspace()
     total = 0.0
     total_sq = 0.0
@@ -336,8 +316,7 @@ def quadrature_average_fidelity(
     """
     if order < 8:
         raise ValueError(f"quadrature order must be at least 8, got {order}")
-    model = OutcomeModel(sq)
-    scale = math.sqrt(2.0) * model.component_sigma
+    scale = math.sqrt(2.0) * component_sigma(sq)
     nodes, weights = gauss_hermite(order)
     work = np.empty((6, order, order))
     work[0] = scale * nodes[:, None]

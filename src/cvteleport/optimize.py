@@ -1,10 +1,16 @@
 """Derivative-free maximisation used to tune the protocol parameters.
 
 Golden-section search on a bracketed scalar objective, with an optional
-coarse-grid stage for objectives whose unimodality is not guaranteed.
+1024-point grid stage for objectives whose unimodality is not guaranteed.
 Returned solutions always dominate the search-box endpoints and centre
 (those points are evaluated explicitly), so boundary optima such as
 eta* = 0 at no squeezing come out exact rather than tol-close.
+
+The grid stage scores all grid points in one call of a numpy mirror of
+the objective and takes from it only the bracketing grid index.  Every
+returned value comes from the scalar objective, so the results are
+bit-identical to a scalar scan of the grid whenever the mirror is within
+GRID_SLACK / 2 of the scalar objective at every grid point.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .alphabet import gaussian_weighted_fidelity
 from .fidelity import avg_fidelity_unit_gain
@@ -21,6 +29,11 @@ DEFAULT_TOL = 1e-8
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FALLBACK_GRID = 1024
+
+# Grid indices whose vectorised value is this close to the grid maximum are
+# rescored by the scalar objective; must exceed twice the largest gap
+# between the two objectives on the grid (2.7e-13 for optimize_eta_g2).
+GRID_SLACK = 1e-9
 
 
 class NonFiniteObjectiveError(ValueError):
@@ -47,15 +60,19 @@ def maximize_scalar(
     lo: float,
     hi: float,
     tol: float = DEFAULT_TOL,
-    assume_unimodal: bool = True,
+    f_grid: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> OptimizationResult:
     """Maximise f on [lo, hi] to abscissa tolerance tol.
 
-    For a unimodal objective, golden-section search brackets the maximiser
-    to within tol.  With ``assume_unimodal=False`` a 1024-point grid scan
-    localises the global maximum first and golden-section then refines the
-    bracketing sub-interval.  The endpoints and midpoint are always
-    candidates, so boundary maxima are returned exactly.
+    Without ``f_grid``, golden-section search brackets the maximiser of a
+    unimodal f to within tol.  With ``f_grid``, f's numpy version (NaN
+    wherever f would raise), a 1024-point grid scan localises the global
+    maximum and golden-section refines the bracketing sub-interval.  f
+    rescores, in index order, the grid points where ``f_grid`` is not
+    finite or within GRID_SLACK of its maximum; the first scalar maximum
+    wins, as in a scalar scan.  The endpoints and midpoint are always
+    candidates, so boundary maxima are returned exactly.  ``evaluations``
+    counts the grid points and every scalar evaluation.
     """
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -72,12 +89,18 @@ def maximize_scalar(
             raise NonFiniteObjectiveError(x, v)
         return v
 
-    if assume_unimodal:
+    if f_grid is None:
         a, b = lo, hi
     else:
         xs = [lo + (hi - lo) * i / (_FALLBACK_GRID - 1) for i in range(_FALLBACK_GRID)]
-        vals = [eval_f(x) for x in xs]
-        i = max(range(_FALLBACK_GRID), key=vals.__getitem__)
+        approx = f_grid(np.array(xs))
+        evaluations += _FALLBACK_GRID
+        finite = np.isfinite(approx)
+        rescore = ~finite
+        if finite.any():
+            rescore |= approx >= approx[finite].max() - GRID_SLACK
+        vals = {int(i): eval_f(xs[i]) for i in np.flatnonzero(rescore)}
+        i = max(vals, key=vals.__getitem__)
         a = xs[max(i - 1, 0)]
         b = xs[min(i + 1, _FALLBACK_GRID - 1)]
 
@@ -129,17 +152,35 @@ def optimize_eta_g2(sq: SqueezeLevel, tol: float = DEFAULT_TOL) -> OptimizationR
     The inner g2 problem is the exact quadratic minimiser
     :func:`cvteleport.protocol.g2_optimal`, leaving a scalar search over
     eta in [0, pi/4].  Unimodality of the reduced objective is not taken
-    for granted, so the grid-backed search mode is used.  Returns
-    argmax = (eta*, g2*).
+    for granted, so the grid stage runs on ``objective_grid``, the numpy
+    mirror of the scalar objective: the same formulas in the same
+    operation order, NaN where the scalar objective would raise or clamp.
+    Returns argmax = (eta*, g2*).
     """
 
     def objective(eta: float) -> float:
         g2 = g2_optimal(sq, eta)
         return avg_fidelity_unit_gain(variances_tailored(sq, eta, g2)).value
 
-    res = maximize_scalar(
-        objective, 0.0, math.pi / 4, tol=tol, assume_unimodal=False
-    )
+    G = sq.G
+    root = math.sqrt(G * (G - 1.0))
+
+    def objective_grid(eta: np.ndarray) -> np.ndarray:
+        cos_eta, sin_eta, tan_eta = np.cos(eta), np.sin(eta), np.tan(eta)
+        g2 = cos_eta * root / (cos_eta ** 2 * (2.0 * G - 1.0) + sin_eta ** 2)
+        v_plus = 2.0 * G - 4.0 * tan_eta * root + tan_eta ** 2 * (2.0 * G - 1.0)
+        v_minus = (
+            2.0 * G
+            - 1.0
+            - 8.0 * g2 * cos_eta * root
+            + 4.0 * g2 ** 2 * (cos_eta ** 2 * (2.0 * G - 1.0) + sin_eta ** 2)
+        )
+        with np.errstate(all="ignore"):
+            fid = 2.0 / np.sqrt((v_plus + 1.0) * (v_minus + 1.0))
+        ok = (v_plus > 0.0) & (v_minus > 0.0) & (fid > 0.0) & (fid <= 1.0)
+        return np.where(ok, fid, np.nan)
+
+    res = maximize_scalar(objective, 0.0, math.pi / 4, tol=tol, f_grid=objective_grid)
     eta_star = res.argmax[0]
     return OptimizationResult(
         argmax=(eta_star, g2_optimal(sq, eta_star)),

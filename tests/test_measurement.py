@@ -14,15 +14,14 @@ from cvteleport.measurement import (
     MC_BLOCK,
     MC_CHUNK,
     McEstimate,
-    OutcomeModel,
     _chunk_rng,
     _chunk_workspace,
     _fidelities_into,
     _one_shot_into,
     _scaled_normal_into,
+    component_sigma,
     mc_average_fidelity,
     quadrature_average_fidelity,
-    sample_measurement,
 )
 from cvteleport.protocol import squeeze_from_lambda
 from cvteleport.strategies import (
@@ -36,24 +35,25 @@ ALPHA5 = ComplexAmplitude(5.0, 0.0)
 
 
 class TestOutcomeModel:
+    """The outcome law P(beta | alpha): its component sigma, cap and moments."""
+
     @pytest.mark.parametrize(
         "lam, var",
         [(0.0, 0.5), (0.8, 1.0 / (2.0 * (1.0 - 0.64)))],
     )
     def test_component_variance(self, lam, var):
-        model = OutcomeModel(squeeze_from_lambda(lam))
-        assert model.component_sigma ** 2 == pytest.approx(var, rel=1e-12)
+        sigma = component_sigma(squeeze_from_lambda(lam))
+        assert sigma ** 2 == pytest.approx(var, rel=1e-12)
 
     def test_lambda_cap(self):
-        with pytest.raises(ValueError):
-            OutcomeModel(squeeze_from_lambda(0.9995))
+        with pytest.raises(ValueError, match="capped at 0.999 for outcome sampling"):
+            component_sigma(squeeze_from_lambda(0.9995))
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.8])
     def test_density_moments(self, lam):
         # 1e6 draws from the stated density: mean alpha, per-component
         # variance 1/(2(1-lam^2)), each within 3 standard errors
-        model = OutcomeModel(squeeze_from_lambda(lam))
-        sigma = model.component_sigma
+        sigma = component_sigma(squeeze_from_lambda(lam))
         alpha = ComplexAmplitude(1.3, -0.7)
         n = 1_000_000
         rng = np.random.default_rng(31)
@@ -65,20 +65,6 @@ class TestOutcomeModel:
         assert abs(by.mean() - alpha.y) <= 3 * se_mean
         assert abs(bx.var(ddof=1) - sigma ** 2) <= 3 * se_var
         assert abs(by.var(ddof=1) - sigma ** 2) <= 3 * se_var
-
-    def test_sampler_matches_density(self):
-        # the scalar op draws from the same distribution (loose 5 se check)
-        model = OutcomeModel(squeeze_from_lambda(0.5))
-        rng = np.random.default_rng(32)
-        alpha = ComplexAmplitude(2.0, 1.0)
-        n = 20_000
-        draws = [sample_measurement(alpha, model, rng) for _ in range(n)]
-        xs = np.array([d.x for d in draws])
-        ys = np.array([d.y for d in draws])
-        sigma = model.component_sigma
-        assert abs(xs.mean() - 2.0) <= 5 * sigma / math.sqrt(n)
-        assert abs(ys.mean() - 1.0) <= 5 * sigma / math.sqrt(n)
-        assert abs(xs.var(ddof=1) - sigma ** 2) <= 5 * sigma ** 2 * math.sqrt(2.0 / n)
 
 
 class TestMcEstimate:
@@ -255,7 +241,7 @@ class TestChunkKernel:
     def _noise(self, alpha, lam, seed):
         """Centred outcomes w = beta - alpha, with beta = 0 in the first three."""
         rng = np.random.default_rng(seed)
-        sigma = OutcomeModel(squeeze_from_lambda(lam)).component_sigma
+        sigma = component_sigma(squeeze_from_lambda(lam))
         wx = rng.normal(0.0, sigma, self.M)
         wy = rng.normal(0.0, sigma, self.M)
         wx[:3], wy[:3] = -alpha.x, -alpha.y  # where arg(beta) is undefined
@@ -361,7 +347,7 @@ class TestChunkKernel:
 def _whole_chunk(strategy, alpha, lam, seed, m):
     """One chunk's fidelities from a single (6, m) kernel call on its stream."""
     rng = np.random.default_rng(seed)
-    sigma = OutcomeModel(squeeze_from_lambda(lam)).component_sigma
+    sigma = component_sigma(squeeze_from_lambda(lam))
     work = np.empty((6, m))
     _scaled_normal_into(rng, sigma, work[0])
     _scaled_normal_into(rng, sigma, work[1])
@@ -379,7 +365,7 @@ class TestBlockedChunk:
     @pytest.mark.parametrize("width", [1000, 4096, MC_BLOCK, MC_CHUNK])
     def test_blocks_equal_whole_chunk(self, strategy, m, width):
         alpha, lam = ComplexAmplitude(3.0, -4.0), 0.7
-        sigma = OutcomeModel(squeeze_from_lambda(lam)).component_sigma
+        sigma = component_sigma(squeeze_from_lambda(lam))
         row, scratch = np.empty(m), np.empty((5, width))
         rng = np.random.default_rng(64)
         _fidelities_into(strategy, (alpha.x, alpha.y), lam, sigma, rng, row, scratch)
@@ -402,7 +388,7 @@ class TestBlockedChunk:
         # the estimate reduces each chunk's full row exactly as a (6, m)
         # whole-chunk kernel would: same sums, same chunk order
         n, seed, lam = 2 * MC_CHUNK + 1003, 65, 0.4
-        sigma = OutcomeModel(squeeze_from_lambda(lam)).component_sigma
+        sigma = component_sigma(squeeze_from_lambda(lam))
         total = total_sq = 0.0
         for k in range(3):
             m = min(n - k * MC_CHUNK, MC_CHUNK)

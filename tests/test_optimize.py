@@ -1,15 +1,20 @@
 """Scalar search and the protocol-tuning optimizers."""
 
 import math
+import operator
 import signal
 
 import numpy as np
 import pytest
 
+from cvteleport import experiments, optimize
 from cvteleport.alphabet import gaussian_weighted_fidelity
+from cvteleport.experiments import ExperimentConfig, default_lambda_grid, run_fig3
 from cvteleport.fidelity import avg_fidelity_unit_gain
 from cvteleport.optimize import (
+    GRID_SLACK,
     NonFiniteObjectiveError,
+    OptimizationResult,
     maximize_scalar,
     optimize_eta_g2,
     optimize_gain,
@@ -22,21 +27,119 @@ from cvteleport.protocol import (
 )
 
 
+GRID = 1024
+
+
+def _grid(lo, hi):
+    """The grid stage's abscissae, as the same Python floats."""
+    return [lo + (hi - lo) * i / (GRID - 1) for i in range(GRID)]
+
+
+def scalar_scan_maximize(f, lo, hi, tol):
+    """A scalar 1024-point scan, then golden-section: the oracle of the grid stage."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    evaluations = 0
+
+    def eval_f(x):
+        nonlocal evaluations
+        evaluations += 1
+        v = f(x)
+        if not math.isfinite(v):
+            raise NonFiniteObjectiveError(x, v)
+        return v
+
+    xs = _grid(lo, hi)
+    vals = [eval_f(x) for x in xs]
+    i = max(range(GRID), key=vals.__getitem__)
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, GRID - 1)]
+    x1, x2 = b - golden * (b - a), a + golden * (b - a)
+    f1, f2 = eval_f(x1), eval_f(x2)
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + golden * (b - a)
+            f2 = eval_f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - golden * (b - a)
+            f1 = eval_f(x1)
+    candidates = [(x, eval_f(x)) for x in (lo, hi, 0.5 * (lo + hi))]
+    best_x, best_f = max(candidates + [(x1, f1), (x2, f2)], key=lambda p: p[1])
+    return OptimizationResult((best_x,), best_f, evaluations, tol)
+
+
+def scalar_scan_eta_g2(sq, tol=optimize.DEFAULT_TOL):
+    """``optimize_eta_g2`` with the grid stage run on the scalar objective."""
+
+    def objective(eta):
+        return avg_fidelity_unit_gain(
+            variances_tailored(sq, eta, g2_optimal(sq, eta))
+        ).value
+
+    res = scalar_scan_maximize(objective, 0.0, math.pi / 4, tol)
+    eta_star = res.argmax[0]
+    return OptimizationResult(
+        (eta_star, g2_optimal(sq, eta_star)), res.value, res.evaluations, tol
+    )
+
+
+def _outcome(optimizer, sq, tol):
+    try:
+        return optimizer(sq, tol=tol)
+    except ValueError as exc:
+        return exc
+
+
+# >= 200 squeezing levels over the whole range, plus large gains
+SWEEP = [squeeze_from_lambda(float(lam)) for lam in np.linspace(0.0, 0.999, 201)] + [
+    squeeze_from_G(G) for G in (1.0, 3.0, 40.0, 1e3, 1e6)
+]
+
+
+def parabola(x):
+    return -((x - 0.3) ** 2)
+
+
+@pytest.fixture
+def eta_g2_objectives(monkeypatch):
+    """The (scalar, grid) objectives of each ``optimize_eta_g2`` call, and
+    how often the search called each scalar objective."""
+    seen, counts = [], []
+    real = optimize.maximize_scalar
+
+    def spy(f, lo, hi, tol=optimize.DEFAULT_TOL, f_grid=None):
+        seen.append((f, f_grid))
+        counts.append(0)
+
+        def counted(x):
+            counts[-1] += 1
+            return f(x)
+
+        return real(counted, lo, hi, tol=tol, f_grid=f_grid)
+
+    monkeypatch.setattr(optimize, "maximize_scalar", spy)
+    return seen, counts
+
+
 class TestMaximizeScalar:
-    @pytest.mark.parametrize("assume_unimodal", [True, False])
-    def test_parabola(self, assume_unimodal):
+    # scalar_only: golden-section alone; otherwise the objective, written
+    # for numpy, is also the grid objective
+    @pytest.mark.parametrize("scalar_only", [True, False])
+    def test_parabola(self, scalar_only):
         res = maximize_scalar(
-            lambda x: -((x - 0.3) ** 2), 0.0, 1.0, tol=1e-8,
-            assume_unimodal=assume_unimodal,
+            parabola, 0.0, 1.0, tol=1e-8, f_grid=None if scalar_only else parabola
         )
         assert res.argmax[0] == pytest.approx(0.3, abs=1e-8)
         assert res.evaluations > 0
         assert res.tolerance == 1e-8
 
-    @pytest.mark.parametrize("assume_unimodal", [True, False])
-    def test_boundary_maximum_exact(self, assume_unimodal):
+    @pytest.mark.parametrize("scalar_only", [True, False])
+    def test_boundary_maximum_exact(self, scalar_only):
         res = maximize_scalar(
-            lambda x: -x, 0.0, 1.0, tol=1e-8, assume_unimodal=assume_unimodal
+            operator.neg, 0.0, 1.0, tol=1e-8,
+            f_grid=None if scalar_only else operator.neg,
         )
         assert res.argmax[0] == 0.0
         assert res.value == 0.0
@@ -64,8 +167,8 @@ class TestMaximizeScalar:
             maximize_scalar(bad, 0.0, 1.0, tol=1e-6)
         assert exc_info.value.x > 0.5
 
-    @pytest.mark.parametrize("assume_unimodal", [True, False])
-    def test_tol_below_float_spacing_returns(self, assume_unimodal):
+    @pytest.mark.parametrize("scalar_only", [True, False])
+    def test_tol_below_float_spacing_returns(self, scalar_only):
         # 1e-300 is far below the float spacing near 0.3 (5.6e-17): the
         # search must stop once its bracket no longer shrinks
         def timeout(signum, frame):
@@ -75,8 +178,7 @@ class TestMaximizeScalar:
         signal.alarm(10)
         try:
             res = maximize_scalar(
-                lambda x: -((x - 0.3) ** 2), 0.0, 2.0, tol=1e-300,
-                assume_unimodal=assume_unimodal,
+                parabola, 0.0, 2.0, tol=1e-300, f_grid=None if scalar_only else parabola
             )
         finally:
             signal.alarm(0)
@@ -93,10 +195,40 @@ class TestMaximizeScalar:
         # bimodal objective: plain golden-section can lock onto the wrong
         # mode, the grid stage may not
         def f(x):
-            return math.exp(-200 * (x - 0.15) ** 2) + 2.0 * math.exp(-200 * (x - 0.8) ** 2)
+            return np.exp(-200 * (x - 0.15) ** 2) + 2.0 * np.exp(-200 * (x - 0.8) ** 2)
 
-        res = maximize_scalar(f, 0.0, 1.0, tol=1e-8, assume_unimodal=False)
+        res = maximize_scalar(f, 0.0, 1.0, tol=1e-8, f_grid=f)
         assert res.argmax[0] == pytest.approx(0.8, abs=1e-6)
+
+    def test_plateau_first_index_wins(self):
+        # equal scalar maxima on [0.2, 0.3]; the grid objective rises across
+        # the plateau by less than the slack, so its own argmax is the last
+        # plateau index, but the scan brackets the first, as a scalar scan does
+        def f(x):
+            return 1.0 - max(0.2 - x, x - 0.3, 0.0)
+
+        def f_grid(x):
+            return 1.0 - np.maximum(np.maximum(0.2 - x, x - 0.3), 0.0) + 1e-12 * x
+
+        first = next(x for x in _grid(0.0, 1.0) if x >= 0.2)
+        assert np.argmax(f_grid(np.array(_grid(0.0, 1.0)))) > _grid(0.0, 1.0).index(first)
+        res = maximize_scalar(f, 0.0, 1.0, tol=1e-8, f_grid=f_grid)
+        ref = scalar_scan_maximize(f, 0.0, 1.0, 1e-8)
+        assert res.argmax == ref.argmax and res.value == ref.value == 1.0
+        assert abs(res.argmax[0] - first) <= 1.0 / (GRID - 1)
+
+    def test_nan_grid_objective_reports_scalar_abscissa(self):
+        def f(x):
+            return math.nan if x > 0.5 else x
+
+        def f_grid(x):
+            return np.where(x > 0.5, np.nan, x)
+
+        with pytest.raises(NonFiniteObjectiveError) as ref:
+            scalar_scan_maximize(f, 0.0, 1.0, 1e-8)
+        with pytest.raises(NonFiniteObjectiveError) as got:
+            maximize_scalar(f, 0.0, 1.0, tol=1e-8, f_grid=f_grid)
+        assert got.value.x == ref.value.x
 
 
 class TestOptimizeGain:
@@ -192,6 +324,56 @@ class TestOptimizeEtaG2:
         assert all(b >= a for a, b in zip(g2_stars, g2_stars[1:]))
         assert abs(eta_stars[-1] - math.pi / 4) <= 0.01
         assert abs(g2_stars[-1] - 1.0 / math.sqrt(2.0)) <= 0.01
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_bit_identical_to_scalar_scan(self, tol):
+        # including the levels where both raise the same error (at tol
+        # 1e-12 some large gains reach a fidelity above 1 + 1e-12)
+        for sq in SWEEP:
+            res = _outcome(optimize_eta_g2, sq, tol)
+            ref = _outcome(scalar_scan_eta_g2, sq, tol)
+            if isinstance(ref, ValueError):
+                assert repr(res) == repr(ref), sq
+                continue
+            assert res.argmax == ref.argmax and res.value == ref.value, sq
+            assert 1 <= res.evaluations - ref.evaluations <= 3, sq
+
+    def test_fig3_rows_bit_identical_to_scalar_scan(self, monkeypatch):
+        rows = run_fig3(ExperimentConfig()).rows
+        monkeypatch.setattr(experiments, "optimize_eta_g2", scalar_scan_eta_g2)
+        assert run_fig3(ExperimentConfig()).rows == rows
+
+    def test_grid_objective_within_slack_of_scalar(self, eta_g2_objectives):
+        seen, _ = eta_g2_objectives
+        xs = _grid(0.0, math.pi / 4)
+        for sq in SWEEP:
+            optimize_eta_g2(sq)
+            f, f_grid = seen[-1]
+            gap = np.abs(f_grid(np.array(xs)) - np.array([f(x) for x in xs]))
+            assert gap.max() <= GRID_SLACK / 1000, sq
+
+    def test_scalar_objective_calls_stay_few(self, eta_g2_objectives):
+        _, counts = eta_g2_objectives
+        for lam in default_lambda_grid():
+            optimize_eta_g2(squeeze_from_lambda(lam), tol=1e-12)
+        assert len(counts) == len(default_lambda_grid())
+        assert max(counts) < 100
+
+    @pytest.mark.parametrize("G", [1e8, 1e12])
+    def test_rejected_gain_raises_as_before(self, G, eta_g2_objectives):
+        # V- cancels to 0 near eta = 0; the grid objective is NaN exactly
+        # where the scalar objective raises, so those points are rescored
+        with pytest.raises(ValueError, match="variances must be positive"):
+            optimize_eta_g2(squeeze_from_G(G))
+        f, f_grid = eta_g2_objectives[0][-1]
+        xs = _grid(0.0, math.pi / 4)
+        raises = []
+        for i, x in enumerate(xs):
+            try:
+                f(x)
+            except ValueError:
+                raises.append(i)
+        assert raises and list(np.flatnonzero(np.isnan(f_grid(np.array(xs))))) == raises
 
     def test_dominance_over_lambda_grid(self):
         for lam in np.linspace(0.0, 0.98, 20):
