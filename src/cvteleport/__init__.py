@@ -8,19 +8,10 @@ closed forms, Gaussian-alphabet averaging, and the derivative-free
 optimisation used to tune the protocol parameters.
 """
 
-from .alphabet import (
-    AlphabetDistribution,
-    Circle,
-    Gaussian2D,
-    LineUniform,
-    gaussian_weighted_fidelity,
-    gaussian_weighted_fidelity_quadrature,
-    sample_target,
-)
+from .alphabet import gaussian_weighted_fidelity, gaussian_weighted_fidelity_quadrature
 from .fidelity import (
     ComplexAmplitude,
     Fidelity,
-    avg_fidelity_general_gain,
     avg_fidelity_unit_gain,
     bfk_classical_limit,
     one_shot_fidelity,
@@ -64,15 +55,11 @@ from .strategies import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphabetDistribution",
-    "Circle",
     "CircleTailored",
     "ComplexAmplitude",
     "Fidelity",
-    "Gaussian2D",
     "LAMBDA_MAX",
     "LineTailored",
-    "LineUniform",
     "McEstimate",
     "NonFiniteObjectiveError",
     "OptimalKnownTarget",
@@ -83,7 +70,6 @@ __all__ = [
     "SqueezeLevel",
     "Standard",
     "Strategy",
-    "avg_fidelity_general_gain",
     "avg_fidelity_unit_gain",
     "bfk_classical_limit",
     "component_sigma",
@@ -99,7 +85,6 @@ __all__ = [
     "optimize_gain",
     "output_coefficients_tailored",
     "quadrature_average_fidelity",
-    "sample_target",
     "squeeze_from_G",
     "squeeze_from_lambda",
     "variance_standard_gain",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +24,7 @@ import numpy as np
 from .alphabet import gaussian_weighted_fidelity, gaussian_weighted_fidelity_quadrature
 from .experiments import (
     ExperimentConfig,
+    available_cpus,
     default_lambda_grid,
     map_points,
     run_fig3,
@@ -73,14 +73,6 @@ def format_line(res: CriterionResult) -> str:
 
 def _seed(k: int) -> int:
     return (BASE_SEED ^ (k * 0x9E3779B9)) % 2 ** 64
-
-
-def available_cpus() -> int:
-    """CPUs the process may run on: its affinity set, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 def criterion_standard_baseline() -> CriterionResult:

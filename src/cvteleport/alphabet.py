@@ -1,4 +1,4 @@
-"""Target-state alphabets and the alphabet-weighted average fidelity.
+"""The alphabet-weighted average fidelity of a Gaussian target alphabet.
 
 The alphabet-weighted figure of merit is the integral of the general-gain
 average fidelity F(alpha) against the probability density of the verifier
@@ -14,70 +14,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .fidelity import ComplexAmplitude
 from .protocol import SqueezeLevel, variance_standard_gain
-
-
-@dataclass(frozen=True)
-class LineUniform:
-    """Uniform on the real segment [0, alpha_max]."""
-
-    alpha_max: float
-
-    def __post_init__(self) -> None:
-        if not (self.alpha_max > 0.0):
-            raise ValueError(f"alpha_max must be positive, got {self.alpha_max}")
-
-
-@dataclass(frozen=True)
-class Circle:
-    """Uniform phase at fixed amplitude ``radius``."""
-
-    radius: float
-
-    def __post_init__(self) -> None:
-        if self.radius < 0.0:
-            raise ValueError(f"radius must be non-negative, got {self.radius}")
-
-
-@dataclass(frozen=True)
-class Gaussian2D:
-    """Centred two-dimensional Gaussian with axis standard deviations s_x, s_y.
-
-    Density P(alpha) = exp(-alpha_x^2/(2 s_x^2) - alpha_y^2/(2 s_y^2))
-    / (2 pi s_x s_y), normalised to 1.
-    """
-
-    s_x: float
-    s_y: float
-
-    def __post_init__(self) -> None:
-        if not (self.s_x > 0.0 and self.s_y > 0.0):
-            raise ValueError(
-                f"standard deviations must be positive, got ({self.s_x}, {self.s_y})"
-            )
-
-
-AlphabetDistribution = Union[LineUniform, Circle, Gaussian2D]
-
-
-def sample_target(
-    dist: AlphabetDistribution, rng: np.random.Generator
-) -> ComplexAmplitude:
-    """Draw one target amplitude from the alphabet."""
-    if isinstance(dist, LineUniform):
-        return ComplexAmplitude(rng.uniform(0.0, dist.alpha_max), 0.0)
-    if isinstance(dist, Circle):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        return ComplexAmplitude(dist.radius * math.cos(theta), dist.radius * math.sin(theta))
-    if isinstance(dist, Gaussian2D):
-        return ComplexAmplitude(rng.normal(0.0, dist.s_x), rng.normal(0.0, dist.s_y))
-    raise TypeError(f"unknown alphabet: {dist!r}")
 
 
 @functools.cache

@@ -48,11 +48,12 @@ SETTINGS = (
     Setting("seed", int, experiments.DEFAULT_SEED, "U64",
             "base seed; per-point seeds are seed XOR point index"),
     Setting("alpha", float, experiments.DEFAULT_ALPHA, "X",
-            "target amplitude for the line/circle curves"),
+            "target amplitude for the line/circle curves (at most 1e150)"),
     Setting("s", float, experiments.DEFAULT_S, "X", "alphabet standard deviation"),
     Setting("out", Path, None, "PATH", "output CSV path (default <command>.csv)"),
     Setting("tol", float, experiments.DEFAULT_TOL, "X", "optimizer abscissa tolerance"),
-    Setting("threads", int, 1, "N", "worker threads across grid points"),
+    Setting("threads", int, 1, "N",
+            "worker threads across grid points (capped at the CPU count)"),
 )
 _BY_KEY = {setting.key: setting for setting in SETTINGS}
 

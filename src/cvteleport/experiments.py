@@ -9,13 +9,14 @@ reals with 9 significant digits, no locale formatting).
 Reproducibility contract: a given :class:`ExperimentConfig` (seed
 included) always produces the same rows, hence byte-identical CSV output.
 Grid points are independent; the per-point Monte Carlo seed is
-``seed XOR point_index``, so :func:`map_points` runs them on ``threads``
+``seed XOR point_index``, so :func:`map_points` runs them on up to ``threads``
 threads without changing the result.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .fidelity import ComplexAmplitude, avg_fidelity_unit_gain
-from .measurement import MIN_SAMPLES, mc_average_fidelity
+from .measurement import MAX_AMPLITUDE, MIN_SAMPLES, mc_average_fidelity
 from .optimize import optimize_eta_g2, optimize_gain
 from .protocol import (
     LAMBDA_MAX,
@@ -90,9 +91,10 @@ class ExperimentConfig:
             )
         if not (0 <= self.seed < _U64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if not (0.0 < self.alpha_line < math.inf):
+        if not (0.0 < self.alpha_line <= MAX_AMPLITUDE):
             raise ValueError(
-                f"line amplitude must be positive and finite, got {self.alpha_line}"
+                f"line amplitude must be positive, finite and at most "
+                f"{MAX_AMPLITUDE:g}, got {self.alpha_line}"
             )
         if not (0.0 < self.s < math.inf):
             raise ValueError(
@@ -128,14 +130,24 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]]
             fh.write(",".join(_format_real(x) for x in row) + "\n")
 
 
+def available_cpus() -> int:
+    """CPUs the process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def map_points(worker: Callable[[int], T], count: int, threads: int) -> list[T]:
     """``[worker(i) for i in range(count)]`` on up to ``threads`` threads.
 
-    The package's one parallel path.  Results come back in point order, so
-    when every point seeds its own streams the list does not depend on
-    ``threads``.
+    The package's one parallel path.  The pool never exceeds the point
+    count or :func:`available_cpus`: each thread holds its own Monte Carlo
+    workspace, and a thread beyond the CPU count adds memory but no speed.
+    Results come back in point order, so when every point seeds its own
+    streams the list does not depend on ``threads``.
     """
-    threads = min(threads, count)
+    threads = min(threads, count, available_cpus())
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(worker, range(count)))

@@ -29,21 +29,6 @@ class ComplexAmplitude:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"amplitude components must be finite, got ({self.x}, {self.y})")
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "ComplexAmplitude":
-        return cls(float(z.real), float(z.imag))
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
-
-    def __abs__(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def arg(self) -> float:
-        """Phase angle atan2(y, x)."""
-        return math.atan2(self.y, self.x)
-
 
 @dataclass(frozen=True)
 class Fidelity:
@@ -62,9 +47,6 @@ class Fidelity:
             if self.value > 1.0 + OVERSHOOT_TOL:
                 raise ValueError(f"fidelity exceeds 1 beyond float tolerance: {self.value}")
             object.__setattr__(self, "value", 1.0)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def transfer_exponent(ux, uy, wx, wy, lam):
@@ -112,24 +94,6 @@ def one_shot_fidelity(
 def avg_fidelity_unit_gain(v: QuadratureVariances) -> Fidelity:
     """Average fidelity at unit gain: 2 / sqrt((V+ + 1)(V- + 1))."""
     return Fidelity(2.0 / math.sqrt((v.v_plus + 1.0) * (v.v_minus + 1.0)))
-
-
-def avg_fidelity_general_gain(
-    v: QuadratureVariances, g: float, alpha: ComplexAmplitude
-) -> Fidelity:
-    """Average fidelity at gain g for a target of amplitude alpha.
-
-    F(alpha) = [2 / sqrt((V+ + 1)(V- + 1))]
-               * exp(-2 |1 - g|^2 |alpha|^2 / sqrt((V+ + 1)(V- + 1))).
-
-    At g = 1 the exponential factor is 1 and the result is independent of
-    alpha, matching :func:`avg_fidelity_unit_gain` exactly.
-    """
-    if g < 0.0:
-        raise ValueError(f"gain must be non-negative, got {g}")
-    root = math.sqrt((v.v_plus + 1.0) * (v.v_minus + 1.0))
-    mod2 = alpha.x ** 2 + alpha.y ** 2
-    return Fidelity((2.0 / root) * math.exp(-2.0 * (1.0 - g) ** 2 * mod2 / root))
 
 
 def bfk_classical_limit(s: float) -> Fidelity:

@@ -44,7 +44,8 @@ line rule.  For alpha_x > 0 the line rule forms |beta| - alpha_x as
 of two nearly equal amplitudes never cancels.  The estimates therefore
 stay right at large amplitudes (|alpha| = 1e16 is tested), where
 subtracting beta = alpha + w from alpha would round w away; |beta|^2
-overflows only above |beta| ~ 1e154.
+overflows only above |beta| ~ 1e154, so targets beyond MAX_AMPLITUDE
+are rejected.
 
 The circle rule is the exception: it forms beta = alpha + w, rounded as
 Generator.normal(alpha, sigma) rounds it, and evaluates the expanded
@@ -87,6 +88,10 @@ MC_CHUNK = 1 << 16
 MC_BLOCK = 1 << 13
 
 MIN_SAMPLES = 1_000
+
+# Largest target amplitude the kernels accept: they square outcome
+# components, and |beta|^2 overflows above |beta| ~ 1e154.
+MAX_AMPLITUDE = 1e150
 
 # Per-thread workspace of the chunk kernel, allocated on a thread's first chunk.
 _workspace = threading.local()
@@ -280,6 +285,8 @@ def mc_average_fidelity(
     """
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    if not math.hypot(alpha.x, alpha.y) <= MAX_AMPLITUDE:
+        raise ValueError(f"target amplitude must be at most {MAX_AMPLITUDE:g}, got {alpha}")
     sigma = component_sigma(sq)  # validates the lam cap
     row, scratch = _chunk_workspace()
     total = 0.0

@@ -207,7 +207,8 @@ def test_run_all_independent_of_cpu_count(monkeypatch):
     # available CPU; the verdicts and their details must not depend on it
     runs = []
     for cpus in (1, 3):
-        monkeypatch.setattr(acceptance, "available_cpus", lambda: cpus)
+        for module in (acceptance, experiments):
+            monkeypatch.setattr(module, "available_cpus", lambda: cpus)
         runs.append(acceptance.run_all())
     assert runs[0] == runs[1]
 
@@ -215,4 +216,4 @@ def test_run_all_independent_of_cpu_count(monkeypatch):
 def test_available_cpus_is_the_affinity_set():
     if not hasattr(os, "sched_getaffinity"):
         pytest.skip("no sched_getaffinity on this platform")
-    assert acceptance.available_cpus() == len(os.sched_getaffinity(0))
+    assert experiments.available_cpus() == len(os.sched_getaffinity(0))

@@ -1,67 +1,14 @@
-"""Alphabet sampling and the alphabet-weighted fidelity against its oracle."""
+"""The alphabet-weighted fidelity against its oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cvteleport.alphabet import (
-    Circle,
-    Gaussian2D,
-    LineUniform,
-    gaussian_weighted_fidelity,
-    gaussian_weighted_fidelity_quadrature,
-    sample_target,
-)
+from cvteleport.alphabet import gaussian_weighted_fidelity, gaussian_weighted_fidelity_quadrature
 from cvteleport.fidelity import bfk_classical_limit
 from cvteleport.optimize import optimize_gain
 from cvteleport.protocol import squeeze_from_lambda, variance_standard_gain
-
-
-class TestSampling:
-    def test_gaussian_moments(self):
-        s = 0.7
-        n = 1_000_000
-        rng = np.random.default_rng(61)
-        # same per-axis normal draw the sampler performs
-        xs = rng.normal(0.0, s, n)
-        se_var = s ** 2 * math.sqrt(2.0 / (n - 1))
-        assert abs(xs.var(ddof=1) - s ** 2) <= 3 * se_var
-
-    def test_gaussian_sampler_moments(self):
-        rng = np.random.default_rng(62)
-        dist = Gaussian2D(s_x=0.5, s_y=2.0)
-        draws = [sample_target(dist, rng) for _ in range(20_000)]
-        xs = np.array([d.x for d in draws])
-        ys = np.array([d.y for d in draws])
-        assert abs(xs.var(ddof=1) - 0.25) <= 5 * 0.25 * math.sqrt(2.0 / 20_000)
-        assert abs(ys.var(ddof=1) - 4.0) <= 5 * 4.0 * math.sqrt(2.0 / 20_000)
-
-    def test_circle_radius_exact(self):
-        rng = np.random.default_rng(63)
-        dist = Circle(radius=3.0)
-        for _ in range(1000):
-            a = sample_target(dist, rng)
-            assert abs(a) == pytest.approx(3.0, rel=1e-15)
-
-    def test_line_uniform(self):
-        rng = np.random.default_rng(64)
-        dist = LineUniform(alpha_max=4.0)
-        n = 100_000
-        draws = [sample_target(dist, rng) for _ in range(n)]
-        assert all(d.y == 0.0 for d in draws[:100])
-        xs = np.array([d.x for d in draws])
-        assert xs.min() >= 0.0 and xs.max() <= 4.0
-        se = 4.0 / math.sqrt(12.0) / math.sqrt(n)
-        assert abs(xs.mean() - 2.0) <= 3 * se
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LineUniform(alpha_max=0.0)
-        with pytest.raises(ValueError):
-            Circle(radius=-1.0)
-        with pytest.raises(ValueError):
-            Gaussian2D(s_x=0.0, s_y=1.0)
 
 
 class TestClosedForm:

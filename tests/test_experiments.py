@@ -5,12 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import cvteleport
-from cvteleport import cli
+from cvteleport import cli, experiments
 from cvteleport.cli import load_config_file
 from cvteleport.experiments import (
     ExperimentConfig,
@@ -74,6 +76,7 @@ class TestConfigValidation:
             {"alpha_line": math.inf},
             {"s": math.inf},
             {"tol": math.inf},
+            {"alpha_line": 2e150},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -92,7 +95,10 @@ class TestReproducibility:
         first = csv_bytes(run_fig1(config), tmp_path / "first.csv")
         assert csv_bytes(run_fig1(config), tmp_path / "second.csv") == first
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
+    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # map_points caps the pool at the CPU count; lift the cap so three
+        # threads run on any host
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 3)
         base = small_config(lambda_grid=default_lambda_grid(4), n_samples=2000)
         serial = csv_bytes(run_circle_vs_line(base), tmp_path / "serial.csv")
         threaded = small_config(lambda_grid=default_lambda_grid(4), n_samples=2000, threads=3)
@@ -106,6 +112,21 @@ class TestReproducibility:
         result = runner(small_config(lambda_grid=(0.0, 0.5), n_samples=2000))
         assert len(result.rows) == 2
         assert list(tmp_path.iterdir()) == []
+
+
+class TestMapPoints:
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # each thread holds a Monte Carlo workspace; threads beyond the CPU
+        # count add memory and no speed
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
+
+        def worker(i):
+            time.sleep(0.01)
+            return i, threading.get_ident()
+
+        results = experiments.map_points(worker, 16, 16)
+        assert [i for i, _ in results] == list(range(16))
+        assert len({ident for _, ident in results}) <= 2
 
 
 class TestFig1:
@@ -320,6 +341,16 @@ class TestCli:
                        "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 2, proc.stderr
         assert "finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fig1", "circle-vs-line"])
+    def test_amplitude_beyond_bound_exit_2(self, tmp_path, command):
+        # beyond MAX_AMPLITUDE the outcome components overflow when squared
+        proc = run_cli(command, "--alpha", "1e160", "--lambda-points", "2",
+                       "--samples", "20000", "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2, proc.stderr
+        assert "at most 1e+150" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 

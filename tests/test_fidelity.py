@@ -8,7 +8,6 @@ import pytest
 from cvteleport.fidelity import (
     ComplexAmplitude,
     Fidelity,
-    avg_fidelity_general_gain,
     avg_fidelity_unit_gain,
     bfk_classical_limit,
     one_shot_fidelity,
@@ -21,10 +20,9 @@ from cvteleport.strategies import optimal_displacement
 class TestComplexAmplitude:
     def test_basic(self):
         a = ComplexAmplitude(3.0, 4.0)
-        assert abs(a) == 5.0
-        assert a.arg() == pytest.approx(math.atan2(4.0, 3.0))
-        assert a.as_complex == 3.0 + 4.0j
-        assert ComplexAmplitude.from_complex(1.0 - 2.0j) == ComplexAmplitude(1.0, -2.0)
+        assert (a.x, a.y) == (3.0, 4.0)
+        assert a == ComplexAmplitude(3.0, 4.0)
+        assert a != ComplexAmplitude(3.0, -4.0)
 
     @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
     def test_finite_required(self, x, y):
@@ -44,9 +42,6 @@ class TestFidelityType:
     def test_reject_invalid(self, bad):
         with pytest.raises(ValueError):
             Fidelity(bad)
-
-    def test_float_conversion(self):
-        assert float(Fidelity(0.25)) == 0.25
 
 
 class TestOneShot:
@@ -132,43 +127,10 @@ class TestAveraged:
         )
         assert avg_fidelity_unit_gain(QuadratureVariances(1.0, 1.0)).value == 1.0
 
-    def test_general_gain_matches_unit_gain_at_g1(self):
-        rng = np.random.default_rng(14)
-        for _ in range(200):
-            v = QuadratureVariances(rng.uniform(1.0, 20.0), rng.uniform(1.0, 20.0))
-            alpha = ComplexAmplitude(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            assert (
-                avg_fidelity_general_gain(v, 1.0, alpha).value
-                == avg_fidelity_unit_gain(v).value
-            )
-
-    def test_general_gain_values(self):
-        assert (
-            avg_fidelity_general_gain(
-                QuadratureVariances(3.0, 3.0), 1.0, ComplexAmplitude(2.3, -1.1)
-            ).value
-            == 0.5
-        )
-        assert (
-            avg_fidelity_general_gain(
-                QuadratureVariances(1.0, 1.0), 0.0, ComplexAmplitude(0.0, 0.0)
-            ).value
-            == 1.0
-        )
-        # g=0.5, alpha=2, V=1.5 on both quadratures: 0.8 exp(-0.8)
-        f = avg_fidelity_general_gain(
-            QuadratureVariances(1.5, 1.5), 0.5, ComplexAmplitude(2.0, 0.0)
-        )
-        assert f.value == pytest.approx(0.8 * math.exp(-0.8), abs=1e-12)
-        assert f.value == pytest.approx(0.3594632, abs=5e-8)
-
     def test_range_random(self):
         rng = np.random.default_rng(15)
         for _ in range(10_000):
             v = QuadratureVariances(rng.uniform(1.0, 40.0), rng.uniform(1.0, 40.0))
-            g = rng.uniform(0.0, 2.0)
-            alpha = ComplexAmplitude(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            assert 0.0 <= avg_fidelity_general_gain(v, g, alpha).value <= 1.0
             assert 0.0 <= avg_fidelity_unit_gain(v).value <= 1.0
 
 

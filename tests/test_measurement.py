@@ -8,9 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cvteleport.experiments import map_points
+from cvteleport import experiments
 from cvteleport.fidelity import ComplexAmplitude, transfer_exponent
 from cvteleport.measurement import (
+    MAX_AMPLITUDE,
     MC_BLOCK,
     MC_CHUNK,
     McEstimate,
@@ -116,16 +117,18 @@ class TestMcAverageFidelity:
         b = mc_average_fidelity(*args)
         assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
         # grid points are the one parallel path: estimates that cross chunk
         # boundaries come back the same, in point order, on 1 and 4 threads
+        # (the pool's CPU-count cap is lifted so 4 threads run on any host)
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 4)
         n = 3 * MC_CHUNK + 17
 
         def point(i):
             sq = squeeze_from_lambda(0.2 * i)
             return mc_average_fidelity(LineTailored(), ALPHA5, sq, n, 46 + i)
 
-        assert map_points(point, 5, 4) == map_points(point, 5, 1)
+        assert experiments.map_points(point, 5, 4) == experiments.map_points(point, 5, 1)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_large_amplitude(self, lam):
@@ -137,6 +140,27 @@ class TestMcAverageFidelity:
         standard = mc_average_fidelity(Standard(1.0), alpha, sq, 100_000, 63)
         assert abs(line.mean - math.sqrt((1.0 + lam) / 2.0)) <= 5 * line.std_error
         assert abs(standard.mean - (1.0 + lam) / 2.0) <= 5 * standard.std_error
+
+    def test_amplitude_bound(self):
+        # up to MAX_AMPLITUDE no outcome component overflows when squared;
+        # beyond it the estimate would silently read F = 1.  The circle target
+        # sits at angle 0, where its expanded exponent loses nothing to rounding.
+        sq = squeeze_from_lambda(0.0)
+        limits = {
+            LineTailored(): 1.0 / math.sqrt(2.0),
+            CircleTailored(MAX_AMPLITUDE): 1.0 / math.sqrt(2.0),
+            Standard(1.0): 0.5,
+        }
+        for strategy, limit in limits.items():
+            with np.errstate(over="raise", invalid="raise"):
+                est = mc_average_fidelity(
+                    strategy, ComplexAmplitude(MAX_AMPLITUDE, 0.0), sq, 20_000, 64
+                )
+            assert abs(est.mean - limit) <= 5 * est.std_error
+            for alpha in (ComplexAmplitude(2 * MAX_AMPLITUDE, 0.0),
+                          ComplexAmplitude(MAX_AMPLITUDE, MAX_AMPLITUDE)):
+                with pytest.raises(ValueError, match="at most 1e\\+150"):
+                    mc_average_fidelity(strategy, alpha, sq, 20_000, 64)
 
     def test_seed_changes_stream(self):
         a = mc_average_fidelity(Standard(1.0), ALPHA5, squeeze_from_lambda(0.5), 10_000, 1)
