@@ -16,12 +16,7 @@ from .fidelity import (
     bfk_classical_limit,
     one_shot_fidelity,
 )
-from .measurement import (
-    McEstimate,
-    component_sigma,
-    mc_average_fidelity,
-    quadrature_average_fidelity,
-)
+from .measurement import McEstimate, component_sigma, mc_average_fidelity
 from .optimize import (
     NonFiniteObjectiveError,
     OptimizationResult,
@@ -84,7 +79,6 @@ __all__ = [
     "optimize_eta_g2",
     "optimize_gain",
     "output_coefficients_tailored",
-    "quadrature_average_fidelity",
     "squeeze_from_G",
     "squeeze_from_lambda",
     "variance_standard_gain",

@@ -62,10 +62,6 @@ class CriterionResult:
     detail: str
 
 
-def _result(number: int, name: str, passed: bool, detail: str) -> CriterionResult:
-    return CriterionResult(number=number, name=name, passed=passed, detail=detail)
-
-
 def format_line(res: CriterionResult) -> str:
     status = "PASS" if res.passed else "FAIL"
     return f"[{status}] criterion {res.number:2d} {res.name}: {res.detail}"
@@ -79,7 +75,8 @@ def criterion_standard_baseline() -> CriterionResult:
     """Analytic standard curve (1+lam)/2 and its Monte Carlo reproduction."""
     f0 = avg_fidelity_unit_gain(variance_standard_gain(squeeze_from_G(1.0), 1.0)).value
     if f0 != 0.5:
-        return _result(1, "standard baseline", False, f"analytic F(0)={f0!r} != 0.5")
+        detail = f"analytic F(0)={f0!r} != 0.5"
+        return CriterionResult(1, "standard baseline", False, detail)
     alpha = ComplexAmplitude(5.0, 0.0)
     lams = (0.0, 0.25, 0.5, 0.75, 0.9)
 
@@ -91,7 +88,7 @@ def criterion_standard_baseline() -> CriterionResult:
         return abs(est.mean - (1.0 + lam) / 2.0) / est.std_error
 
     worst = max(map_points(pull, len(lams), available_cpus()))
-    return _result(
+    return CriterionResult(
         1,
         "standard baseline",
         worst <= 3.0,
@@ -106,7 +103,7 @@ def criterion_line_limit() -> CriterionResult:
         1_000_000, _seed(2),
     )
     err = abs(est.mean - 1.0 / math.sqrt(2.0))
-    return _result(
+    return CriterionResult(
         2,
         "displacement-only limit",
         err <= 0.005,
@@ -120,7 +117,7 @@ def criterion_full_tailoring_limit() -> CriterionResult:
     eta_star, g2_star = res.argmax
     target = math.sqrt(2.0 / 3.0)
     errs = (abs(eta_star), abs(g2_star), abs(res.value - target))
-    return _result(
+    return CriterionResult(
         3,
         "full tailoring limit",
         max(errs) <= 1e-9,
@@ -146,7 +143,7 @@ def criterion_fig3_asymptotes() -> CriterionResult:
     end_eta = abs(eta_stars[-1] - math.pi / 4)
     end_g2 = abs(g2_stars[-1] - 1.0 / math.sqrt(2.0))
     passed = mono_eta and mono_g2 and start_ok and end_eta <= 0.01 and end_g2 <= 0.01
-    return _result(
+    return CriterionResult(
         4,
         "tuned-parameter asymptotes",
         passed,
@@ -162,7 +159,7 @@ def criterion_curve_ordering() -> CriterionResult:
     weak_ok = all(full >= disp >= std for _, full, disp, std, _, _ in rows)
     strict_ok = all(full > disp > std for _, full, disp, std, _, _ in interior)
     min_gap = min(full - disp for _, full, disp, _, _, _ in interior)
-    return _result(
+    return CriterionResult(
         5,
         "curve ordering",
         weak_ok and strict_ok,
@@ -183,7 +180,7 @@ def criterion_cross_picture() -> CriterionResult:
         return abs(est.mean - math.sqrt((1.0 + lam) / 2.0))
 
     worst = max(map_points(gap, len(grid), available_cpus()))
-    return _result(
+    return CriterionResult(
         6,
         "cross-picture consistency",
         worst <= 0.01,
@@ -199,7 +196,7 @@ def criterion_wide_alphabet() -> CriterionResult:
     g_err = abs(g0 - 1.0)
     worst_curve = max(abs(f - (1.0 + lam) / 2.0) for lam, f, _ in rows)
     passed = f_err <= 1e-3 and g_err <= 1e-3 and worst_curve <= 0.01
-    return _result(
+    return CriterionResult(
         7,
         "wide alphabet",
         passed,
@@ -217,7 +214,7 @@ def criterion_narrow_alphabet() -> CriterionResult:
     s = 0.2
     g_identity = abs(res.argmax[0] - 2.0 * s * s / (1.0 + 2.0 * s * s)) <= 1e-6
     passed = in_bracket and bfk_exact and g_identity
-    return _result(
+    return CriterionResult(
         8,
         "narrow alphabet classical limit",
         passed,
@@ -280,7 +277,7 @@ def criterion_circle_line_equivalence() -> CriterionResult:
         )
     else:
         detail = f"all grid points within allowance (worst slack {-worst_excess:.2e})"
-    return _result(9, "circle/line equivalence", not failures, detail)
+    return CriterionResult(9, "circle/line equivalence", not failures, detail)
 
 
 def _property_oracle() -> tuple[bool, str]:
@@ -361,7 +358,8 @@ def criterion_property_suites() -> CriterionResult:
         _property_closed_form_vs_quadrature(),
     ]
     passed = all(ok for ok, _ in checks)
-    return _result(10, "property suites", passed, "; ".join(msg for _, msg in checks))
+    detail = "; ".join(msg for _, msg in checks)
+    return CriterionResult(10, "property suites", passed, detail)
 
 
 ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (

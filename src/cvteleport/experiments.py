@@ -26,7 +26,7 @@ import numpy as np
 
 from .fidelity import ComplexAmplitude, avg_fidelity_unit_gain
 from .measurement import MAX_AMPLITUDE, MIN_SAMPLES, mc_average_fidelity
-from .optimize import optimize_eta_g2, optimize_gain
+from .optimize import DEFAULT_TOL, optimize_eta_g2, optimize_gain
 from .protocol import (
     LAMBDA_MAX,
     g2_optimal,
@@ -40,7 +40,6 @@ DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 123456789
 DEFAULT_ALPHA = 5.0
 DEFAULT_S = 0.2
-DEFAULT_TOL = 1e-8
 
 _U64 = 2 ** 64
 

@@ -69,7 +69,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import gauss_hermite
 from .fidelity import ComplexAmplitude
 from .protocol import LAMBDA_MAX, SqueezeLevel
 from .strategies import (
@@ -302,31 +301,3 @@ def mc_average_fidelity(
     mean = total / n
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
     return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
-
-
-def quadrature_average_fidelity(
-    strategy: Strategy, alpha: ComplexAmplitude, sq: SqueezeLevel, order: int
-) -> float:
-    """Deterministic Gauss-Hermite evaluation of the same outcome average.
-
-    Tensor-product rule over the two components of the centred noise
-    w = beta - alpha.  It converges fast for the standard and known-target
-    rules, whose one-shot fidelity is smooth in w, and agrees with
-    :func:`mc_average_fidelity` within Monte Carlo error at order 32.  It
-    is not an oracle for the tailored rules: their guess has a kink at
-    beta = 0, inside the outcome Gaussian, and the rule need not converge
-    in the order there.  For ``CircleTailored`` at amplitude 5 its error is
-    1.2e-5 at lam = 0.96 (order 128) and 9.1e-6 at lam = 0.94 (order 256,
-    worse than order 128).  The polar quadrature ``exact_line_circle`` in
-    ``tests/test_acceptance.py`` is the exact reference for the line and
-    circle averages.
-    """
-    if order < 8:
-        raise ValueError(f"quadrature order must be at least 8, got {order}")
-    scale = math.sqrt(2.0) * component_sigma(sq)
-    nodes, weights = gauss_hermite(order)
-    work = np.empty((6, order, order))
-    work[0] = scale * nodes[:, None]
-    work[1] = scale * nodes[None, :]
-    f = _one_shot_into(strategy, (alpha.x, alpha.y), sq.lam, work)
-    return float((weights[:, None] * weights[None, :] * f).sum() / math.pi)

@@ -52,7 +52,6 @@ class OptimizationResult:
     argmax: tuple[float, ...]
     value: float
     evaluations: int
-    tolerance: float
 
 
 def maximize_scalar(
@@ -126,9 +125,7 @@ def maximize_scalar(
     candidates = [(x, eval_f(x)) for x in (lo, hi, 0.5 * (lo + hi))]
     candidates += [(x1, f1), (x2, f2)]
     best_x, best_f = max(candidates, key=lambda p: p[1])
-    return OptimizationResult(
-        argmax=(best_x,), value=best_f, evaluations=evaluations, tolerance=tol
-    )
+    return OptimizationResult(argmax=(best_x,), value=best_f, evaluations=evaluations)
 
 
 def optimize_gain(
@@ -186,5 +183,4 @@ def optimize_eta_g2(sq: SqueezeLevel, tol: float = DEFAULT_TOL) -> OptimizationR
         argmax=(eta_star, g2_optimal(sq, eta_star)),
         value=res.value,
         evaluations=res.evaluations,
-        tolerance=res.tolerance,
     )

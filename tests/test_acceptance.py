@@ -20,10 +20,7 @@ import pytest
 
 from cvteleport import acceptance, experiments
 from cvteleport.experiments import default_lambda_grid
-from cvteleport.fidelity import ComplexAmplitude
-from cvteleport.measurement import quadrature_average_fidelity
-from cvteleport.protocol import squeeze_from_lambda
-from cvteleport.strategies import CircleTailored, LineTailored
+from oracles import exact_line_circle
 
 
 def _assert_criterion(result):
@@ -63,35 +60,6 @@ def test_criterion_08_narrow_alphabet_classical_limit():
     _assert_criterion(acceptance.criterion_narrow_alphabet())
 
 
-def exact_line_circle(amp, lam, n_r=200, n_phi=512):
-    """Exact line- and circle-tailored average fidelities at amplitude ``amp``.
-
-    Both one-shot fidelities are smooth in polar coordinates beta = r e^{i phi}
-    about the origin: the line rule gives exp(-(1-lam)^2 (amp - r)^2) and the
-    circle rule exp(-2 (1-lam)^2 amp^2 (1 - cos phi)) for a target at angle 0
-    (the circle average does not depend on the target's angle).  The outcome
-    density is a Gaussian of per-component variance 1/(2 (1 - lam^2)) about the
-    target, which decays by exp(-72) outside r in [amp - 12 sigma, amp + 12 sigma].
-    Gauss-Legendre in r on that interval times the trapezoid rule in phi, which
-    is spectrally accurate for a smooth periodic integrand.  Returns (line, circle).
-    """
-    var = 1.0 / (2.0 * (1.0 - lam * lam))
-    sigma = math.sqrt(var)
-    lo, hi = max(0.0, amp - 12.0 * sigma), amp + 12.0 * sigma
-    x, w = np.polynomial.legendre.leggauss(n_r)
-    r = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-    radial = 0.5 * (hi - lo) * w * r / (var * n_phi)  # includes the 2 pi / n_phi step
-    one_minus_cos = 1.0 - np.cos(2.0 * math.pi * np.arange(n_phi) / n_phi)
-    # |beta - alpha|^2 = (r - amp)^2 + 2 amp r (1 - cos phi), without cancellation
-    density = np.exp(
-        -((r[:, None] - amp) ** 2 + 2.0 * amp * r[:, None] * one_minus_cos) / (2.0 * var)
-    )
-    k = (1.0 - lam) ** 2
-    line = radial @ (np.exp(-k * (r - amp) ** 2) * density.sum(axis=1))
-    circle = radial @ (density @ np.exp(-2.0 * k * amp * amp * one_minus_cos))
-    return float(line), float(circle)
-
-
 @pytest.fixture(scope="module")
 def circle_line():
     """Criterion 9's estimates with the exact line - circle offset at each point."""
@@ -113,6 +81,46 @@ def _points_outside(estimates, offsets):
     ]
 
 
+# scipy.integrate.quad options of the 1-D cross-checks below
+_QUAD = dict(epsabs=1e-15, epsrel=1e-13, limit=200)
+
+
+def _rice_line(quad, amp, lam):
+    """Line average over the Rice law of r = |beta|, with I0 scaled by e^{-z}."""
+    var = 1.0 / (2.0 * (1.0 - lam * lam))
+    sigma = math.sqrt(var)
+    k = (1.0 - lam) ** 2
+
+    def integrand(r):
+        z = r * amp / var
+        i0e = float(np.i0(z)) * math.exp(-z)
+        rice = r / var * math.exp(-((r - amp) ** 2) / (2.0 * var)) * i0e
+        return math.exp(-k * (r - amp) ** 2) * rice
+
+    lo, hi = max(0.0, amp - 12.0 * sigma), amp + 12.0 * sigma
+    return quad(integrand, lo, hi, points=[amp], **_QUAD)[0]
+
+
+def _angle_law_circle(quad, amp, lam):
+    """Circle average over the offset-normal law of phi = arg beta, target at angle 0.
+
+    With s = sigma, t = amp cos(phi) / s and Phi the normal CDF, the density is
+    [e^{-amp^2 / 2 s^2} + t sqrt(2 pi) Phi(t) e^{-amp^2 sin^2(phi) / 2 s^2}] / (2 pi).
+    """
+    var = 1.0 / (2.0 * (1.0 - lam * lam))
+    sigma = math.sqrt(var)
+    k = (1.0 - lam) ** 2
+
+    def integrand(phi):
+        t = amp * math.cos(phi) / sigma
+        cdf = 0.5 * math.erfc(-t / math.sqrt(2.0))
+        off_axis = math.exp(-((amp * math.sin(phi)) ** 2) / (2.0 * var))
+        law = math.exp(-amp * amp / (2.0 * var)) + t * math.sqrt(2.0 * math.pi) * cdf * off_axis
+        return math.exp(-4.0 * k * amp * amp * math.sin(0.5 * phi) ** 2) * law / (2.0 * math.pi)
+
+    return quad(integrand, -math.pi, math.pi, points=[0.0], **_QUAD)[0]
+
+
 class TestExactLineCircle:
     def test_converged_in_node_counts(self):
         for lam in default_lambda_grid():
@@ -120,25 +128,14 @@ class TestExactLineCircle:
             doubled = exact_line_circle(5.0, lam, n_r=400, n_phi=1024)
             assert max(abs(a - b) for a, b in zip(base, doubled)) <= 1e-12
 
-    def test_agrees_with_gauss_hermite_where_converged(self):
-        # the Cartesian Gauss-Hermite rule converges at low squeezing only
-        # (measured error <= 2e-10 at order 128 for lam <= 0.5)
-        alpha = ComplexAmplitude(5.0, 0.0)
+    def test_agrees_with_one_dimensional_laws(self):
+        # independent 1-D references: the line fidelity depends on beta only
+        # through |beta|, and the circle fidelity only through arg beta
+        quad = pytest.importorskip("scipy.integrate").quad
         for lam in default_lambda_grid():
-            if lam > 0.5:
-                continue
-            sq = squeeze_from_lambda(lam)
             line, circle = exact_line_circle(5.0, lam)
-            assert line == pytest.approx(
-                quadrature_average_fidelity(LineTailored(), alpha, sq, 128),
-                abs=1e-9,
-            )
-            assert circle == pytest.approx(
-                quadrature_average_fidelity(
-                    CircleTailored(radius=5.0), alpha, sq, 128
-                ),
-                abs=1e-9,
-            )
+            assert abs(line - _rice_line(quad, 5.0, lam)) <= 1e-12
+            assert abs(circle - _angle_law_circle(quad, 5.0, lam)) <= 1e-12
 
 
 def test_criterion_09_circle_line_equivalence(circle_line):

@@ -1,6 +1,9 @@
 """The package's public namespace."""
 
+import ast
+import sys
 import types
+from pathlib import Path
 
 import cvteleport
 
@@ -18,3 +21,20 @@ def test_all_matches_init_bindings():
     }
     assert set(exported) == bound
 
+
+
+def test_runtime_imports_only_stdlib_and_numpy():
+    # the tests may use scipy; the package itself stays numpy-only
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cvteleport"}
+    package = Path(cvteleport.__file__).parent
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+    assert outside == []
