@@ -4,7 +4,10 @@ Each criterion is a deterministic function returning a
 :class:`CriterionResult`; the CLI ``check`` subcommand runs all of them
 and exits nonzero if any fail, and the test suite asserts them one by
 one.  All tolerances are pinned here, next to the checks, and every
-Monte Carlo run uses a fixed seed so the outcome never flickers.
+Monte Carlo run uses a fixed seed so the outcome never flickers.  A
+criterion on a curve the CLI writes reads that runner's rows at the
+default config: criteria 3-5 share one ``run_fig3`` run, criterion 6 reads
+``run_fig1`` and criterion 7 ``run_gaussian_alphabet``.
 
 The criteria run one after another.  Within criteria 1, 6 and 9 the Monte
 Carlo grid points run on every CPU the process may use (its affinity
@@ -27,6 +30,7 @@ from .experiments import (
     available_cpus,
     default_lambda_grid,
     map_points,
+    run_fig1,
     run_fig3,
     run_gaussian_alphabet,
 )
@@ -38,7 +42,7 @@ from .fidelity import (
     transfer_exponent,
 )
 from .measurement import McEstimate, mc_average_fidelity
-from .optimize import optimize_eta_g2, optimize_gain
+from .optimize import optimize_gain
 from .protocol import (
     ProtocolSettings,
     g1_of_eta,
@@ -111,27 +115,26 @@ def criterion_line_limit() -> CriterionResult:
     )
 
 
+@functools.cache
+def _fig3_rows() -> tuple[tuple[float, ...], ...]:
+    """``run_fig3`` rows at the default config, shared by criteria 3, 4 and 5.
+
+    Columns: lambda, f_full, f_disp_only, f_standard, eta_star, g2_star.
+    """
+    return run_fig3(ExperimentConfig()).rows
+
+
 def criterion_full_tailoring_limit() -> CriterionResult:
-    """No-squeezing optimum: eta*=0, g2*=0, F=sqrt(2/3), all within 1e-9."""
-    res = optimize_eta_g2(squeeze_from_G(1.0))
-    eta_star, g2_star = res.argmax
+    """No-squeezing optimum, fig3's lam=0 row: eta*=0, g2*=0, F=sqrt(2/3), within 1e-9."""
+    _, f_full, _, _, eta_star, g2_star = _fig3_rows()[0]
     target = math.sqrt(2.0 / 3.0)
-    errs = (abs(eta_star), abs(g2_star), abs(res.value - target))
+    errs = (abs(eta_star), abs(g2_star), abs(f_full - target))
     return CriterionResult(
         3,
         "full tailoring limit",
         max(errs) <= 1e-9,
         f"eta*={eta_star:.2e}, g2*={g2_star:.2e}, |F-sqrt(2/3)|={errs[2]:.2e} (limit 1e-9)",
     )
-
-
-@functools.cache
-def _fig3_rows() -> tuple[tuple[float, ...], ...]:
-    """``run_fig3`` rows at the default config, shared by criteria 4 and 5.
-
-    Columns: lambda, f_full, f_disp_only, f_standard, eta_star, g2_star.
-    """
-    return run_fig3(ExperimentConfig()).rows
 
 
 def criterion_fig3_asymptotes() -> CriterionResult:
@@ -169,17 +172,9 @@ def criterion_curve_ordering() -> CriterionResult:
 
 
 def criterion_cross_picture() -> CriterionResult:
-    """Outcome-sampling line curve equals the closed-form curve within 0.01."""
-    grid = default_lambda_grid()
-    alpha = ComplexAmplitude(5.0, 0.0)
-
-    def gap(i: int) -> float:
-        lam = grid[i]
-        sq = squeeze_from_lambda(lam)
-        est = mc_average_fidelity(LineTailored(), alpha, sq, 100_000, _seed(600 + i))
-        return abs(est.mean - math.sqrt((1.0 + lam) / 2.0))
-
-    worst = max(map_points(gap, len(grid), available_cpus()))
+    """fig1's outcome-sampling line curve equals the closed-form curve within 0.01."""
+    rows = run_fig1(ExperimentConfig(threads=available_cpus())).rows
+    worst = max(abs(mc - math.sqrt((1.0 + lam) / 2.0)) for lam, _, mc, _ in rows)
     return CriterionResult(
         6,
         "cross-picture consistency",
@@ -379,7 +374,7 @@ ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
 def run_all() -> list[CriterionResult]:
     """Run every acceptance criterion in order.
 
-    Criteria 4 and 5 share one computation of the fig3 rows per run.
+    Criteria 3, 4 and 5 share one fig3 run per call; criterion 6 reads a fig1 run.
     """
     _fig3_rows.cache_clear()
     return [criterion() for criterion in ALL_CRITERIA]

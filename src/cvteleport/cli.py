@@ -37,20 +37,26 @@ class Setting(NamedTuple):
         return "--" + self.key.replace("_", "-")
 
 
+def _output_path(text: str) -> Path:
+    if "\0" in text:  # open() would raise ValueError, not OSError
+        raise ValueError(f"output path contains a NUL character: {text!r}")
+    return Path(text)
+
+
 # The one list of settings: it defines the CLI flags, the keys a config
 # file may set, how their values parse, and their defaults.  ``--s`` is a
 # flag of ``gaussian`` only; ``out`` defaults to ``<command>.csv``.
 SETTINGS = (
     Setting("lambda_points", int, experiments.DEFAULT_LAMBDA_POINTS, "N",
-            "uniform grid points on [0, 0.98] (plus the 0.999 cap)"),
+            "uniform grid points on [0, 0.98], 2 to 100000 (plus the 0.999 cap)"),
     Setting("samples", int, experiments.DEFAULT_SAMPLES, "N",
-            "Monte Carlo samples per grid point"),
+            "Monte Carlo samples per grid point (1000 to 1e9)"),
     Setting("seed", int, experiments.DEFAULT_SEED, "U64",
             "base seed; per-point seeds are seed XOR point index"),
     Setting("alpha", float, experiments.DEFAULT_ALPHA, "X",
             "target amplitude for the line/circle curves (at most 1e150)"),
     Setting("s", float, experiments.DEFAULT_S, "X", "alphabet standard deviation"),
-    Setting("out", Path, None, "PATH", "output CSV path (default <command>.csv)"),
+    Setting("out", _output_path, None, "PATH", "output CSV path (default <command>.csv)"),
     Setting("tol", float, experiments.DEFAULT_TOL, "X", "optimizer abscissa tolerance"),
     Setting("threads", int, 1, "N",
             "worker threads across grid points (capped at the CPU count)"),

@@ -24,18 +24,14 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .fidelity import ComplexAmplitude, avg_fidelity_unit_gain
-from .measurement import MAX_AMPLITUDE, MIN_SAMPLES, mc_average_fidelity
-from .optimize import DEFAULT_TOL, optimize_eta_g2, optimize_gain
-from .protocol import (
-    LAMBDA_MAX,
-    g2_optimal,
-    squeeze_from_lambda,
-    variances_tailored,
-)
+from .fidelity import ComplexAmplitude
+from .measurement import MAX_AMPLITUDE, MAX_SAMPLES, MIN_SAMPLES, McEstimate, mc_average_fidelity
+from .optimize import DEFAULT_TOL, optimize_eta_g2, optimize_gain, tailored_fidelity
+from .protocol import LAMBDA_MAX, squeeze_from_lambda
 from .strategies import CircleTailored, LineTailored
 
 DEFAULT_LAMBDA_POINTS = 50
+MAX_LAMBDA_POINTS = 100_000  # 2,000 times the benchmark's 50-point grid
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 123456789
 DEFAULT_ALPHA = 5.0
@@ -56,8 +52,8 @@ def default_lambda_grid(points: int = DEFAULT_LAMBDA_POINTS) -> tuple[float, ...
     The cap is explicit: lambda = 1 would take infinite energy and the
     outcome distribution degenerates there.
     """
-    if points < 2:
-        raise ValueError(f"need at least 2 grid points, got {points}")
+    if not 2 <= points <= MAX_LAMBDA_POINTS:
+        raise ValueError(f"need 2 to {MAX_LAMBDA_POINTS} grid points, got {points}")
     grid = [0.98 * (i / (points - 1)) for i in range(points)]
     grid.append(LAMBDA_MAX)
     return tuple(grid)
@@ -84,9 +80,9 @@ class ExperimentConfig:
             raise ValueError(f"lambda grid values must lie in [0, {LAMBDA_MAX}]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda grid must be strictly increasing")
-        if self.n_samples < MIN_SAMPLES:
+        if not MIN_SAMPLES <= self.n_samples <= MAX_SAMPLES:
             raise ValueError(
-                f"need at least {MIN_SAMPLES} samples per point, got {self.n_samples}"
+                f"need {MIN_SAMPLES} to {MAX_SAMPLES} samples per point, got {self.n_samples}"
             )
         if not (0 <= self.seed < _U64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
@@ -153,6 +149,13 @@ def map_points(worker: Callable[[int], T], count: int, threads: int) -> list[T]:
     return [worker(i) for i in range(count)]
 
 
+def _line_estimate(config: ExperimentConfig, i: int) -> McEstimate:
+    """fig1's Monte Carlo column and circle-vs-line's ``f_line`` at grid point ``i``."""
+    sq = squeeze_from_lambda(config.lambda_grid[i])
+    alpha = ComplexAmplitude(config.alpha_line, 0.0)
+    return mc_average_fidelity(LineTailored(), alpha, sq, config.n_samples, config.point_seed(i))
+
+
 def run_fig1(config: ExperimentConfig) -> ExperimentResult:
     """Line-tailored displacement curve versus the standard scheme.
 
@@ -161,14 +164,10 @@ def run_fig1(config: ExperimentConfig) -> ExperimentResult:
     column is the Monte Carlo outcome average at fixed target amplitude
     ``alpha_line`` on the real axis.
     """
-    alpha = ComplexAmplitude(config.alpha_line, 0.0)
 
     def point(i: int) -> tuple[float, ...]:
         lam = config.lambda_grid[i]
-        sq = squeeze_from_lambda(lam)
-        est = mc_average_fidelity(
-            LineTailored(), alpha, sq, config.n_samples, config.point_seed(i)
-        )
+        est = _line_estimate(config, i)
         return (lam, (1.0 + lam) / 2.0, est.mean, est.std_error)
 
     rows = map_points(point, len(config.lambda_grid), config.threads)
@@ -196,10 +195,7 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
         sq = squeeze_from_lambda(lam)
         res = optimize_eta_g2(sq, tol=config.tol)
         eta_star, g2_star = res.argmax
-        half = math.pi / 4
-        disp_only = avg_fidelity_unit_gain(
-            variances_tailored(sq, half, g2_optimal(sq, half))
-        ).value
+        disp_only = tailored_fidelity(sq, math.pi / 4)
         return (lam, res.value, disp_only, (1.0 + lam) / 2.0, eta_star, g2_star)
 
     rows = map_points(point, len(config.lambda_grid), config.threads)
@@ -253,11 +249,8 @@ def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
     def point(i: int) -> tuple[float, ...]:
         lam = config.lambda_grid[i]
         sq = squeeze_from_lambda(lam)
-        line_seed = config.point_seed(i)
-        circle_seed = (line_seed ^ _SECOND_STREAM_SALT) % _U64
-        line = mc_average_fidelity(
-            LineTailored(), ComplexAmplitude(amp, 0.0), sq, config.n_samples, line_seed
-        )
+        circle_seed = (config.point_seed(i) ^ _SECOND_STREAM_SALT) % _U64
+        line = _line_estimate(config, i)
         theta = np.random.default_rng(
             np.random.SeedSequence(entropy=circle_seed, spawn_key=(0xA11CE,))
         ).uniform(0.0, 2.0 * math.pi)

@@ -87,6 +87,8 @@ MC_CHUNK = 1 << 16
 MC_BLOCK = 1 << 13
 
 MIN_SAMPLES = 1_000
+# Most samples per estimate: a minute or so at 50-75 ns/sample (2-vCPU Xeon).
+MAX_SAMPLES = 1_000_000_000
 
 # Largest target amplitude the kernels accept: they square outcome
 # components, and |beta|^2 overflows above |beta| ~ 1e154.
@@ -282,8 +284,8 @@ def mc_average_fidelity(
     uses its own derived generator and the partial sums are added in
     chunk order, so the result depends only on (seed, n).
     """
-    if n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    if not MIN_SAMPLES <= n <= MAX_SAMPLES:
+        raise ValueError(f"need {MIN_SAMPLES} to {MAX_SAMPLES} samples, got {n}")
     if not math.hypot(alpha.x, alpha.y) <= MAX_AMPLITUDE:
         raise ValueError(f"target amplitude must be at most {MAX_AMPLITUDE:g}, got {alpha}")
     sigma = component_sigma(sq)  # validates the lam cap

@@ -143,22 +143,22 @@ def optimize_gain(
     )
 
 
+def tailored_fidelity(sq: SqueezeLevel, eta: float) -> float:
+    """Unit-gain fidelity of the tailored scheme at splitter angle eta and phase gain g2*(eta)."""
+    return avg_fidelity_unit_gain(variances_tailored(sq, eta, g2_optimal(sq, eta))).value
+
+
 def optimize_eta_g2(sq: SqueezeLevel, tol: float = DEFAULT_TOL) -> OptimizationResult:
     """Jointly maximise the tailored-scheme fidelity over (eta, g2).
 
     The inner g2 problem is the exact quadratic minimiser
-    :func:`cvteleport.protocol.g2_optimal`, leaving a scalar search over
-    eta in [0, pi/4].  Unimodality of the reduced objective is not taken
-    for granted, so the grid stage runs on ``objective_grid``, the numpy
-    mirror of the scalar objective: the same formulas in the same
+    :func:`cvteleport.protocol.g2_optimal`, leaving the reduced objective
+    :func:`tailored_fidelity` to maximise over eta in [0, pi/4].  Its
+    unimodality is not taken for granted, so the grid stage runs on
+    ``objective_grid``, its numpy mirror: the same formulas in the same
     operation order, NaN where the scalar objective would raise or clamp.
     Returns argmax = (eta*, g2*).
     """
-
-    def objective(eta: float) -> float:
-        g2 = g2_optimal(sq, eta)
-        return avg_fidelity_unit_gain(variances_tailored(sq, eta, g2)).value
-
     G = sq.G
     root = math.sqrt(G * (G - 1.0))
 
@@ -177,7 +177,8 @@ def optimize_eta_g2(sq: SqueezeLevel, tol: float = DEFAULT_TOL) -> OptimizationR
         ok = (v_plus > 0.0) & (v_minus > 0.0) & (fid > 0.0) & (fid <= 1.0)
         return np.where(ok, fid, np.nan)
 
-    res = maximize_scalar(objective, 0.0, math.pi / 4, tol=tol, f_grid=objective_grid)
+    res = maximize_scalar(lambda eta: tailored_fidelity(sq, eta), 0.0, math.pi / 4,
+                          tol=tol, f_grid=objective_grid)
     eta_star = res.argmax[0]
     return OptimizationResult(
         argmax=(eta_star, g2_optimal(sq, eta_star)),

@@ -14,12 +14,14 @@ allowance at every grid point (README, "Known acceptance result").
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cvteleport import acceptance, experiments
 from cvteleport.experiments import default_lambda_grid
+from cvteleport.measurement import MIN_SAMPLES
 from oracles import exact_line_circle
 
 
@@ -169,15 +171,55 @@ def test_criterion_09_red_from_the_offset_alone(circle_line):
     assert f"worst at lam={worst[0]:.3f}:" in result.detail
 
 
+def _sci(x, spec):
+    """``x`` as the README prints it: 2.25e-3, a leading minus as U+2212."""
+    mantissa, exponent = format(x, spec).split("e")
+    return f"{mantissa.replace('-', chr(0x2212))}e{int(exponent)}"
+
+
+def test_readme_quotes_the_computed_numbers(circle_line):
+    # README "Known acceptance result" quotes these numbers; recomputed here,
+    # they cannot drift from the code
+    estimates, offsets = circle_line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = " ".join(readme[readme.index("## Known acceptance result"):].split())
+
+    def offset_at(lam):
+        return min(zip(estimates, offsets), key=lambda p: abs(p[0][0] - lam))[1]
+
+    far = [line - circle for line, circle in (exact_line_circle(a, 0.0) for a in (10.0, 20.0))]
+    outside = _points_outside(estimates, [0.0] * len(offsets))
+    residual = max(
+        abs((line.mean - circle.mean) - offset) / acceptance.circle_line_allowance(line, circle)
+        for (_, line, circle), offset in zip(estimates, offsets)
+    )
+    _, cap_line, cap_circle = estimates[-1]
+    cap_sd = cap_line.std_error * math.sqrt(cap_line.n_samples)
+    # standard errors grow as n^-1/2 down to the smallest permitted sample size
+    cap_allowance = acceptance.circle_line_allowance(cap_line, cap_circle) * math.sqrt(
+        cap_line.n_samples / MIN_SAMPLES
+    )
+    quotes = [
+        f"`{_sci(offset_at(0.0), '+.2e')}` at `lam = 0`",
+        f"`{_sci(offset_at(0.94), '+.2e')}` at `lam = 0.94`",
+        f"`{_sci(offset_at(0.999), '+.2e')}` at the `0.999` cap point",
+        f"falls to `{_sci(far[0], '.1e')}` and `{_sci(far[1], '.1e')}` at amplitudes 10 and 20",
+        f"at {len(outside)} of the {len(estimates)} grid points",
+        f"standard deviation is `{_sci(cap_sd, '.0e')}`",
+        f"allowance of at most `{_sci(cap_allowance, '.1e')}`",
+        f"the worst residual is {residual:.2f} of it",
+    ]
+    assert [quote for quote in quotes if quote not in text] == []
+
+
 def test_criterion_10_property_suites():
     _assert_criterion(acceptance.criterion_property_suites())
 
 
 def test_run_all_covers_every_criterion(monkeypatch):
-    # criteria 4 and 5 share one fig3 run: one full-tailoring optimisation
-    # per grid point, plus criterion 3's single point; criterion 7 reads the
-    # gaussian runner's rows (its lam = 0 row included), plus criterion 8's
-    # single point
+    # criteria 3, 4 and 5 share one fig3 run: one full-tailoring optimisation
+    # per grid point and none of their own; criterion 7 reads the gaussian
+    # runner's rows (its lam = 0 row included), plus criterion 8's single point
     calls = {"optimize_eta_g2": 0, "optimize_gain": 0}
 
     def count(module, name):
@@ -189,14 +231,23 @@ def test_run_all_covers_every_criterion(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
+    # every module that imports an optimiser is a call site to count
     for module in (acceptance, experiments):
         for name in calls:
-            count(module, name)
+            if hasattr(module, name):
+                count(module, name)
     results = acceptance.run_all()
     assert [r.number for r in results] == list(range(1, 11))
     assert len({r.name for r in results}) == 10
-    points = len(acceptance.default_lambda_grid())
-    assert calls == {"optimize_eta_g2": points + 1, "optimize_gain": points + 1}
+    assert calls == {"optimize_eta_g2": 51, "optimize_gain": 52}
+
+
+def test_criterion_06_reads_the_fig1_rows():
+    # criterion 6 certifies the Monte Carlo column that `cvteleport fig1` writes
+    rows = experiments.run_fig1(experiments.ExperimentConfig()).rows
+    worst = max(abs(mc - math.sqrt((1.0 + lam) / 2.0)) for lam, _, mc, _ in rows)
+    result = acceptance.criterion_cross_picture()
+    assert f"over grid {worst:.2e} (limit 0.01)" in result.detail
 
 
 def test_run_all_independent_of_cpu_count(monkeypatch):

@@ -52,6 +52,13 @@ class TestLambdaGrid:
         with pytest.raises(ValueError):
             default_lambda_grid(1)
 
+    def test_maximum_points(self):
+        assert len(default_lambda_grid(experiments.MAX_LAMBDA_POINTS)) == (
+            experiments.MAX_LAMBDA_POINTS + 1
+        )
+        with pytest.raises(ValueError, match="grid points"):
+            default_lambda_grid(experiments.MAX_LAMBDA_POINTS + 1)
+
 
 class TestConfigValidation:
     def test_defaults_valid(self):
@@ -77,6 +84,7 @@ class TestConfigValidation:
             {"s": math.inf},
             {"tol": math.inf},
             {"alpha_line": 2e150},
+            {"n_samples": 10 ** 14},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -201,6 +209,16 @@ class TestCircleVsLine:
         # test_acceptance::test_criterion_09_circle_line_equivalence
         for row in result.rows[:2]:
             assert abs(row[1] - row[3]) <= 3.0 * (row[2] + row[4])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_line_columns_are_fig1s(self, monkeypatch, threads):
+        # one line estimate per grid point feeds both runners
+        monkeypatch.setattr(experiments, "available_cpus", lambda: threads)
+        config = small_config(
+            lambda_grid=default_lambda_grid(2), n_samples=2000, seed=7, threads=threads
+        )
+        fig1 = [(r[2], r[3]) for r in run_fig1(config).rows]
+        assert fig1 == [(r[1], r[2]) for r in run_circle_vs_line(config).rows]
 
 
 class TestConfigFile:
@@ -353,6 +371,36 @@ class TestCli:
         assert "at most 1e+150" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
+
+    def test_grid_beyond_bound_exit_2(self, tmp_path):
+        # the grid is rejected before it is built; the address-space cap turns
+        # building 2e8 points into a MemoryError instead of several GiB
+        def cap_address_space():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+        proc = run_cli("gaussian", "--lambda-points", "200000000",
+                       "--out", str(tmp_path / "x.csv"), timeout=10,
+                       preexec_fn=cap_address_space)
+        assert proc.returncode == 2, proc.stderr
+        assert "grid points" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_samples_beyond_bound_exit_2(self, tmp_path):
+        proc = run_cli("fig1", "--lambda-points", "2", "--samples", "100000000000000",
+                       "--out", str(tmp_path / "x.csv"), timeout=10)
+        assert proc.returncode == 2, proc.stderr
+        assert "samples" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_nul_in_output_path_exit_2(self, tmp_path, capsys):
+        # open() raises ValueError, not OSError, on a NUL character
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out = a\0b.csv\n")
+        assert cli.main(["fig3", "--lambda-points", "2", "--config", str(cfg)]) == 2
+        assert "NUL" in capsys.readouterr().err
 
     def test_duplicate_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"

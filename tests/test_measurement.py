@@ -12,6 +12,7 @@ from cvteleport import experiments
 from cvteleport.fidelity import ComplexAmplitude, transfer_exponent
 from cvteleport.measurement import (
     MAX_AMPLITUDE,
+    MAX_SAMPLES,
     MC_BLOCK,
     MC_CHUNK,
     McEstimate,
@@ -82,6 +83,13 @@ class TestMcAverageFidelity:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             mc_average_fidelity(Standard(1.0), ALPHA5, squeeze_from_lambda(0.5), 999, 1)
+
+    def test_maximum_samples(self):
+        # rejected before any sampling
+        with pytest.raises(ValueError, match="samples"):
+            mc_average_fidelity(
+                Standard(1.0), ALPHA5, squeeze_from_lambda(0.5), MAX_SAMPLES + 1, 1
+            )
 
     def test_standard_matches_closed_form(self):
         est = mc_average_fidelity(
