@@ -28,6 +28,7 @@ from .alphabet import gaussian_weighted_fidelity, gaussian_weighted_fidelity_qua
 from .experiments import (
     ExperimentConfig,
     available_cpus,
+    circle_estimate,
     default_lambda_grid,
     map_points,
     run_fig1,
@@ -53,7 +54,7 @@ from .protocol import (
     variance_standard_gain,
     variances_tailored,
 )
-from .strategies import CircleTailored, LineTailored, Standard, optimal_displacement
+from .strategies import LineTailored, Standard, optimal_displacement
 
 BASE_SEED = 987654321
 
@@ -240,13 +241,7 @@ def circle_line_estimates() -> list[tuple[float, McEstimate, McEstimate]]:
             LineTailored(), ComplexAmplitude(amp, 0.0), sq, 100_000, _seed(900 + i)
         )
         theta = np.random.default_rng(_seed(950 + i)).uniform(0.0, 2.0 * math.pi)
-        circle = mc_average_fidelity(
-            CircleTailored(radius=amp),
-            ComplexAmplitude(amp * math.cos(theta), amp * math.sin(theta)),
-            sq,
-            100_000,
-            _seed(975 + i),
-        )
+        circle = circle_estimate(sq, amp, theta, 100_000, _seed(975 + i))
         return lam, line, circle
 
     return map_points(point, len(grid), available_cpus())

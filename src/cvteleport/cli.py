@@ -48,13 +48,15 @@ def _output_path(text: str) -> Path:
 # flag of ``gaussian`` only; ``out`` defaults to ``<command>.csv``.
 SETTINGS = (
     Setting("lambda_points", int, experiments.DEFAULT_LAMBDA_POINTS, "N",
-            "uniform grid points on [0, 0.98], 2 to 100000 (plus the 0.999 cap)"),
+            f"uniform grid points on [0, 0.98], 2 to {experiments.MAX_LAMBDA_POINTS}"
+            " (plus the 0.999 cap)"),
     Setting("samples", int, experiments.DEFAULT_SAMPLES, "N",
-            "Monte Carlo samples per grid point (1000 to 1e9)"),
+            "Monte Carlo samples per grid point"
+            f" ({experiments.MIN_SAMPLES} to {experiments.MAX_SAMPLES:g})"),
     Setting("seed", int, experiments.DEFAULT_SEED, "U64",
             "base seed; per-point seeds are seed XOR point index"),
     Setting("alpha", float, experiments.DEFAULT_ALPHA, "X",
-            "target amplitude for the line/circle curves (at most 1e150)"),
+            f"target amplitude of the line/circle curves (at most {experiments.MAX_AMPLITUDE:g})"),
     Setting("s", float, experiments.DEFAULT_S, "X", "alphabet standard deviation"),
     Setting("out", _output_path, None, "PATH", "output CSV path (default <command>.csv)"),
     Setting("tol", float, experiments.DEFAULT_TOL, "X", "optimizer abscissa tolerance"),

@@ -27,7 +27,7 @@ import numpy as np
 from .fidelity import ComplexAmplitude
 from .measurement import MAX_AMPLITUDE, MAX_SAMPLES, MIN_SAMPLES, McEstimate, mc_average_fidelity
 from .optimize import DEFAULT_TOL, optimize_eta_g2, optimize_gain, tailored_fidelity
-from .protocol import LAMBDA_MAX, squeeze_from_lambda
+from .protocol import LAMBDA_MAX, SqueezeLevel, squeeze_from_lambda
 from .strategies import CircleTailored, LineTailored
 
 DEFAULT_LAMBDA_POINTS = 50
@@ -156,6 +156,12 @@ def _line_estimate(config: ExperimentConfig, i: int) -> McEstimate:
     return mc_average_fidelity(LineTailored(), alpha, sq, config.n_samples, config.point_seed(i))
 
 
+def circle_estimate(sq: SqueezeLevel, amp: float, theta: float, n: int, seed: int) -> McEstimate:
+    """Circle-tailored Monte Carlo estimate for the target ``amp`` at angle ``theta``."""
+    alpha = ComplexAmplitude(amp * math.cos(theta), amp * math.sin(theta))
+    return mc_average_fidelity(CircleTailored(radius=amp), alpha, sq, n, seed)
+
+
 def run_fig1(config: ExperimentConfig) -> ExperimentResult:
     """Line-tailored displacement curve versus the standard scheme.
 
@@ -254,10 +260,7 @@ def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
         theta = np.random.default_rng(
             np.random.SeedSequence(entropy=circle_seed, spawn_key=(0xA11CE,))
         ).uniform(0.0, 2.0 * math.pi)
-        circle_alpha = ComplexAmplitude(amp * math.cos(theta), amp * math.sin(theta))
-        circle = mc_average_fidelity(
-            CircleTailored(radius=amp), circle_alpha, sq, config.n_samples, circle_seed
-        )
+        circle = circle_estimate(sq, amp, theta, config.n_samples, circle_seed)
         return (lam, line.mean, line.std_error, circle.mean, circle.std_error)
 
     rows = map_points(point, len(config.lambda_grid), config.threads)

@@ -5,8 +5,11 @@ law P(beta | alpha), whose components are normal about those of the target
 with variance 1/(2 (1 - lam^2)), by a route that shares no code with the
 package's sampling kernel: a closed form for the standard rule and the known
 target, and a deterministic polar quadrature for the line and circle rules.
+:func:`decimal_log_fidelity` is the one-shot reference for the sampling
+kernel itself, outcome by outcome in 60-digit decimal arithmetic.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -72,3 +75,57 @@ def exact_average_fidelity(strategy, alpha, lam):
     if isinstance(strategy, CircleTailored) and strategy.radius == amp:
         return exact_line_circle(amp, lam)[1]
     raise ValueError(f"no exact reference for {strategy!r} at {alpha!r}")
+
+
+def decimal_log_fidelity(strategy, ax, ay, lam, wx, wy):
+    """log F of each outcome beta = alpha + w in 60-digit decimal arithmetic.
+
+    Built from the displacement rule and the expanded transfer exponent
+    -|u|^2 - lam^2 |v|^2 + 2 lam Re(u* v), u = alpha - epsilon,
+    v = alpha - beta, so it shares no algebra with the kernel's guess form.
+    At |alpha| = 1e16 those terms reach 1e32 and cancel to O(1), which at
+    40 digits would leave an absolute error of 1e-8; 60 digits leave 1e-28.
+    """
+    out = np.empty(len(wx))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        lam_d = D(lam)
+        for i, (x, y, px, py) in enumerate(np.broadcast(ax, ay, wx, wy)):
+            x, y = D(float(x)), D(float(y))
+            bx, by = x + D(float(px)), y + D(float(py))
+            if isinstance(strategy, Standard):
+                g = D(strategy.gain)
+                ex, ey = g * bx, g * by
+            elif isinstance(strategy, OptimalKnownTarget):
+                ex, ey = (1 - lam_d) * x + lam_d * bx, (1 - lam_d) * y + lam_d * by
+            else:
+                r = (bx * bx + by * by).sqrt()
+                ex, ey = (1 - lam_d) * r + lam_d * bx, lam_d * by
+            ux, uy, vx, vy = x - ex, y - ey, x - bx, y - by
+            out[i] = float(
+                -(ux * ux + uy * uy)
+                - lam_d * lam_d * (vx * vx + vy * vy)
+                + 2 * lam_d * (ux * vx + uy * vy)
+            )
+    return out
+
+
+# |log f - log f_ref| <= ORACLE_BOUND * max(1, |log f_ref|)
+ORACLE_BOUND = 1e-13
+
+
+def oracle_excess(f, log_ref):
+    """Largest scaled log error of f against the decimal oracle.
+
+    Where the oracle's f is below the normal doubles (log f < -700) the
+    kernel's f must be negligible too.
+    """
+    normal = log_ref > -700.0
+    assert np.all(f[~normal] < 1e-300)
+    with np.errstate(divide="ignore"):
+        err = np.abs(np.log(f[normal]) - log_ref[normal])
+    return float(np.max(err / np.maximum(1.0, np.abs(log_ref[normal])), initial=0.0))
+
+
+ORACLE_STRATEGIES = [Standard(1.0), Standard(0.7), OptimalKnownTarget(), LineTailored()]

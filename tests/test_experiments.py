@@ -289,6 +289,19 @@ class TestSettingsTable:
         expected = {(s.flag, s.metavar) for s in cli.SETTINGS} | {("--config", "PATH")}
         assert sorted(named) == sorted(expected)
 
+    @pytest.mark.parametrize(
+        "key, bound",
+        [
+            ("lambda_points", experiments.MAX_LAMBDA_POINTS),
+            ("samples", experiments.MIN_SAMPLES),
+            ("samples", experiments.MAX_SAMPLES),
+            ("alpha", experiments.MAX_AMPLITUDE),
+        ],
+    )
+    def test_help_states_the_checked_bound(self, key, bound):
+        # the help is formatted from the constant the range check uses
+        assert format(bound, "g") in cli._BY_KEY[key].help
+
 
 def run_cli(*args, cwd=None, timeout=300, preexec_fn=None):
     # the child imports the same package as the tests, installed or not

@@ -1,6 +1,5 @@
 """Outcome sampling and the Monte Carlo engine against exact references."""
 
-import decimal
 import math
 import threading
 import tracemalloc
@@ -31,7 +30,15 @@ from cvteleport.strategies import (
     OptimalKnownTarget,
     Standard,
 )
-from oracles import exact_average_fidelity, exact_line_circle, exact_standard
+from oracles import (
+    ORACLE_BOUND,
+    ORACLE_STRATEGIES,
+    decimal_log_fidelity,
+    exact_average_fidelity,
+    exact_line_circle,
+    exact_standard,
+    oracle_excess,
+)
 
 ALPHA5 = ComplexAmplitude(5.0, 0.0)
 
@@ -228,60 +235,6 @@ def _guess_form_one_shot(strategy, ax, ay, lam, wx, wy):
     return np.exp(d2 * -(1.0 - lam) ** 2)
 
 
-def _decimal_log_fidelity(strategy, ax, ay, lam, wx, wy):
-    """log F of each outcome beta = alpha + w in 60-digit decimal arithmetic.
-
-    Built from the displacement rule and the expanded transfer exponent
-    -|u|^2 - lam^2 |v|^2 + 2 lam Re(u* v), u = alpha - epsilon,
-    v = alpha - beta, so it shares no algebra with the kernel's guess form.
-    At |alpha| = 1e16 those terms reach 1e32 and cancel to O(1), which at
-    40 digits would leave an absolute error of 1e-8; 60 digits leave 1e-28.
-    """
-    out = np.empty(len(wx))
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        D = decimal.Decimal
-        lam_d = D(lam)
-        for i, (x, y, px, py) in enumerate(np.broadcast(ax, ay, wx, wy)):
-            x, y = D(float(x)), D(float(y))
-            bx, by = x + D(float(px)), y + D(float(py))
-            if isinstance(strategy, Standard):
-                g = D(strategy.gain)
-                ex, ey = g * bx, g * by
-            elif isinstance(strategy, OptimalKnownTarget):
-                ex, ey = (1 - lam_d) * x + lam_d * bx, (1 - lam_d) * y + lam_d * by
-            else:
-                r = (bx * bx + by * by).sqrt()
-                ex, ey = (1 - lam_d) * r + lam_d * bx, lam_d * by
-            ux, uy, vx, vy = x - ex, y - ey, x - bx, y - by
-            out[i] = float(
-                -(ux * ux + uy * uy)
-                - lam_d * lam_d * (vx * vx + vy * vy)
-                + 2 * lam_d * (ux * vx + uy * vy)
-            )
-    return out
-
-
-# |log f - log f_ref| <= ORACLE_BOUND * max(1, |log f_ref|)
-ORACLE_BOUND = 1e-13
-
-
-def _oracle_excess(f, log_ref):
-    """Largest scaled log error of f against the decimal oracle.
-
-    Where the oracle's f is below the normal doubles (log f < -700) the
-    kernel's f must be negligible too.
-    """
-    normal = log_ref > -700.0
-    assert np.all(f[~normal] < 1e-300)
-    with np.errstate(divide="ignore"):
-        err = np.abs(np.log(f[normal]) - log_ref[normal])
-    return float(np.max(err / np.maximum(1.0, np.abs(log_ref[normal])), initial=0.0))
-
-
-ORACLE_STRATEGIES = [Standard(1.0), Standard(0.7), OptimalKnownTarget(), LineTailored()]
-
-
 class TestChunkKernel:
     # 1003 samples: a tail length that is not a multiple of any SIMD width
     M = 1003
@@ -339,9 +292,9 @@ class TestChunkKernel:
     @pytest.mark.parametrize("lam", [0.0, 0.35, 0.999])
     def test_matches_decimal_oracle(self, strategy, alpha, lam):
         wx, wy = self._noise(alpha, lam, 58)
-        ref = _decimal_log_fidelity(strategy, alpha.x, alpha.y, lam, wx, wy)
+        ref = decimal_log_fidelity(strategy, alpha.x, alpha.y, lam, wx, wy)
         got = _one_shot_into(strategy, (alpha.x, alpha.y), lam, self._tail_view(wx, wy))
-        assert _oracle_excess(got, ref) <= ORACLE_BOUND
+        assert oracle_excess(got, ref) <= ORACLE_BOUND
 
     @pytest.mark.parametrize(
         "alpha, lam", [(ALPHA5, 0.999), (ComplexAmplitude(1e16, 0.0), 0.0)]
@@ -350,11 +303,11 @@ class TestChunkKernel:
         # the oracle's bound is tight enough to reject the expanded
         # expression the kernel replaced, near lam = 1 and at large |alpha|
         wx, wy = self._noise(alpha, lam, 58)
-        ref = _decimal_log_fidelity(LineTailored(), alpha.x, alpha.y, lam, wx, wy)
+        ref = decimal_log_fidelity(LineTailored(), alpha.x, alpha.y, lam, wx, wy)
         old = _reference_one_shot(
             LineTailored(), alpha.x, alpha.y, lam, alpha.x + wx, alpha.y + wy
         )
-        assert _oracle_excess(old, ref) > ORACLE_BOUND
+        assert oracle_excess(old, ref) > ORACLE_BOUND
 
     @pytest.mark.parametrize("seed", range(20))
     def test_in_place_draws_match_generator(self, seed):
