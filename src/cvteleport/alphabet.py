@@ -14,15 +14,19 @@ from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .protocol import SqueezeLevel, variance_standard_gain
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @functools.cache
 def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Hermite nodes and weights of ``order``, computed once."""
+    import numpy as np
+
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     nodes.flags.writeable = False
     weights.flags.writeable = False
@@ -66,6 +70,8 @@ def gaussian_weighted_fidelity_quadrature(
     v = variance_standard_gain(sq, g).v_plus
     a = 2.0 / (v + 1.0)
     c = 2.0 * (1.0 - g) ** 2 / (v + 1.0)
+    import numpy as np
+
     nodes, weights = gauss_hermite(order)
     ax = math.sqrt(2.0) * s_x * nodes[:, None]
     ay = math.sqrt(2.0) * s_y * nodes[None, :]

@@ -8,11 +8,12 @@ codes: 0 ok, 1 check failure, 2 bad input, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import acceptance, experiments
+from . import experiments
 from .experiments import ExperimentConfig, default_lambda_grid
 
 _RUNNERS = {
@@ -40,6 +41,8 @@ class Setting(NamedTuple):
 def _output_path(text: str) -> Path:
     if "\0" in text:  # open() would raise ValueError, not OSError
         raise ValueError(f"output path contains a NUL character: {text!r}")
+    if not text:  # Path("") is the working directory, which open() fails on after the run
+        raise ValueError("output path is empty")
     return Path(text)
 
 
@@ -146,39 +149,60 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
     )
 
 
-def _run_check() -> int:
+def _run_check() -> tuple[list[str], int]:
+    """The acceptance suite's stdout lines and exit code."""
+    from . import acceptance  # numpy loads with it
+
     results = acceptance.run_all()
-    for res in results:
-        print(acceptance.format_line(res))
+    lines = [acceptance.format_line(res) for res in results]
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} acceptance criteria passed")
-    return 1 if failed else 0
+    lines.append(f"{len(results) - len(failed)}/{len(results)} acceptance criteria passed")
+    return lines, 1 if failed else 0
+
+
+def _print_lines(lines: list[str]) -> None:
+    """Print ``lines`` to stdout and flush them.
+
+    If stdout fails (a full device, a closed pipe), its descriptor is
+    pointed at the null device before the error propagates, so the
+    interpreter's own flush at exit cannot fail again on the unwritten
+    buffer and print a second error.
+    """
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "check":
-        return _run_check()
-
     try:
-        try:
-            settings = _merge_settings(args)
-            config = _experiment_config(settings)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        result = _RUNNERS[args.command](config)
-        experiments.write_csv(settings["out"], result.header, result.rows)
+        if args.command == "check":
+            lines, code = _run_check()
+        else:
+            try:
+                settings = _merge_settings(args)
+                config = _experiment_config(settings)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            result = _RUNNERS[args.command](config)
+            experiments.write_csv(settings["out"], result.header, result.rows)
+            lines = [f"wrote {settings['out']} ({len(result.rows)} rows)"]
+            lines += [f"{key}={format(value, '.9g')}" for key, value in result.summary.items()]
+            code = 0
+        _print_lines(lines)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-    print(f"wrote {settings['out']} ({len(result.rows)} rows)")
-    for key, value in result.summary.items():
-        print(f"{key}={format(value, '.9g')}")
-    return 0
+    return code
 
 
 if __name__ == "__main__":

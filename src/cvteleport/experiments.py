@@ -17,12 +17,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
-
-import numpy as np
 
 from .fidelity import ComplexAmplitude
 from .measurement import MAX_AMPLITUDE, MAX_SAMPLES, MIN_SAMPLES, McEstimate, mc_average_fidelity
@@ -144,6 +141,8 @@ def map_points(worker: Callable[[int], T], count: int, threads: int) -> list[T]:
     """
     threads = min(threads, count, available_cpus())
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(worker, range(count)))
     return [worker(i) for i in range(count)]
@@ -250,6 +249,8 @@ def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
     seeded random angle (the outcome statistics are angle-invariant); the
     two curves use independent derived streams.
     """
+    import numpy as np
+
     amp = config.alpha_line
 
     def point(i: int) -> tuple[float, ...]:

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .alphabet import gaussian_weighted_fidelity
 from .fidelity import avg_fidelity_unit_gain
 from .protocol import SqueezeLevel, g2_optimal, variances_tailored
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-8
 
@@ -91,6 +92,8 @@ def maximize_scalar(
     if f_grid is None:
         a, b = lo, hi
     else:
+        import numpy as np
+
         xs = [lo + (hi - lo) * i / (_FALLBACK_GRID - 1) for i in range(_FALLBACK_GRID)]
         approx = f_grid(np.array(xs))
         evaluations += _FALLBACK_GRID
@@ -163,6 +166,8 @@ def optimize_eta_g2(sq: SqueezeLevel, tol: float = DEFAULT_TOL) -> OptimizationR
     root = math.sqrt(G * (G - 1.0))
 
     def objective_grid(eta: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         cos_eta, sin_eta, tan_eta = np.cos(eta), np.sin(eta), np.tan(eta)
         g2 = cos_eta * root / (cos_eta ** 2 * (2.0 * G - 1.0) + sin_eta ** 2)
         v_plus = 2.0 * G - 4.0 * tan_eta * root + tan_eta ** 2 * (2.0 * G - 1.0)

@@ -6,7 +6,7 @@ Every tailored rule is the convex combination
 
 of a best guess for the target and the measurement outcome beta; the
 variants differ only in how the guess is formed from prior knowledge.
-The Monte Carlo kernel in :mod:`cvteleport.measurement` evaluates each
+The Monte Carlo kernel in :mod:`cvteleport.kernel` evaluates each
 rule; :func:`optimal_displacement` is the known-target rule for one outcome.
 """
 

@@ -303,14 +303,16 @@ class TestSettingsTable:
         assert format(bound, "g") in cli._BY_KEY[key].help
 
 
-def run_cli(*args, cwd=None, timeout=300, preexec_fn=None):
+def run_cli(*args, cwd=None, timeout=300, preexec_fn=None, stdout=subprocess.PIPE, env=None):
     # the child imports the same package as the tests, installed or not
     src = str(Path(cvteleport.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    env = dict(os.environ if env is None else env)
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src if not path else src + os.pathsep + path
     return subprocess.run(
         [sys.executable, "-m", "cvteleport.cli", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         cwd=cwd,
         env=env,
@@ -408,12 +410,21 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
-    def test_nul_in_output_path_exit_2(self, tmp_path, capsys):
-        # open() raises ValueError, not OSError, on a NUL character
+    def test_nul_in_output_path_exit_2(self, tmp_path, monkeypatch, capsys):
+        # open() raises ValueError, not OSError, on a NUL character, and an
+        # empty path names the working directory, which open() fails on only
+        # after the run: both are bad input, from a flag or a config file
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("out = a\0b.csv\n")
-        assert cli.main(["fig3", "--lambda-points", "2", "--config", str(cfg)]) == 2
-        assert "NUL" in capsys.readouterr().err
+        for text, reason in (("a\0b.csv", "NUL"), ("", "empty")):
+            cfg.write_text(f"out = {text}\n")
+            assert cli.main(["fig3", "--lambda-points", "2", "--config", str(cfg)]) == 2
+            assert reason in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(["fig3", "--lambda-points", "2", "--out", text])
+            assert exit_.value.code == 2
+            assert "argument --out" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]
 
     def test_duplicate_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -438,6 +449,33 @@ class TestCli:
             "--out", str(tmp_path / "missing-dir" / "x.csv"),
         )
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+    @pytest.mark.parametrize("command", ["gaussian", "check"])
+    def test_stdout_failure_exit_3(self, tmp_path, command, sink, unbuffered):
+        # the summary cannot be written: one error line and exit 3, and the
+        # interpreter's flush at exit adds no second error
+        args = [command] if command == "check" else [
+            command, "--lambda-points", "2", "--out", str(tmp_path / "x.csv")]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        if sink == "dev-full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("needs /dev/full")
+            with open("/dev/full", "w") as full:
+                proc = run_cli(*args, stdout=full, env=env)
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = run_cli(*args, stdout=write_end, env=env)
+            finally:
+                os.close(write_end)
+        assert proc.returncode == 3, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: [Errno ")
 
     def test_missing_config_exit_3(self, tmp_path):
         proc = run_cli("fig1", "--config", str(tmp_path / "absent.cfg"))

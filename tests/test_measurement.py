@@ -9,17 +9,19 @@ import pytest
 
 from cvteleport import experiments
 from cvteleport.fidelity import ComplexAmplitude, transfer_exponent
-from cvteleport.measurement import (
-    MAX_AMPLITUDE,
-    MAX_SAMPLES,
+from cvteleport.kernel import (
     MC_BLOCK,
-    MC_CHUNK,
-    McEstimate,
     _chunk_rng,
     _chunk_workspace,
     _fidelities_into,
     _one_shot_into,
     _scaled_normal_into,
+)
+from cvteleport.measurement import (
+    MAX_AMPLITUDE,
+    MAX_SAMPLES,
+    MC_CHUNK,
+    McEstimate,
     component_sigma,
     mc_average_fidelity,
 )

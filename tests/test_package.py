@@ -1,4 +1,5 @@
-"""What `import cvteleport` loads, and what the package itself imports."""
+"""What `import cvteleport` and the CLI's start-up load, and what the
+package itself imports."""
 
 import ast
 import os
@@ -6,38 +7,103 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cvteleport
+
+# The only modules that import numpy when they load; every other module
+# imports it inside the function that computes with arrays.
+NUMPY_AT_LOAD = {"kernel.py", "acceptance.py"}
+
+
+def fresh_python(probe, cwd=None):
+    """Run ``python -c probe`` on the package the tests import; its stdout."""
+    src = str(Path(cvteleport.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        cwd=cwd, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 def test_import_loads_no_submodule_and_no_numpy():
     # public names are imported from their defining modules; the package
     # itself re-exports nothing, so importing it costs no numpy start-up
-    src = str(Path(cvteleport.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
     probe = (
         "import sys, cvteleport; print(sorted(m for m in sys.modules"
         " if m == 'numpy' or m.startswith(('numpy.', 'cvteleport.'))))"
     )
-    run = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    assert fresh_python(probe).strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, code, numpy",
+    [
+        (None, None, False),
+        (["--help"], 0, False),
+        (["fig1", "--samples", "10"], 2, False),
+        (["gaussian", "--lambda-points", "2", "--out", "g.csv"], 0, False),
+        # the guard is not vacuous: a Monte Carlo run does load numpy
+        (["fig1", "--lambda-points", "2", "--samples", "2000", "--out", "f.csv"], 0, True),
+    ],
+    ids=["import", "help", "bad-input", "gaussian", "fig1"],
+)
+def test_cli_start_up_loads_numpy_only_for_arrays(tmp_path, argv, code, numpy):
+    probe = (
+        "import sys\n"
+        "from cvteleport.cli import main\n"
+        "code = None\n"
+        f"if {argv!r} is not None:\n"
+        "    try:\n"
+        f"        code = main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, 'numpy' in sys.modules)\n"
     )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    last = fresh_python(probe, cwd=tmp_path).splitlines()[-1]
+    assert last == f"{code} {numpy}"
+
+
+def _imported(node):
+    """Absolute module names an import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def _load_time_imports(node):
+    """Import statements that run when the module loads: not those inside a
+    function or under ``if TYPE_CHECKING:``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING":
+            for stmt in child.orelse:
+                yield from _load_time_imports(stmt)
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _load_time_imports(child)
 
 
 def test_runtime_imports_only_stdlib_and_numpy():
-    # the tests may use scipy; the package itself stays numpy-only
+    # the tests may use scipy; the package itself stays numpy-only, and only
+    # NUMPY_AT_LOAD import numpy when they load
     allowed = set(sys.stdlib_module_names) | {"numpy", "cvteleport"}
     package = Path(cvteleport.__file__).parent
     outside = []
+    numpy_at_load = set()
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+        tree = ast.parse(path.read_text(), filename=str(path))
+        outside += [f"{path.name}: {n}" for node in ast.walk(tree) for n in _imported(node)
+                    if n.split(".")[0] not in allowed]
+        if any(n.split(".")[0] == "numpy"
+               for node in _load_time_imports(tree) for n in _imported(node)):
+            numpy_at_load.add(path.name)
     assert outside == []
+    assert numpy_at_load == NUMPY_AT_LOAD

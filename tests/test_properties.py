@@ -11,7 +11,8 @@ import pytest
 
 from cvteleport import cli, experiments
 from cvteleport.fidelity import avg_fidelity_unit_gain
-from cvteleport.measurement import _one_shot_into, component_sigma
+from cvteleport.kernel import _one_shot_into
+from cvteleport.measurement import component_sigma
 from cvteleport.protocol import squeeze_from_lambda, variance_standard_gain, variances_tailored
 from oracles import ORACLE_BOUND, ORACLE_STRATEGIES, decimal_log_fidelity, oracle_excess
 
@@ -68,6 +69,7 @@ def scratch_cwd(tmp_path_factory):
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=150)
 @hypothesis.given(argv=_argv())
 @hypothesis.example(argv=["fig3", "--out", "a\0b", "--lambda-points", "2", "--samples", "2000"])
+@hypothesis.example(argv=["fig3", "--out", "", "--lambda-points", "2", "--samples", "2000"])
 def test_cli_exit_code_contract(argv, scratch_cwd):
     # 0 ok, 2 bad input, 3 IO error; never a traceback
     assert _exit_code(argv) in (0, 2, 3)
@@ -89,6 +91,7 @@ def _config_file(draw):
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=150)
 @hypothesis.given(command=st.sampled_from(sorted(cli._RUNNERS)), content=_config_file())
+@hypothesis.example(command="fig3", content=b"out =\n")
 def test_config_file_exit_code_contract(command, content, scratch_cwd):
     with open("fuzz.cfg", "wb") as fh:
         fh.write(content)

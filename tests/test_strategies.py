@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cvteleport.fidelity import ComplexAmplitude, one_shot_fidelity
-from cvteleport.measurement import _one_shot_into
+from cvteleport.kernel import _one_shot_into
 from cvteleport.protocol import squeeze_from_lambda
 from cvteleport.strategies import (
     CircleTailored,
