@@ -36,7 +36,6 @@ from .experiments import (
     run_gaussian_alphabet,
 )
 from .fidelity import (
-    ComplexAmplitude,
     avg_fidelity_unit_gain,
     bfk_classical_limit,
     one_shot_fidelity,
@@ -78,17 +77,16 @@ def _seed(k: int) -> int:
 
 def criterion_standard_baseline() -> CriterionResult:
     """Analytic standard curve (1+lam)/2 and its Monte Carlo reproduction."""
-    f0 = avg_fidelity_unit_gain(variance_standard_gain(squeeze_from_G(1.0), 1.0)).value
+    f0 = avg_fidelity_unit_gain(variance_standard_gain(squeeze_from_G(1.0), 1.0))
     if f0 != 0.5:
         detail = f"analytic F(0)={f0!r} != 0.5"
         return CriterionResult(1, "standard baseline", False, detail)
-    alpha = ComplexAmplitude(5.0, 0.0)
     lams = (0.0, 0.25, 0.5, 0.75, 0.9)
 
     def pull(i: int) -> float:
         lam = lams[i]
         est = mc_average_fidelity(
-            Standard(1.0), alpha, squeeze_from_lambda(lam), 100_000, _seed(100 + i)
+            Standard(1.0), 5.0, squeeze_from_lambda(lam), 100_000, _seed(100 + i)
         )
         return abs(est.mean - (1.0 + lam) / 2.0) / est.std_error
 
@@ -104,8 +102,7 @@ def criterion_standard_baseline() -> CriterionResult:
 def criterion_line_limit() -> CriterionResult:
     """Line-tailored MC at lam=0, amplitude 5: 1/sqrt(2) within 0.005."""
     est = mc_average_fidelity(
-        LineTailored(), ComplexAmplitude(5.0, 0.0), squeeze_from_lambda(0.0),
-        1_000_000, _seed(2),
+        LineTailored(), 5.0, squeeze_from_lambda(0.0), 1_000_000, _seed(2)
     )
     err = abs(est.mean - 1.0 / math.sqrt(2.0))
     return CriterionResult(
@@ -205,7 +202,7 @@ def criterion_narrow_alphabet() -> CriterionResult:
     """s=0.2 alphabet at lam=0 brackets the Gaussian classical limit."""
     res = optimize_gain(squeeze_from_lambda(0.0), 0.2)
     in_bracket = 0.928 <= res.value <= 0.936
-    bfk = bfk_classical_limit(0.2).value
+    bfk = bfk_classical_limit(0.2)
     bfk_exact = abs(bfk - 27.0 / 29.0) <= 1e-12 and abs(bfk - 0.9310345) <= 5e-8
     s = 0.2
     g_identity = abs(res.argmax[0] - 2.0 * s * s / (1.0 + 2.0 * s * s)) <= 1e-6
@@ -237,9 +234,7 @@ def circle_line_estimates() -> list[tuple[float, McEstimate, McEstimate]]:
     def point(i: int) -> tuple[float, McEstimate, McEstimate]:
         lam = grid[i]
         sq = squeeze_from_lambda(lam)
-        line = mc_average_fidelity(
-            LineTailored(), ComplexAmplitude(amp, 0.0), sq, 100_000, _seed(900 + i)
-        )
+        line = mc_average_fidelity(LineTailored(), amp, sq, 100_000, _seed(900 + i))
         theta = np.random.default_rng(_seed(950 + i)).uniform(0.0, 2.0 * math.pi)
         circle = circle_estimate(sq, amp, theta, 100_000, _seed(975 + i))
         return lam, line, circle
@@ -298,14 +293,12 @@ def _property_displacement_argmax() -> tuple[bool, str]:
     for _ in range(100):
         lam = rng.uniform(0.0, 0.999)
         sq = squeeze_from_lambda(lam)
-        alpha = ComplexAmplitude(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        beta = ComplexAmplitude(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        alpha = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        beta = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         eps = optimal_displacement(alpha, beta, sq)
-        ex = eps.x + dx
-        ey = eps.y + dy
-        f = np.exp(
-            transfer_exponent(alpha.x - ex, alpha.y - ey, alpha.x - beta.x, alpha.y - beta.y, lam)
-        )
+        ux, uy = alpha.real - (eps.real + dx), alpha.imag - (eps.imag + dy)
+        w = alpha - beta
+        f = np.exp(transfer_exponent(ux, uy, w.real, w.imag, lam))
         best = np.unravel_index(int(np.argmax(f)), f.shape)
         if best != centre:
             return False, f"grid beat the analytic optimum at lam={lam:.3f}"
@@ -320,10 +313,10 @@ def _property_perfect_knowledge() -> tuple[bool, str]:
     for _ in range(1000):
         lam = rng.uniform(0.0, 0.999)
         sq = squeeze_from_lambda(lam)
-        alpha = ComplexAmplitude(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        beta = ComplexAmplitude(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        alpha = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        beta = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         eps = optimal_displacement(alpha, beta, sq)
-        worst = max(worst, abs(one_shot_fidelity(alpha, beta, eps, sq).value - 1.0))
+        worst = max(worst, abs(one_shot_fidelity(alpha, beta, eps, sq) - 1.0))
     return worst <= 1e-12, f"perfect-knowledge worst |F - 1| {worst:.2e}"
 
 

@@ -39,10 +39,11 @@ class Setting(NamedTuple):
 
 
 def _output_path(text: str) -> Path:
+    # ArgumentTypeError, so that argparse prints the reason for ``--out``
     if "\0" in text:  # open() would raise ValueError, not OSError
-        raise ValueError(f"output path contains a NUL character: {text!r}")
+        raise argparse.ArgumentTypeError(f"output path contains a NUL character: {text!r}")
     if not text:  # Path("") is the working directory, which open() fails on after the run
-        raise ValueError("output path is empty")
+        raise argparse.ArgumentTypeError("output path is empty")
     return Path(text)
 
 
@@ -64,9 +65,22 @@ SETTINGS = (
     Setting("out", _output_path, None, "PATH", "output CSV path (default <command>.csv)"),
     Setting("tol", float, experiments.DEFAULT_TOL, "X", "optimizer abscissa tolerance"),
     Setting("threads", int, 1, "N",
-            "worker threads across grid points (capped at the CPU count)"),
+            "worker threads across grid points (capped at the CPU count);"
+            " fig1 and circle-vs-line use them"),
 )
 _BY_KEY = {setting.key: setting for setting in SETTINGS}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose stdout messages (``--help``) go through
+    :func:`_print_lines`, so a failed write raises ``OSError`` instead of
+    being dropped by argparse; subparsers are of the same class."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message and file is sys.stdout:
+            _print_lines(message.splitlines())
+        else:
+            super()._print_message(message, file)
 
 
 def _add_flag(parser: argparse.ArgumentParser, setting: Setting) -> None:
@@ -82,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=str, default=None, metavar="PATH",
                         help="key = value config file; CLI flags take precedence")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvteleport",
         description="Tailored continuous-variable teleportation curves and checks.",
     )
@@ -128,7 +142,7 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         for key, text in raw.items():
             try:
                 settings[key] = _BY_KEY[key].type(text)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
     for key in _BY_KEY:
         cli_value = getattr(args, key, None)
@@ -180,10 +194,8 @@ def _print_lines(lines: list[str]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
     try:
+        args = _build_parser().parse_args(argv)  # --help prints here
         if args.command == "check":
             lines, code = _run_check()
         else:

@@ -9,19 +9,21 @@ reals with 9 significant digits, no locale formatting).
 Reproducibility contract: a given :class:`ExperimentConfig` (seed
 included) always produces the same rows, hence byte-identical CSV output.
 Grid points are independent; the per-point Monte Carlo seed is
-``seed XOR point_index``, so :func:`map_points` runs them on up to ``threads``
-threads without changing the result.
+``seed XOR point_index``, so :func:`map_points` runs the Monte Carlo
+runners' points on up to ``threads`` threads without changing the result.
+The fig3 and gaussian points are pure-Python optimiser calls that hold the
+GIL, so those runners evaluate them in a loop and ignore ``threads``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-from .fidelity import ComplexAmplitude
 from .measurement import MAX_AMPLITUDE, MAX_SAMPLES, MIN_SAMPLES, McEstimate, mc_average_fidelity
 from .optimize import DEFAULT_TOL, optimize_eta_g2, optimize_gain, tailored_fidelity
 from .protocol import LAMBDA_MAX, SqueezeLevel, squeeze_from_lambda
@@ -151,14 +153,13 @@ def map_points(worker: Callable[[int], T], count: int, threads: int) -> list[T]:
 def _line_estimate(config: ExperimentConfig, i: int) -> McEstimate:
     """fig1's Monte Carlo column and circle-vs-line's ``f_line`` at grid point ``i``."""
     sq = squeeze_from_lambda(config.lambda_grid[i])
-    alpha = ComplexAmplitude(config.alpha_line, 0.0)
-    return mc_average_fidelity(LineTailored(), alpha, sq, config.n_samples, config.point_seed(i))
+    seed = config.point_seed(i)
+    return mc_average_fidelity(LineTailored(), config.alpha_line, sq, config.n_samples, seed)
 
 
 def circle_estimate(sq: SqueezeLevel, amp: float, theta: float, n: int, seed: int) -> McEstimate:
     """Circle-tailored Monte Carlo estimate for the target ``amp`` at angle ``theta``."""
-    alpha = ComplexAmplitude(amp * math.cos(theta), amp * math.sin(theta))
-    return mc_average_fidelity(CircleTailored(radius=amp), alpha, sq, n, seed)
+    return mc_average_fidelity(CircleTailored(radius=amp), cmath.rect(amp, theta), sq, n, seed)
 
 
 def run_fig1(config: ExperimentConfig) -> ExperimentResult:
@@ -195,15 +196,14 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
     only; ``f_standard`` is the unit-gain baseline (1 + lambda)/2.
     """
 
-    def point(i: int) -> tuple[float, ...]:
-        lam = config.lambda_grid[i]
+    def point(lam: float) -> tuple[float, ...]:
         sq = squeeze_from_lambda(lam)
         res = optimize_eta_g2(sq, tol=config.tol)
         eta_star, g2_star = res.argmax
         disp_only = tailored_fidelity(sq, math.pi / 4)
         return (lam, res.value, disp_only, (1.0 + lam) / 2.0, eta_star, g2_star)
 
-    rows = map_points(point, len(config.lambda_grid), config.threads)
+    rows = [point(lam) for lam in config.lambda_grid]
     header = ("lambda", "f_full", "f_disp_only", "f_standard", "eta_star", "g2_star")
     ordering_violations = sum(
         1 for r in rows if not (r[1] >= r[2] >= r[3])
@@ -225,12 +225,11 @@ def run_gaussian_alphabet(config: ExperimentConfig) -> ExperimentResult:
     Columns: lambda, f_opt, g_opt, for the configured standard deviation.
     """
 
-    def point(i: int) -> tuple[float, ...]:
-        lam = config.lambda_grid[i]
+    def point(lam: float) -> tuple[float, ...]:
         res = optimize_gain(squeeze_from_lambda(lam), config.s, tol=config.tol)
         return (lam, res.value, res.argmax[0])
 
-    rows = map_points(point, len(config.lambda_grid), config.threads)
+    rows = [point(lam) for lam in config.lambda_grid]
     header = ("lambda", "f_opt", "g_opt")
     summary = {
         "s": config.s,

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING
 from .protocol import LAMBDA_MAX, SqueezeLevel
 
 if TYPE_CHECKING:
-    from .fidelity import ComplexAmplitude
     from .strategies import Strategy
 
 # Fixed chunk size of the Monte Carlo reduction; part of the determinism
@@ -81,26 +80,29 @@ class McEstimate:
 
 def mc_average_fidelity(
     strategy: Strategy,
-    alpha: ComplexAmplitude,
+    alpha: complex,
     sq: SqueezeLevel,
     n: int,
     seed: int,
 ) -> McEstimate:
     """Monte Carlo average of the one-shot fidelity over measurement outcomes.
 
-    Draws n outcomes beta conditioned on alpha, applies the strategy's
-    displacement to each and averages the one-shot fidelity.  Chunk k
+    Draws n outcomes beta conditioned on the target alpha, a ``complex``
+    (a ``float`` is a target on the real axis) of modulus at most
+    MAX_AMPLITUDE, applies the strategy's displacement to each outcome and
+    averages the one-shot fidelity.  Chunk k
     uses its own derived generator and the partial sums are added in
     chunk order, so the result depends only on (seed, n).
     """
     if not MIN_SAMPLES <= n <= MAX_SAMPLES:
         raise ValueError(f"need {MIN_SAMPLES} to {MAX_SAMPLES} samples, got {n}")
-    if not math.hypot(alpha.x, alpha.y) <= MAX_AMPLITUDE:
+    # hypot, not abs(): abs raises OverflowError once |alpha| passes the float range
+    if not math.hypot(alpha.real, alpha.imag) <= MAX_AMPLITUDE:
         raise ValueError(f"target amplitude must be at most {MAX_AMPLITUDE:g}, got {alpha}")
     sigma = component_sigma(sq)  # validates the lam cap
     from .kernel import chunk_sums  # numpy loads here, on the first estimate
 
-    total, total_sq = chunk_sums(strategy, (alpha.x, alpha.y), sq.lam, sigma, n, seed)
+    total, total_sq = chunk_sums(strategy, (alpha.real, alpha.imag), sq.lam, sigma, n, seed)
     mean = total / n
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
     return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)

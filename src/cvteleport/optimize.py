@@ -148,7 +148,7 @@ def optimize_gain(
 
 def tailored_fidelity(sq: SqueezeLevel, eta: float) -> float:
     """Unit-gain fidelity of the tailored scheme at splitter angle eta and phase gain g2*(eta)."""
-    return avg_fidelity_unit_gain(variances_tailored(sq, eta, g2_optimal(sq, eta))).value
+    return avg_fidelity_unit_gain(variances_tailored(sq, eta, g2_optimal(sq, eta)))
 
 
 def optimize_eta_g2(sq: SqueezeLevel, tol: float = DEFAULT_TOL) -> OptimizationResult:

@@ -7,15 +7,16 @@ Every tailored rule is the convex combination
 of a best guess for the target and the measurement outcome beta; the
 variants differ only in how the guess is formed from prior knowledge.
 The Monte Carlo kernel in :mod:`cvteleport.kernel` evaluates each
-rule; :func:`optimal_displacement` is the known-target rule for one outcome.
+rule; :func:`optimal_displacement` is the known-target rule for one
+outcome, with the points as Python ``complex`` numbers.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Union
 
-from .fidelity import ComplexAmplitude
 from .protocol import SqueezeLevel
 
 
@@ -54,18 +55,14 @@ class CircleTailored:
 Strategy = Union[Standard, OptimalKnownTarget, LineTailored, CircleTailored]
 
 
-def optimal_displacement(
-    alpha_guess: ComplexAmplitude, beta: ComplexAmplitude, sq: SqueezeLevel
-) -> ComplexAmplitude:
+def optimal_displacement(alpha_guess: complex, beta: complex, sq: SqueezeLevel) -> complex:
     """Fidelity-maximising displacement epsilon = (1-lam) alpha_guess + lam beta.
 
     With no squeezing it is best to displace straight to the guess; as
     squeezing grows the measurement outcome takes over and the rule tends
-    to the standard unit-gain displacement.
+    to the standard unit-gain displacement.  Both points must be finite.
     """
+    if not (cmath.isfinite(alpha_guess) and cmath.isfinite(beta)):
+        raise ValueError(f"points must be finite, got {alpha_guess}, {beta}")
     lam = sq.lam
-    return ComplexAmplitude(
-        (1.0 - lam) * alpha_guess.x + lam * beta.x,
-        (1.0 - lam) * alpha_guess.y + lam * beta.y,
-    )
-
+    return (1.0 - lam) * alpha_guess + lam * beta

@@ -65,12 +65,12 @@ def exact_average_fidelity(strategy, alpha, lam):
     The line reference needs a target on the positive real axis and the
     circle reference a circle through the target; other cases raise.
     """
-    amp = math.hypot(alpha.x, alpha.y)
+    amp = math.hypot(alpha.real, alpha.imag)
     if isinstance(strategy, OptimalKnownTarget):
         return 1.0
     if isinstance(strategy, Standard):
         return exact_standard(strategy.gain, lam, amp)
-    if isinstance(strategy, LineTailored) and alpha.y == 0.0 and alpha.x > 0.0:
+    if isinstance(strategy, LineTailored) and alpha.imag == 0.0 and alpha.real > 0.0:
         return exact_line_circle(amp, lam)[0]
     if isinstance(strategy, CircleTailored) and strategy.radius == amp:
         return exact_line_circle(amp, lam)[1]

@@ -22,7 +22,7 @@ class TestClosedForm:
 
     def test_narrow_alphabet_matches_classical_limit(self):
         res = optimize_gain(squeeze_from_lambda(0.0), 0.2)
-        assert res.value == pytest.approx(bfk_classical_limit(0.2).value, abs=1e-9)
+        assert res.value == pytest.approx(bfk_classical_limit(0.2), abs=1e-9)
         assert res.value == pytest.approx(0.9310345, abs=5e-8)
 
     def test_wide_alphabet_unit_gain_optimum(self):
@@ -94,7 +94,7 @@ class TestRecoveryProperties:
         # maximising over the gain with no squeezing lands exactly on
         # (1 + chi)/(2 + chi), chi = 1/(2 s^2)
         res = optimize_gain(squeeze_from_lambda(0.0), s)
-        assert res.value == pytest.approx(bfk_classical_limit(s).value, abs=1e-9)
+        assert res.value == pytest.approx(bfk_classical_limit(s), abs=1e-9)
 
     @pytest.mark.parametrize("s", [0.1, 0.2, 0.5, 1.0, 10.0])
     def test_analytic_optimal_gain(self, s):

@@ -1,5 +1,6 @@
 """Experiment runners, CSV reproducibility, config handling and the CLI."""
 
+import io
 import math
 import os
 import re
@@ -416,14 +417,14 @@ class TestCli:
         # after the run: both are bad input, from a flag or a config file
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "run.cfg"
-        for text, reason in (("a\0b.csv", "NUL"), ("", "empty")):
+        for text, reason in (("a\0b.csv", "contains a NUL character"), ("", "is empty")):
             cfg.write_text(f"out = {text}\n")
             assert cli.main(["fig3", "--lambda-points", "2", "--config", str(cfg)]) == 2
-            assert reason in capsys.readouterr().err
+            assert f"config key 'out': output path {reason}" in capsys.readouterr().err
             with pytest.raises(SystemExit) as exit_:
                 cli.main(["fig3", "--lambda-points", "2", "--out", text])
             assert exit_.value.code == 2
-            assert "argument --out" in capsys.readouterr().err
+            assert f"argument --out: output path {reason}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.cfg"]
 
     def test_duplicate_config_key_exit_2(self, tmp_path):
@@ -452,12 +453,16 @@ class TestCli:
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
-    @pytest.mark.parametrize("command", ["gaussian", "check"])
+    @pytest.mark.parametrize("command", ["gaussian", "check", "help", "fig3-help"])
     def test_stdout_failure_exit_3(self, tmp_path, command, sink, unbuffered):
-        # the summary cannot be written: one error line and exit 3, and the
-        # interpreter's flush at exit adds no second error
-        args = [command] if command == "check" else [
-            command, "--lambda-points", "2", "--out", str(tmp_path / "x.csv")]
+        # the summary or the help cannot be written: one error line and
+        # exit 3, and the interpreter's flush at exit adds no second error
+        args = {
+            "gaussian": ["gaussian", "--lambda-points", "2", "--out", str(tmp_path / "x.csv")],
+            "check": ["check"],
+            "help": ["--help"],
+            "fig3-help": ["fig3", "--help"],
+        }[command]
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -476,6 +481,23 @@ class TestCli:
         assert proc.returncode == 3, proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: [Errno ")
+
+    def test_help_unchanged_and_failing_stderr_exit_2(self, capsys, monkeypatch):
+        # help reaches a working stdout as argparse formats it; a failing
+        # stderr leaves argparse's exit 2 for bad input
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == cli._build_parser().format_help()
+
+        class FullStream(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stderr", FullStream())
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["fig1", "--samples", "many"])
+        assert exit_.value.code == 2
 
     def test_missing_config_exit_3(self, tmp_path):
         proc = run_cli("fig1", "--config", str(tmp_path / "absent.cfg"))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cvteleport import experiments
-from cvteleport.fidelity import ComplexAmplitude, transfer_exponent
+from cvteleport.fidelity import transfer_exponent
 from cvteleport.kernel import (
     MC_BLOCK,
     _chunk_rng,
@@ -42,7 +42,9 @@ from oracles import (
     oracle_excess,
 )
 
-ALPHA5 = ComplexAmplitude(5.0, 0.0)
+ALPHA5 = complex(5.0, 0.0)
+# test ids of parametrised targets; pytest would otherwise print each complex
+TARGET_IDS = [f"alpha{i}" for i in range(6)]
 
 
 class TestOutcomeModel:
@@ -65,15 +67,15 @@ class TestOutcomeModel:
         # 1e6 draws from the stated density: mean alpha, per-component
         # variance 1/(2(1-lam^2)), each within 3 standard errors
         sigma = component_sigma(squeeze_from_lambda(lam))
-        alpha = ComplexAmplitude(1.3, -0.7)
+        alpha = complex(1.3, -0.7)
         n = 1_000_000
         rng = np.random.default_rng(31)
-        bx = rng.normal(alpha.x, sigma, n)
-        by = rng.normal(alpha.y, sigma, n)
+        bx = rng.normal(alpha.real, sigma, n)
+        by = rng.normal(alpha.imag, sigma, n)
         se_mean = sigma / math.sqrt(n)
         se_var = sigma ** 2 * math.sqrt(2.0 / (n - 1))
-        assert abs(bx.mean() - alpha.x) <= 3 * se_mean
-        assert abs(by.mean() - alpha.y) <= 3 * se_mean
+        assert abs(bx.mean() - alpha.real) <= 3 * se_mean
+        assert abs(by.mean() - alpha.imag) <= 3 * se_mean
         assert abs(bx.var(ddof=1) - sigma ** 2) <= 3 * se_var
         assert abs(by.var(ddof=1) - sigma ** 2) <= 3 * se_var
 
@@ -152,7 +154,7 @@ class TestMcAverageFidelity:
         # at |alpha| = 1e16 the line rule tends to sqrt((1 + lam)/2) and the
         # standard rule is (1 + lam)/2 at every amplitude; forming alpha - guess
         # from beta = alpha + w directly loses w to rounding there
-        alpha, sq = ComplexAmplitude(1e16, 0.0), squeeze_from_lambda(lam)
+        alpha, sq = complex(1e16, 0.0), squeeze_from_lambda(lam)
         line = mc_average_fidelity(LineTailored(), alpha, sq, 100_000, 62)
         standard = mc_average_fidelity(Standard(1.0), alpha, sq, 100_000, 63)
         assert abs(line.mean - math.sqrt((1.0 + lam) / 2.0)) <= 5 * line.std_error
@@ -171,12 +173,12 @@ class TestMcAverageFidelity:
         }
         for strategy, limit in limits.items():
             with np.errstate(over="raise", invalid="raise"):
-                est = mc_average_fidelity(
-                    strategy, ComplexAmplitude(MAX_AMPLITUDE, 0.0), sq, 20_000, 64
-                )
+                est = mc_average_fidelity(strategy, complex(MAX_AMPLITUDE), sq, 20_000, 64)
             assert abs(est.mean - limit) <= 5 * est.std_error
-            for alpha in (ComplexAmplitude(2 * MAX_AMPLITUDE, 0.0),
-                          ComplexAmplitude(MAX_AMPLITUDE, MAX_AMPLITUDE)):
+            # the last target's modulus overflows a float: still a ValueError
+            for alpha in (complex(2 * MAX_AMPLITUDE, 0.0),
+                          complex(MAX_AMPLITUDE, MAX_AMPLITUDE),
+                          complex(1.7e308, 1.7e308)):
                 with pytest.raises(ValueError, match="at most 1e\\+150"):
                     mc_average_fidelity(strategy, alpha, sq, 20_000, 64)
 
@@ -191,7 +193,7 @@ class TestMcAverageFidelity:
         # at every target angle, like the line rule; today it gives 0.569 at
         # angle 1.0 and 0.99975 at angle 2.5
         amp, sq = 1e16, squeeze_from_lambda(0.0)
-        alpha = ComplexAmplitude(amp * math.cos(theta), amp * math.sin(theta))
+        alpha = complex(amp * math.cos(theta), amp * math.sin(theta))
         est = mc_average_fidelity(CircleTailored(amp), alpha, sq, 20_000, 64)
         assert abs(est.mean - 1.0 / math.sqrt(2.0)) <= 5 * est.std_error
 
@@ -247,9 +249,9 @@ class TestChunkKernel:
         sigma = component_sigma(squeeze_from_lambda(lam))
         wx = rng.normal(0.0, sigma, self.M)
         wy = rng.normal(0.0, sigma, self.M)
-        wx[:3], wy[:3] = -alpha.x, -alpha.y  # where arg(beta) is undefined
-        wx[3] = -alpha.x  # beta_x = 0
-        wy[4] = -alpha.y  # beta_y = 0
+        wx[:3], wy[:3] = -alpha.real, -alpha.imag  # where arg(beta) is undefined
+        wx[3] = -alpha.real  # beta_x = 0
+        wy[4] = -alpha.imag  # beta_y = 0
         return wx, wy
 
     def _tail_view(self, wx, wy):
@@ -263,7 +265,8 @@ class TestChunkKernel:
     )
     @pytest.mark.parametrize(
         "alpha",
-        [ALPHA5, ComplexAmplitude(1.3, -0.7), ComplexAmplitude(6e7, -8e7)],
+        [ALPHA5, complex(1.3, -0.7), complex(6e7, -8e7)],
+        ids=TARGET_IDS[:3],
     )
     @pytest.mark.parametrize("lam", [0.0, 0.35, 0.999])
     def test_bit_identical_to_reference(self, strategy, alpha, lam):
@@ -273,10 +276,12 @@ class TestChunkKernel:
         # accuracy is checked against the decimal oracle below
         wx, wy = self._noise(alpha, lam, 58)
         if isinstance(strategy, CircleTailored):
-            ref = _reference_one_shot(strategy, alpha.x, alpha.y, lam, alpha.x + wx, alpha.y + wy)
+            ref = _reference_one_shot(
+                strategy, alpha.real, alpha.imag, lam, alpha.real + wx, alpha.imag + wy
+            )
         else:
-            ref = _guess_form_one_shot(strategy, alpha.x, alpha.y, lam, wx, wy)
-        got = _one_shot_into(strategy, (alpha.x, alpha.y), lam, self._tail_view(wx, wy))
+            ref = _guess_form_one_shot(strategy, alpha.real, alpha.imag, lam, wx, wy)
+        got = _one_shot_into(strategy, (alpha.real, alpha.imag), lam, self._tail_view(wx, wy))
         assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("strategy", ORACLE_STRATEGIES)
@@ -284,30 +289,32 @@ class TestChunkKernel:
         "alpha",
         [
             ALPHA5,
-            ComplexAmplitude(1.3, -0.7),
-            ComplexAmplitude(6e7, -8e7),
-            ComplexAmplitude(1e16, 0.0),
-            ComplexAmplitude(-2.0, 0.5),
-            ComplexAmplitude(0.0, -1.5),
+            complex(1.3, -0.7),
+            complex(6e7, -8e7),
+            complex(1e16, 0.0),
+            complex(-2.0, 0.5),
+            complex(0.0, -1.5),
         ],
+        ids=TARGET_IDS,
     )
     @pytest.mark.parametrize("lam", [0.0, 0.35, 0.999])
     def test_matches_decimal_oracle(self, strategy, alpha, lam):
         wx, wy = self._noise(alpha, lam, 58)
-        ref = decimal_log_fidelity(strategy, alpha.x, alpha.y, lam, wx, wy)
-        got = _one_shot_into(strategy, (alpha.x, alpha.y), lam, self._tail_view(wx, wy))
+        ref = decimal_log_fidelity(strategy, alpha.real, alpha.imag, lam, wx, wy)
+        got = _one_shot_into(strategy, (alpha.real, alpha.imag), lam, self._tail_view(wx, wy))
         assert oracle_excess(got, ref) <= ORACLE_BOUND
 
     @pytest.mark.parametrize(
-        "alpha, lam", [(ALPHA5, 0.999), (ComplexAmplitude(1e16, 0.0), 0.0)]
+        "alpha, lam", [(ALPHA5, 0.999), (complex(1e16, 0.0), 0.0)],
+        ids=["alpha0-0.999", "alpha1-0.0"],
     )
     def test_expanded_form_fails_the_oracle(self, alpha, lam):
         # the oracle's bound is tight enough to reject the expanded
         # expression the kernel replaced, near lam = 1 and at large |alpha|
         wx, wy = self._noise(alpha, lam, 58)
-        ref = decimal_log_fidelity(LineTailored(), alpha.x, alpha.y, lam, wx, wy)
+        ref = decimal_log_fidelity(LineTailored(), alpha.real, alpha.imag, lam, wx, wy)
         old = _reference_one_shot(
-            LineTailored(), alpha.x, alpha.y, lam, alpha.x + wx, alpha.y + wy
+            LineTailored(), alpha.real, alpha.imag, lam, alpha.real + wx, alpha.imag + wy
         )
         assert oracle_excess(old, ref) > ORACLE_BOUND
 
@@ -354,7 +361,7 @@ def _whole_chunk(strategy, alpha, lam, seed, m):
     work = np.empty((6, m))
     _scaled_normal_into(rng, sigma, work[0])
     _scaled_normal_into(rng, sigma, work[1])
-    return _one_shot_into(strategy, (alpha.x, alpha.y), lam, work).copy()
+    return _one_shot_into(strategy, (alpha.real, alpha.imag), lam, work).copy()
 
 
 class TestBlockedChunk:
@@ -367,11 +374,11 @@ class TestBlockedChunk:
     @pytest.mark.parametrize("m", [MC_CHUNK, 100_000 - MC_CHUNK, 1003])
     @pytest.mark.parametrize("width", [1000, 4096, MC_BLOCK, MC_CHUNK])
     def test_blocks_equal_whole_chunk(self, strategy, m, width):
-        alpha, lam = ComplexAmplitude(3.0, -4.0), 0.7
+        alpha, lam = complex(3.0, -4.0), 0.7
         sigma = component_sigma(squeeze_from_lambda(lam))
         row, scratch = np.empty(m), np.empty((5, width))
         rng = np.random.default_rng(64)
-        _fidelities_into(strategy, (alpha.x, alpha.y), lam, sigma, rng, row, scratch)
+        _fidelities_into(strategy, (alpha.real, alpha.imag), lam, sigma, rng, row, scratch)
         assert np.array_equal(row, _whole_chunk(strategy, alpha, lam, 64, m))
 
     @pytest.mark.parametrize("seed", range(20))
@@ -399,7 +406,7 @@ class TestBlockedChunk:
             work = np.empty((6, m))
             _scaled_normal_into(rng, sigma, work[0])
             _scaled_normal_into(rng, sigma, work[1])
-            f = _one_shot_into(strategy, (ALPHA5.x, ALPHA5.y), lam, work)
+            f = _one_shot_into(strategy, (ALPHA5.real, ALPHA5.imag), lam, work)
             total += float(f.sum())
             total_sq += float((f * f).sum())
         mean = total / n
@@ -444,7 +451,7 @@ class TestQuadratureOracle:
         assert line == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-3)
 
     def test_perfect_knowledge(self):
-        alpha, sq = ComplexAmplitude(1.3, -0.7), squeeze_from_lambda(0.3)
+        alpha, sq = complex(1.3, -0.7), squeeze_from_lambda(0.3)
         est = mc_average_fidelity(OptimalKnownTarget(), alpha, sq, 10_000, 47)
         assert est.mean == exact_average_fidelity(OptimalKnownTarget(), alpha, 0.3) == 1.0
 
@@ -476,7 +483,7 @@ class TestCircleLineEquivalence:
             theta = rng.uniform(0.0, 2.0 * math.pi)
             circle = mc_average_fidelity(
                 CircleTailored(radius=5.0),
-                ComplexAmplitude(5.0 * math.cos(theta), 5.0 * math.sin(theta)),
+                complex(5.0 * math.cos(theta), 5.0 * math.sin(theta)),
                 sq,
                 10_000,
                 50,

@@ -74,9 +74,7 @@ def scalar_scan_eta_g2(sq, tol=optimize.DEFAULT_TOL):
     """``optimize_eta_g2`` with the grid stage run on the scalar objective."""
 
     def objective(eta):
-        return avg_fidelity_unit_gain(
-            variances_tailored(sq, eta, g2_optimal(sq, eta))
-        ).value
+        return avg_fidelity_unit_gain(variances_tailored(sq, eta, g2_optimal(sq, eta)))
 
     res = scalar_scan_maximize(objective, 0.0, math.pi / 4, tol)
     eta_star = res.argmax[0]
@@ -275,9 +273,7 @@ class TestOptimizeEtaG2:
         sq = squeeze_from_G(2.0)
         res = optimize_eta_g2(sq)
         half = math.pi / 4
-        disp_only = avg_fidelity_unit_gain(
-            variances_tailored(sq, half, g2_optimal(sq, half))
-        ).value
+        disp_only = avg_fidelity_unit_gain(variances_tailored(sq, half, g2_optimal(sq, half)))
         assert res.value > disp_only
         assert res.value > (1.0 + sq.lam) / 2.0
 
@@ -289,7 +285,7 @@ class TestOptimizeEtaG2:
             sq = squeeze_from_lambda(rng.uniform(0.0, 0.99))
             res = optimize_eta_g2(sq)
             grid_best = max(
-                avg_fidelity_unit_gain(variances_tailored(sq, float(e), float(g))).value
+                avg_fidelity_unit_gain(variances_tailored(sq, float(e), float(g)))
                 for e in etas
                 for g in g2s
             )
@@ -304,7 +300,7 @@ class TestOptimizeEtaG2:
             assert 0.0 <= g2_star <= 2.0
             probes = [(e, g) for e in (0.0, math.pi / 4, math.pi / 8) for g in (0.0, 2.0, 1.0)]
             for eta, g2 in probes:
-                probe = avg_fidelity_unit_gain(variances_tailored(sq, eta, g2)).value
+                probe = avg_fidelity_unit_gain(variances_tailored(sq, eta, g2))
                 assert res.value >= probe - 1e-12
 
     def test_tuned_curves_shape(self):
@@ -377,8 +373,6 @@ class TestOptimizeEtaG2:
             sq = squeeze_from_lambda(float(lam))
             full = optimize_eta_g2(sq).value
             half = math.pi / 4
-            disp = avg_fidelity_unit_gain(
-                variances_tailored(sq, half, g2_optimal(sq, half))
-            ).value
+            disp = avg_fidelity_unit_gain(variances_tailored(sq, half, g2_optimal(sq, half)))
             std = (1.0 + sq.lam) / 2.0
             assert full > disp > std

@@ -2,9 +2,11 @@
 package itself imports."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -65,6 +67,60 @@ def test_cli_start_up_loads_numpy_only_for_arrays(tmp_path, argv, code, numpy):
     )
     last = fresh_python(probe, cwd=tmp_path).splitlines()[-1]
     assert last == f"{code} {numpy}"
+
+
+@pytest.mark.parametrize("command", ["fig3", "gaussian"])
+def test_closed_form_runners_start_no_thread_pool(tmp_path, command):
+    # their points hold the GIL, so the runners loop over them whatever
+    # --threads says, and the CSV is the one-thread CSV
+    probe = (
+        "import sys\n"
+        "from cvteleport.cli import main\n"
+        "for threads in ('1', '2'):\n"
+        f"    main([{command!r}, '--lambda-points', '5', '--threads', threads,"
+        " '--out', f't{threads}.csv'])\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    assert fresh_python(probe, cwd=tmp_path).splitlines()[-1] == "False"
+    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+
+def test_tracer_wraps_every_layer():
+    # perfbench/tracer.py reads each layer's metrics from the package's
+    # cross-module function bindings; a refactor that drops them zeroes
+    # those metrics silently.  The tracer is executed from its source, so
+    # nothing is written next to it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(), str(path), "exec"), vars(tracer))
+
+    package = Path(cvteleport.__file__).parent
+    modules = {
+        p.stem: importlib.import_module(f"cvteleport.{p.stem}")
+        for p in sorted(package.glob("*.py")) if p.stem not in ("__init__", "__main__")
+    }
+    before = {name: dict(vars(module)) for name, module in modules.items()}
+    runners = dict(modules["cli"]._RUNNERS)
+    wrapped = []
+
+    class Recording(tracer.Tracer):
+        def wrap(self, func, name, info=None):
+            wrapped.append(name)
+            return super().wrap(func, name, info)
+
+    recorder = Recording(modules)
+    try:
+        recorder.install()
+    finally:
+        recorder.uninstall()
+    assert set(tracer.INFO) <= set(wrapped)
+    layers = {"measurement", "fidelity", "optimize", "protocol", "alphabet",
+              "experiments", "acceptance"}
+    assert layers <= {name.split(".")[0] for name in wrapped}
+    for name, module in modules.items():
+        assert vars(module).keys() == before[name].keys(), name
+        assert all(vars(module)[key] is value for key, value in before[name].items()), name
+    assert modules["cli"]._RUNNERS == runners  # functions compare by identity
 
 
 def _imported(node):

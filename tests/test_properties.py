@@ -110,7 +110,7 @@ def test_uncertainty_product_and_fidelity_bound(lam, eta, g, g2):
     sq = squeeze_from_lambda(lam)
     for v in (variances_tailored(sq, eta, g2), variance_standard_gain(sq, g)):
         assert v.v_plus * v.v_minus >= 1.0 - 1e-12
-        assert avg_fidelity_unit_gain(v).value <= 1.0
+        assert avg_fidelity_unit_gain(v) <= 1.0
 
 
 # the circle joins once its kernel works on centred noise too

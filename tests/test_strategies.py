@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from cvteleport.fidelity import ComplexAmplitude, one_shot_fidelity
+from cvteleport.fidelity import one_shot_fidelity
 from cvteleport.kernel import _one_shot_into
 from cvteleport.protocol import squeeze_from_lambda
 from cvteleport.strategies import (
@@ -23,84 +23,84 @@ from cvteleport.strategies import (
     optimal_displacement,
 )
 
-TARGETS = (ComplexAmplitude(1.0, 0.0), ComplexAmplitude(-0.5, 2.0), ComplexAmplitude(0.0, -1.5))
+TARGETS = (complex(1.0, 0.0), complex(-0.5, 2.0), complex(0.0, -1.5))
 
 
 def kernel_fidelity(strategy, alpha, beta, sq):
     """The kernel's one-shot fidelity for target ``alpha`` at outcome ``beta``."""
     work = np.empty((6, 1))
-    work[0], work[1] = beta.x - alpha.x, beta.y - alpha.y
-    return float(_one_shot_into(strategy, (alpha.x, alpha.y), sq.lam, work)[0])
+    work[0], work[1] = beta.real - alpha.real, beta.imag - alpha.imag
+    return float(_one_shot_into(strategy, (alpha.real, alpha.imag), sq.lam, work)[0])
 
 
 def assert_displaces_to(strategy, beta, sq, eps):
     for alpha in TARGETS:
-        expected = one_shot_fidelity(alpha, beta, eps, sq).value
+        expected = one_shot_fidelity(alpha, beta, eps, sq)
         assert kernel_fidelity(strategy, alpha, beta, sq) == pytest.approx(expected, rel=1e-12)
 
 
 class TestOptimalDisplacement:
     def test_no_squeezing_uses_guess(self):
-        guess = ComplexAmplitude(1.5, -2.0)
-        eps = optimal_displacement(guess, ComplexAmplitude(9.0, 9.0), squeeze_from_lambda(0.0))
+        guess = complex(1.5, -2.0)
+        eps = optimal_displacement(guess, complex(9.0, 9.0), squeeze_from_lambda(0.0))
         assert eps == guess
 
     def test_large_squeezing_uses_outcome(self):
-        beta = ComplexAmplitude(0.5, 0.25)
+        beta = complex(0.5, 0.25)
         eps = optimal_displacement(
-            ComplexAmplitude(1.0, 0.0), beta, squeeze_from_lambda(1.0 - 1e-9)
+            complex(1.0, 0.0), beta, squeeze_from_lambda(1.0 - 1e-9)
         )
-        assert eps.x == pytest.approx(beta.x, abs=1e-8)
-        assert eps.y == pytest.approx(beta.y, abs=1e-8)
+        assert eps.real == pytest.approx(beta.real, abs=1e-8)
+        assert eps.imag == pytest.approx(beta.imag, abs=1e-8)
 
     def test_arithmetic(self):
         eps = optimal_displacement(
-            ComplexAmplitude(1.0, 0.0), ComplexAmplitude(0.5, 0.0), squeeze_from_lambda(0.5)
+            complex(1.0, 0.0), complex(0.5, 0.0), squeeze_from_lambda(0.5)
         )
-        assert (eps.x, eps.y) == (0.75, 0.0)
+        assert (eps.real, eps.imag) == (0.75, 0.0)
 
 
 class TestLineDisplacement:
     def test_arithmetic(self):
-        beta = ComplexAmplitude(3.0, 4.0)
+        beta = complex(3.0, 4.0)
         assert_displaces_to(
-            LineTailored(), beta, squeeze_from_lambda(0.5), ComplexAmplitude(4.0, 2.0)
+            LineTailored(), beta, squeeze_from_lambda(0.5), complex(4.0, 2.0)
         )
 
     def test_pure_guess_limit(self):
-        beta = ComplexAmplitude(-1.0, 2.0)
-        guess = ComplexAmplitude(math.hypot(beta.x, beta.y), 0.0)
+        beta = complex(-1.0, 2.0)
+        guess = complex(math.hypot(beta.real, beta.imag), 0.0)
         assert_displaces_to(LineTailored(), beta, squeeze_from_lambda(0.0), guess)
 
     def test_outcome_on_line(self):
-        beta = ComplexAmplitude(2.0, 0.0)
+        beta = complex(2.0, 0.0)
         assert_displaces_to(LineTailored(), beta, squeeze_from_lambda(0.3), beta)
 
 
 class TestCircleDisplacement:
     def test_projects_onto_circle(self):
         assert_displaces_to(
-            CircleTailored(2.0), ComplexAmplitude(0.0, 5.0), squeeze_from_lambda(0.0),
-            ComplexAmplitude(0.0, 2.0),
+            CircleTailored(2.0), complex(0.0, 5.0), squeeze_from_lambda(0.0),
+            complex(0.0, 2.0),
         )
 
     def test_large_squeezing_limit(self):
         # every fidelity here is within 1e-17 of 1, so this pins epsilon to
         # beta only within 1e-6; test_interpolation pins the rule exactly
         r = 3.0
-        beta = ComplexAmplitude(r * math.cos(1.1), r * math.sin(1.1))
+        beta = complex(r * math.cos(1.1), r * math.sin(1.1))
         assert_displaces_to(CircleTailored(r), beta, squeeze_from_lambda(1.0 - 1e-9), beta)
 
     def test_outcome_on_circle(self):
         # |beta| equal to the radius makes the displacement exactly beta
-        beta = ComplexAmplitude(3.0, 4.0)
+        beta = complex(3.0, 4.0)
         assert_displaces_to(CircleTailored(5.0), beta, squeeze_from_lambda(0.5), beta)
 
     def test_origin_outcome_takes_arg_zero(self):
         # arg(0) resolved as 0: the guess sits on the positive real axis
         assert_displaces_to(
-            CircleTailored(2.0), ComplexAmplitude(0.0, 0.0), squeeze_from_lambda(0.4),
-            ComplexAmplitude((1.0 - 0.4) * 2.0, 0.0),
+            CircleTailored(2.0), complex(0.0, 0.0), squeeze_from_lambda(0.4),
+            complex((1.0 - 0.4) * 2.0, 0.0),
         )
 
     def test_negative_radius(self):
@@ -119,8 +119,8 @@ class TestStandardDisplacement:
     )
     def test_scaling(self, g, beta, expected):
         assert_displaces_to(
-            Standard(g), ComplexAmplitude(*beta), squeeze_from_lambda(0.6),
-            ComplexAmplitude(*expected),
+            Standard(g), complex(*beta), squeeze_from_lambda(0.6),
+            complex(*expected),
         )
 
     def test_negative_gain(self):
@@ -136,20 +136,20 @@ class TestProperties:
         for _ in range(500):
             lam = rng.uniform(0.0, 0.999)
             sq = squeeze_from_lambda(lam)
-            beta = ComplexAmplitude(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            guess = ComplexAmplitude(rng.uniform(-5, 5), rng.uniform(-5, 5))
+            beta = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+            guess = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
             eps = optimal_displacement(guess, beta, sq)
-            assert eps.x == pytest.approx((1 - lam) * guess.x + lam * beta.x, abs=1e-12)
-            assert eps.y == pytest.approx((1 - lam) * guess.y + lam * beta.y, abs=1e-12)
+            assert eps.real == pytest.approx((1 - lam) * guess.real + lam * beta.real, abs=1e-12)
+            assert eps.imag == pytest.approx((1 - lam) * guess.imag + lam * beta.imag, abs=1e-12)
 
-            line_guess = ComplexAmplitude(math.hypot(beta.x, beta.y), 0.0)
+            line_guess = complex(math.hypot(beta.real, beta.imag), 0.0)
             assert_displaces_to(
                 LineTailored(), beta, sq, optimal_displacement(line_guess, beta, sq)
             )
 
             r = rng.uniform(0.0, 5.0)
-            phi = math.atan2(beta.y, beta.x)
-            circle_guess = ComplexAmplitude(r * math.cos(phi), r * math.sin(phi))
+            phi = math.atan2(beta.imag, beta.real)
+            circle_guess = complex(r * math.cos(phi), r * math.sin(phi))
             assert_displaces_to(
                 CircleTailored(r), beta, sq, optimal_displacement(circle_guess, beta, sq)
             )
@@ -158,7 +158,7 @@ class TestProperties:
         for lam in (0.0, 0.4, 0.97):
             sq = squeeze_from_lambda(lam)
             for x in (0.5, 2.0, 7.5):
-                beta = ComplexAmplitude(x, 0.0)
+                beta = complex(x, 0.0)
                 for alpha in TARGETS:
                     line = kernel_fidelity(LineTailored(), alpha, beta, sq)
                     circle = kernel_fidelity(CircleTailored(x), alpha, beta, sq)
@@ -169,11 +169,11 @@ class TestProperties:
         for _ in range(10):
             lam = rng.uniform(0.0, 0.999)
             sq = squeeze_from_lambda(lam)
-            alpha = ComplexAmplitude(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            beta = ComplexAmplitude(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            alpha = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            beta = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             eps = optimal_displacement(alpha, beta, sq)
-            best = one_shot_fidelity(alpha, beta, eps, sq).value
+            best = one_shot_fidelity(alpha, beta, eps, sq)
             for dx in (-0.5, -0.01, 0.01, 0.5):
                 for dy in (-0.5, -0.01, 0.01, 0.5):
-                    shifted = ComplexAmplitude(eps.x + dx, eps.y + dy)
-                    assert one_shot_fidelity(alpha, beta, shifted, sq).value < best
+                    shifted = complex(eps.real + dx, eps.imag + dy)
+                    assert one_shot_fidelity(alpha, beta, shifted, sq) < best
