@@ -2,7 +2,8 @@
 
 Subcommands reproduce each figure-style dataset as CSV plus a key=value
 summary block on stdout; ``check`` runs the acceptance suite.  Exit
-codes: 0 ok, 1 check failure, 2 bad input, 3 I/O error.
+codes: 0 ok, 1 check failure, 2 bad input, 3 I/O error, 4 a ``check``
+criterion that crashed.
 """
 
 from __future__ import annotations
@@ -167,7 +168,16 @@ def _run_check() -> tuple[list[str], int]:
     """The acceptance suite's stdout lines and exit code."""
     from . import acceptance  # numpy loads with it
 
-    results = acceptance.run_all()
+    try:
+        results = acceptance.run_all()
+    except OSError:
+        raise
+    except Exception as exc:  # a crash is not a failed check
+        import traceback  # not at the top: it would add ~4 ms to every start-up
+
+        traceback.print_exc()
+        print(f"error: acceptance check crashed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return [], 4
     lines = [acceptance.format_line(res) for res in results]
     failed = [r for r in results if not r.passed]
     lines.append(f"{len(results) - len(failed)}/{len(results)} acceptance criteria passed")
@@ -194,6 +204,9 @@ def _print_lines(lines: list[str]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Nothing here needs a BLAS thread pool, and each idle OpenBLAS worker
+    # spins ~0.1 CPU-s after numpy loads; this must run before numpy's import.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _build_parser().parse_args(argv)  # --help prints here
         if args.command == "check":

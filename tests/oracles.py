@@ -30,8 +30,8 @@ def exact_standard(gain, lam, amp):
     return math.exp(-((1.0 - gain) ** 2) * amp * amp / d) / d
 
 
-def exact_line_circle(amp, lam, n_r=200, n_phi=512):
-    """Exact line- and circle-tailored average fidelities at amplitude ``amp``.
+def _polar_rule(amp, lam, n_r, n_phi):
+    """The line and circle one-shot fidelities on the polar nodes, with their weights.
 
     Both one-shot fidelities are smooth in polar coordinates beta = r e^{i phi}
     about the origin: the line rule gives exp(-(1-lam)^2 (amp - r)^2) and the
@@ -40,7 +40,10 @@ def exact_line_circle(amp, lam, n_r=200, n_phi=512):
     density is a Gaussian of per-component variance 1/(2 (1 - lam^2)) about the
     target, which decays by exp(-72) outside r in [amp - 12 sigma, amp + 12 sigma].
     Gauss-Legendre in r on that interval times the trapezoid rule in phi, which
-    is spectrally accurate for a smooth periodic integrand.  Returns (line, circle).
+    is spectrally accurate for a smooth periodic integrand.  The line fidelity
+    depends on r only and the circle fidelity on phi only, so each comes with
+    the outcome law's marginal weights on its own nodes.  Returns
+    ((line weights, line fidelities), (circle weights, circle fidelities)).
     """
     var = 1.0 / (2.0 * (1.0 - lam * lam))
     sigma = math.sqrt(var)
@@ -54,9 +57,30 @@ def exact_line_circle(amp, lam, n_r=200, n_phi=512):
         -((r[:, None] - amp) ** 2 + 2.0 * amp * r[:, None] * one_minus_cos) / (2.0 * var)
     )
     k = (1.0 - lam) ** 2
-    line = radial @ (np.exp(-k * (r - amp) ** 2) * density.sum(axis=1))
-    circle = radial @ (density @ np.exp(-2.0 * k * amp * amp * one_minus_cos))
-    return float(line), float(circle)
+    line = (radial * density.sum(axis=1), np.exp(-k * (r - amp) ** 2))
+    circle = (radial @ density, np.exp(-2.0 * k * amp * amp * one_minus_cos))
+    return line, circle
+
+
+def exact_line_circle(amp, lam, n_r=200, n_phi=512):
+    """Exact line- and circle-tailored average fidelities at amplitude ``amp``,
+    by the polar rule of :func:`_polar_rule`.  Returns (line, circle)."""
+    return tuple(float(w @ f) for w, f in _polar_rule(amp, lam, n_r, n_phi))
+
+
+def line_circle_central_moments(amp, lam, n_r=200, n_phi=512):
+    """Mean and second and fourth central moments of the line- and
+    circle-tailored one-shot fidelities, by the same polar rule.
+
+    Each moment integrates (f - mu)^k itself: the raw moments E[f^k] of
+    fidelities near 1 cancel.  Returns ((mu, mu2, mu4) line, (mu, mu2, mu4) circle).
+    """
+    moments = []
+    for w, f in _polar_rule(amp, lam, n_r, n_phi):
+        mu = float(w @ f)
+        dev = f - mu
+        moments.append((mu, float(w @ dev**2), float(w @ dev**4)))
+    return tuple(moments)
 
 
 def exact_average_fidelity(strategy, alpha, lam):

@@ -516,6 +516,28 @@ class TestCli:
         proc = run_cli(*args, "--out", str(tmp_path / "x.csv"), timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("error, code", [(ValueError, 4), (OSError, 3)])
+    def test_crashing_criterion_exit_code(self, monkeypatch, capsys, error, code):
+        # a criterion that raises is not a failed check: exit 4 with its
+        # traceback and one error line, nothing on stdout; an OSError is exit 3
+        from cvteleport import acceptance
+
+        def passing():
+            return acceptance.CriterionResult(1, "passing", True, "ok")
+
+        def crashing():
+            raise error("boom")
+
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", (passing, crashing))
+        assert cli.main(["check"]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        if code == 4:
+            assert "Traceback" in err
+            assert err.splitlines()[-1] == "error: acceptance check crashed: ValueError: boom"
+        else:
+            assert err == "error: boom\n"
+
     def test_check_prints_criterion_lines(self):
         proc = run_cli("check")
         lines = [l for l in proc.stdout.splitlines() if l.startswith("[")]

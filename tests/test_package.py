@@ -12,17 +12,22 @@ from pathlib import Path
 import pytest
 
 import cvteleport
+from cvteleport import experiments
 
 # The only modules that import numpy when they load; every other module
 # imports it inside the function that computes with arrays.
 NUMPY_AT_LOAD = {"kernel.py", "acceptance.py"}
 
 
-def fresh_python(probe, cwd=None):
-    """Run ``python -c probe`` on the package the tests import; its stdout."""
+def fresh_python(probe, cwd=None, env=None):
+    """Run ``python -c probe`` on the package the tests import; its stdout.
+
+    ``env`` is the child's environment before ``PYTHONPATH``, by default ours.
+    """
     src = str(Path(cvteleport.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    env = dict(os.environ if env is None else env)
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src if not path else src + os.pathsep + path
     run = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
         cwd=cwd, timeout=60,
@@ -83,6 +88,36 @@ def test_closed_form_runners_start_no_thread_pool(tmp_path, command):
     )
     assert fresh_python(probe, cwd=tmp_path).splitlines()[-1] == "False"
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or experiments.available_cpus() < 2,
+    reason="needs /proc/self/task and at least two CPUs",
+)
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset"])
+def test_cli_starts_no_blas_threads(tmp_path, preset):
+    # numpy's OpenBLAS starts a worker per extra CPU, each spinning ~0.1 CPU-s,
+    # for BLAS calls no runner makes; main keeps the process to one thread
+    # unless the caller chose a thread count.  In-process main() calls in
+    # other tests may have set the variable here, so the child starts clean.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = (
+        "import os\n"
+        "from cvteleport.cli import main\n"
+        "for argv in (['fig1', '--lambda-points', '2', '--samples', '1000', '--out', 'f.csv'],"
+        " ['check']):\n"
+        "    main(argv)\n"
+        "    print('probe', len(os.listdir('/proc/self/task')),"
+        " os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    out = fresh_python(probe, cwd=tmp_path, env=env).splitlines()
+    probes = [line.split()[1:] for line in out if line.startswith("probe ")]
+    if preset is None:
+        assert probes == [["1", "1"], ["1", "1"]]
+    else:
+        assert [value for _, value in probes] == [preset, preset]
 
 
 def test_tracer_wraps_every_layer():
