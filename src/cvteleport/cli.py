@@ -205,8 +205,11 @@ def _print_lines(lines: list[str]) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     # Nothing here needs a BLAS thread pool, and each idle OpenBLAS worker
-    # spins ~0.1 CPU-s after numpy loads; this must run before numpy's import.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # spins ~0.1 CPU-s after numpy loads.  OpenBLAS reads this only as numpy is
+    # first imported, so it is set before that and unset on return.
+    pin_blas = "OPENBLAS_NUM_THREADS" not in os.environ
+    if pin_blas:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         args = _build_parser().parse_args(argv)  # --help prints here
         if args.command == "check":
@@ -227,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if pin_blas:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
     return code
 
 

@@ -67,7 +67,6 @@ class McEstimate:
     mean: float
     std_error: float
     n_samples: int
-    seed: int
 
     def __post_init__(self) -> None:
         if self.n_samples < 2:
@@ -105,4 +104,4 @@ def mc_average_fidelity(
     total, total_sq = chunk_sums(strategy, (alpha.real, alpha.imag), sq.lam, sigma, n, seed)
     mean = total / n
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
+    return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n)

@@ -6,9 +6,9 @@ Conventions used throughout the package:
   coherent mode has unit variance in both quadratures.  All variance
   formulas below are written in this convention (e.g. standard unit-gain
   teleportation with no squeezing gives V = 3, not 2 or 3/2).
-* The entanglement resource is parameterised by the parametric gain
-  G >= 1 of the two-mode squeezer, equivalently by the squeezing
-  parameter lam = sqrt((G - 1)/G) in [0, 1).
+* The entanglement resource is held as the squeezing parameter
+  lam = tanh(r) in [0, 1); the parametric gain G = 1/(1 - lam^2) >= 1 of
+  the two-mode squeezer is derived from it.
 * Normalisation factors are absorbed into the classical gains, so unit
   gain on a measured quadrature corresponds to a gain value of 1/sqrt(2).
 
@@ -23,68 +23,46 @@ implements that oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Hard cap on the squeezing parameter for anything that samples or scans
 # over lam: the measurement-outcome distribution degenerates as lam -> 1.
 LAMBDA_MAX = 0.999
-
-_PAIR_TOL = 1e-12
-
-
-def _pair_tolerance(lam: float, lam_implied: float) -> float:
-    # Recovering lam from G = 1/(1 - lam^2) is limited by the spacing of
-    # doubles near 1: the recomputed sqrt((G-1)/G) can differ from lam by
-    # ~eps/(2 lam) once lam^2 approaches that spacing.  The 1e-12
-    # consistency requirement therefore applies only where float64 can
-    # support it (lam >~ 4e-4); below, the conditioning bound takes over.
-    scale = max(lam, lam_implied, 2.0 ** -26)
-    return max(_PAIR_TOL, 2.0 ** -51 / scale)
 
 
 @dataclass(frozen=True)
 class SqueezeLevel:
     """Entanglement strength of the two-mode squeezed vacuum resource.
 
-    One value in two encodings: the parametric gain ``G`` (>= 1) and the
-    squeezing parameter ``lam`` = sqrt((G - 1)/G) in [0, 1).  Both fields
-    are stored to avoid silent convention drift between formulas written
-    in terms of G and formulas written in terms of lam; construction
-    enforces their consistency.  Use :func:`squeeze_from_G` or
-    :func:`squeeze_from_lambda` instead of the raw constructor.
+    Held as the squeezing parameter ``lam`` in [0, 1); the parametric gain
+    ``G`` = 1/(1 - lam^2) >= 1 is derived once at construction, because the
+    optimisers read it on every objective evaluation.
     """
 
-    G: float
     lam: float
+    G: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.G) and self.G >= 1.0):
-            raise ValueError(f"parametric gain must be finite and >= 1, got {self.G}")
         if not (0.0 <= self.lam < 1.0):
             raise ValueError(f"squeezing parameter must lie in [0, 1), got {self.lam}")
-        lam_implied = math.sqrt((self.G - 1.0) / self.G)
-        if abs(self.lam - lam_implied) > _pair_tolerance(self.lam, lam_implied):
-            raise ValueError(
-                f"inconsistent squeeze encoding: G={self.G!r}, lam={self.lam!r}"
-            )
+        # (1 - lam) is exact for lam >= 0.5 (Sterbenz), which keeps the
+        # map as well conditioned as float64 allows near lam -> 1.
+        object.__setattr__(self, "G", 1.0 / ((1.0 - self.lam) * (1.0 + self.lam)))
 
 
 def squeeze_from_G(G: float) -> SqueezeLevel:
-    """Build a squeeze level from the parametric gain G >= 1."""
+    """Build a squeeze level from the parametric gain G >= 1 (``.G`` is G up to rounding)."""
     if not (isinstance(G, (int, float)) and math.isfinite(G)) or G < 1.0:
         raise ValueError(f"parametric gain must be finite and >= 1, got {G!r}")
     G = float(G)
-    return SqueezeLevel(G=G, lam=math.sqrt((G - 1.0) / G))
+    return SqueezeLevel(lam=math.sqrt((G - 1.0) / G))
 
 
 def squeeze_from_lambda(lam: float) -> SqueezeLevel:
     """Build a squeeze level from the squeezing parameter lam in [0, 1)."""
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam)) or not (0.0 <= lam < 1.0):
+    if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
         raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam!r}")
-    lam = float(lam)
-    # (1 - lam) is exact for lam >= 0.5 (Sterbenz), which keeps the
-    # inverse map as well conditioned as float64 allows near lam -> 1.
-    return SqueezeLevel(G=1.0 / ((1.0 - lam) * (1.0 + lam)), lam=lam)
+    return SqueezeLevel(lam=float(lam))
 
 
 @dataclass(frozen=True)

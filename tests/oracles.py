@@ -7,6 +7,8 @@ package's sampling kernel: a closed form for the standard rule and the known
 target, and a deterministic polar quadrature for the line and circle rules.
 :func:`decimal_log_fidelity` is the one-shot reference for the sampling
 kernel itself, outcome by outcome in 60-digit decimal arithmetic.
+:func:`covariance_variances` is the reference for the closed-form output
+variances, as a quadratic form over the resource's covariance matrix.
 """
 
 import decimal
@@ -28,6 +30,36 @@ def exact_standard(gain, lam, amp):
     var = 1.0 / (2.0 * (1.0 - lam * lam))
     d = 1.0 + 2.0 * (gain - lam) ** 2 * var
     return math.exp(-((1.0 - gain) ** 2) * amp * amp / d) / d
+
+
+def covariance_variances(lam, eta, g2):
+    """Tailored-scheme output variances (V+, V-) as c^T Sigma c, with their scales.
+
+    Over the modes (in, b1, b2), the coherent target and the two halves of the
+    two-mode squeezed vacuum, each quadrature has the covariance matrix
+    [[1, 0, 0], [0, 2G - 1, +-2 lam G], [0, +-2 lam G, 2G - 1]] with
+    G = 1/(1 - lam^2): cosh 2r and sinh 2r for lam = tanh r, + for the
+    amplitude and - for the phase quadrature.  The output quadratures have the
+    coefficients c+ = (2 g1 cos eta, -2 g1 sin eta, 1), g1 = 1/(2 cos eta), and
+    c- = (2 g2 sin eta, 2 g2 cos eta, 1).  This shares no hand expansion with
+    the package's coefficient sums.  Each scale is |c|^T |Sigma| |c|, the size
+    of the terms the form adds up; it sets the rounding bound of a comparison.
+    Returns ((V+, V-), (scale+, scale-)).
+    """
+    G = 1.0 / ((1.0 - lam) * (1.0 + lam))
+    g1 = 1.0 / (2.0 * math.cos(eta))
+    values, scales = [], []
+    for sign, c in (
+        (1.0, [2.0 * g1 * math.cos(eta), -2.0 * g1 * math.sin(eta), 1.0]),
+        (-1.0, [2.0 * g2 * math.sin(eta), 2.0 * g2 * math.cos(eta), 1.0]),
+    ):
+        cov = np.array([[1.0, 0.0, 0.0],
+                        [0.0, 2.0 * G - 1.0, sign * 2.0 * lam * G],
+                        [0.0, sign * 2.0 * lam * G, 2.0 * G - 1.0]])
+        c = np.array(c)
+        values.append(float(c @ cov @ c))
+        scales.append(float(np.abs(c) @ np.abs(cov) @ np.abs(c)))
+    return tuple(values), tuple(scales)
 
 
 def _polar_rule(amp, lam, n_r, n_phi):

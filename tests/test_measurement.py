@@ -83,11 +83,11 @@ class TestOutcomeModel:
 class TestMcEstimate:
     def test_validation(self):
         with pytest.raises(ValueError):
-            McEstimate(mean=0.5, std_error=0.1, n_samples=1, seed=0)
+            McEstimate(mean=0.5, std_error=0.1, n_samples=1)
         with pytest.raises(ValueError):
-            McEstimate(mean=math.nan, std_error=0.1, n_samples=10, seed=0)
+            McEstimate(mean=math.nan, std_error=0.1, n_samples=10)
         with pytest.raises(ValueError):
-            McEstimate(mean=0.5, std_error=-0.1, n_samples=10, seed=0)
+            McEstimate(mean=0.5, std_error=-0.1, n_samples=10)
 
 
 class TestMcAverageFidelity:

@@ -355,18 +355,25 @@ class TestOptimizeEtaG2:
     @pytest.mark.parametrize("G", [1e8, 1e12])
     def test_rejected_gain_raises_as_before(self, G, eta_g2_objectives):
         # V- cancels to 0 near eta = 0; the grid objective is NaN exactly
-        # where the scalar objective raises, so those points are rescored
+        # where the scalar objective raises or clamps an overshoot above 1,
+        # so those points are rescored
+        sq = squeeze_from_G(G)
         with pytest.raises(ValueError, match="variances must be positive"):
-            optimize_eta_g2(squeeze_from_G(G))
+            optimize_eta_g2(sq)
         f, f_grid = eta_g2_objectives[0][-1]
         xs = _grid(0.0, math.pi / 4)
-        raises = []
+        raises, clamps = [], []
         for i, x in enumerate(xs):
             try:
                 f(x)
             except ValueError:
                 raises.append(i)
-        assert raises and list(np.flatnonzero(np.isnan(f_grid(np.array(xs))))) == raises
+                continue
+            v = variances_tailored(sq, x, g2_optimal(sq, x))
+            if 2.0 / math.sqrt((v.v_plus + 1.0) * (v.v_minus + 1.0)) > 1.0:
+                clamps.append(i)
+        nans = list(np.flatnonzero(np.isnan(f_grid(np.array(xs)))))
+        assert raises and nans == sorted(raises + clamps)
 
     def test_dominance_over_lambda_grid(self):
         for lam in np.linspace(0.0, 0.98, 20):

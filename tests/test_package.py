@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cvteleport
-from cvteleport import experiments
+from cvteleport import cli, experiments
 
 # The only modules that import numpy when they load; every other module
 # imports it inside the function that computes with arrays.
@@ -98,8 +98,8 @@ def test_closed_form_runners_start_no_thread_pool(tmp_path, command):
 def test_cli_starts_no_blas_threads(tmp_path, preset):
     # numpy's OpenBLAS starts a worker per extra CPU, each spinning ~0.1 CPU-s,
     # for BLAS calls no runner makes; main keeps the process to one thread
-    # unless the caller chose a thread count.  In-process main() calls in
-    # other tests may have set the variable here, so the child starts clean.
+    # unless the caller chose a thread count, and unsets its own setting on
+    # return.  The child starts without the variable whatever ours holds.
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
@@ -115,9 +115,25 @@ def test_cli_starts_no_blas_threads(tmp_path, preset):
     out = fresh_python(probe, cwd=tmp_path, env=env).splitlines()
     probes = [line.split()[1:] for line in out if line.startswith("probe ")]
     if preset is None:
-        assert probes == [["1", "1"], ["1", "1"]]
+        assert probes == [["1", "None"], ["1", "None"]]
     else:
         assert [value for _, value in probes] == [preset, preset]
+
+
+@pytest.mark.parametrize("argv", [["gaussian", "--lambda-points", "2"],
+                                  ["gaussian", "--samples", "1"], ["--help"]],
+                         ids=["ok", "bad-input", "help"])
+def test_cli_unsets_its_blas_setting(tmp_path, monkeypatch, capsys, argv):
+    # the one-thread setting is for main's own numpy import; a caller that
+    # runs main in-process must not pass it on to its later subprocesses
+    # (a caller's own value is kept: test_cli_starts_no_blas_threads[preset])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    try:
+        cli.main(argv)
+    except SystemExit:
+        pass
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_tracer_wraps_every_layer():

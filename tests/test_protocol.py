@@ -1,5 +1,6 @@
 """Squeeze-level encodings and the variance algebra against the coefficient oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from cvteleport.protocol import (
     variance_standard_gain,
     variances_tailored,
 )
+from oracles import covariance_variances
 
 
 class TestSqueezeLevel:
@@ -26,9 +28,20 @@ class TestSqueezeLevel:
         [(1.0, 0.0), (2.0, math.sqrt(0.5)), (10.0, math.sqrt(0.9))],
     )
     def test_from_G(self, G, lam):
+        # lam is held; G is derived from it, so it returns G only up to
+        # the conditioning bound 2 G eps of test_round_trip
         sq = squeeze_from_G(G)
-        assert sq.G == G
+        assert sq.lam == math.sqrt((G - 1.0) / G)
         assert sq.lam == pytest.approx(lam, abs=1e-12)
+        assert sq.G == pytest.approx(G, rel=2.0 * G * 2.0 ** -52)
+
+    def test_no_squeezing_is_exact(self):
+        # criterion 1 needs the standard baseline F(0) = 1/2 exactly
+        assert squeeze_from_G(1.0).G == 1.0
+        assert squeeze_from_lambda(0.0).G == 1.0
+
+    def test_lambda_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(SqueezeLevel) if f.init] == ["lam"]
 
     @pytest.mark.parametrize(
         "lam, G",
@@ -48,10 +61,6 @@ class TestSqueezeLevel:
     def test_from_lambda_domain(self, bad):
         with pytest.raises(ValueError):
             squeeze_from_lambda(bad)
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError):
-            SqueezeLevel(G=2.0, lam=0.5)
 
     def test_round_trip(self):
         # the composed map has condition number ~2G in float64, so the
@@ -228,6 +237,20 @@ class TestCoefficientOracle:
                 variance_standard_gain(sq, g).v_plus
                 - standard_gain_coefficients(sq, g).variance()
             ) <= 1e-12
+
+    def test_covariance_oracle_random(self):
+        # V+- as c^T Sigma c over the resource covariance, an algebra
+        # independent of the coefficient sums; the bound is 1e-12 of the
+        # magnitude |c|^T |Sigma| |c| of the summed terms
+        rng = np.random.default_rng(2718)
+        for _ in range(5000):
+            lam = rng.uniform(0.0, 0.999)
+            eta = rng.uniform(0.0, math.pi / 4)
+            g2 = rng.uniform(0.0, 2.0)
+            (v_plus, v_minus), (s_plus, s_minus) = covariance_variances(lam, eta, g2)
+            v = variances_tailored(squeeze_from_lambda(lam), eta, g2)
+            assert abs(v.v_plus - v_plus) <= 1e-12 * s_plus
+            assert abs(v.v_minus - v_minus) <= 1e-12 * s_minus
 
     def test_oracle_equivalence_high_squeezing(self):
         # relative agreement continues through the top of the lam range

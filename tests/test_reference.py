@@ -3,7 +3,8 @@
 Each closed-form cell under ``perfbench/reference/{full,smoke}`` is checked
 against its formula, and each Monte Carlo cell against the exact moments of
 the one-shot fidelity (``tests/oracles.py``), so a reference regenerated
-with a wrong seed, size or formula fails here.  The files are only read.
+with a wrong seed, size or formula fails here.  Each runner must also
+rewrite its smoke reference byte for byte.  The files are only read.
 The bounds are fixed; a regeneration must pass them unchanged.
 """
 
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from cvteleport.cli import main
 from cvteleport.experiments import default_lambda_grid
 from oracles import line_circle_central_moments
 
@@ -27,14 +29,14 @@ REFERENCES = ["full", "smoke"]
 PULL_BOUND = 4.0
 
 
-def _run_configs():
-    """``CONFIGS`` of ``perfbench/run.py``, the settings each reference was
-    made with, read from its source."""
+def _run_constant(name):
+    """A constant of ``perfbench/run.py`` read from its source: ``CONFIGS``,
+    the settings each reference was made with, or ``DEFAULT_SEED``."""
     tree = ast.parse((PERFBENCH / "run.py").read_text())
     for node in tree.body:
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CONFIGS":
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name:
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/run.py defines no CONFIGS")
+    raise AssertionError(f"perfbench/run.py defines no {name}")
 
 
 def _columns(reference, command):
@@ -73,7 +75,7 @@ def test_closed_form_columns(reference):
 
 @pytest.mark.parametrize("reference", REFERENCES)
 def test_monte_carlo_columns(reference):
-    config = _run_configs()[reference]
+    config = _run_constant("CONFIGS")[reference]
     n, amp = config["samples"], float(config["alpha"])
     cells = _columns(reference, "circle-vs-line")
     off = []
@@ -99,6 +101,20 @@ def test_fig1_monte_carlo_column_is_the_line(reference):
     assert fig1["lambda"] == circle_vs_line["lambda"]
     assert fig1["f_tailored_disp_mc"] == circle_vs_line["f_line"]
     assert fig1["f_tailored_disp_mc_stderr"] == circle_vs_line["f_line_stderr"]
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig3", "gaussian", "circle-vs-line"])
+def test_runner_reproduces_smoke_reference(tmp_path, capsys, command):
+    # a change meant to move no output keeps every runner's CSV byte for byte
+    # at the benchmark's smoke settings, as the benchmark itself checks
+    config = _run_constant("CONFIGS")["smoke"]
+    out = tmp_path / f"{command}.csv"
+    argv = [command, "--lambda-points", str(config["lambda_points"]),
+            "--samples", str(config["samples"]), "--tol", config["tol"],
+            "--alpha", config["alpha"], "--seed", str(_run_constant("DEFAULT_SEED")),
+            "--out", str(out)]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert out.read_bytes() == (PERFBENCH / "reference" / "smoke" / f"{command}.csv").read_bytes()
 
 
 def test_moments_converged_and_positive():
