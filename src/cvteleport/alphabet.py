@@ -16,6 +16,7 @@ import functools
 import math
 from typing import TYPE_CHECKING
 
+from .fidelity import checked_fidelity
 from .protocol import SqueezeLevel, variance_standard_gain
 
 if TYPE_CHECKING:
@@ -45,12 +46,12 @@ def gaussian_weighted_fidelity(sq: SqueezeLevel, g: float, s: float) -> float:
 
     an exact Gaussian integral (see README for the two-line derivation).
     """
-    if not (s > 0.0):
-        raise ValueError(f"alphabet standard deviation must be positive, got {s}")
+    if not (0.0 < s < math.inf):
+        raise ValueError(f"alphabet standard deviation must be positive and finite, got {s}")
     v = variance_standard_gain(sq, g).v_plus
     a = 2.0 / (v + 1.0)
     c = 2.0 * (1.0 - g) ** 2 / (v + 1.0)
-    return a / (1.0 + 2.0 * c * s * s)
+    return checked_fidelity(a / (1.0 + 2.0 * c * s * s))
 
 
 def gaussian_weighted_fidelity_quadrature(

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import experiments
-from .experiments import ExperimentConfig, default_lambda_grid
+from .experiments import ExperimentConfig
 
 _RUNNERS = {
     "fig1": experiments.run_fig1,
@@ -26,11 +26,10 @@ _RUNNERS = {
 
 
 class Setting(NamedTuple):
-    """One run setting: config-file key, value parser, default and flag help."""
+    """One run setting: config-file key, value parser and flag help."""
 
     key: str
     type: Callable[[str], object]
-    default: object
     metavar: str
     help: str
 
@@ -49,23 +48,23 @@ def _output_path(text: str) -> Path:
 
 
 # The one list of settings: it defines the CLI flags, the keys a config
-# file may set, how their values parse, and their defaults.  ``--s`` is a
-# flag of ``gaussian`` only; ``out`` defaults to ``<command>.csv``.
+# file may set and how their values parse.  Every key but ``out`` is an
+# ``ExperimentConfig`` field, which holds its default; ``out`` defaults to
+# ``<command>.csv``.  ``--s`` is a flag of ``gaussian`` only.
 SETTINGS = (
-    Setting("lambda_points", int, experiments.DEFAULT_LAMBDA_POINTS, "N",
+    Setting("lambda_points", int, "N",
             f"uniform grid points on [0, 0.98], 2 to {experiments.MAX_LAMBDA_POINTS}"
             " (plus the 0.999 cap)"),
-    Setting("samples", int, experiments.DEFAULT_SAMPLES, "N",
+    Setting("samples", int, "N",
             "Monte Carlo samples per grid point"
             f" ({experiments.MIN_SAMPLES} to {experiments.MAX_SAMPLES:g})"),
-    Setting("seed", int, experiments.DEFAULT_SEED, "U64",
-            "base seed; per-point seeds are seed XOR point index"),
-    Setting("alpha", float, experiments.DEFAULT_ALPHA, "X",
+    Setting("seed", int, "U64", "base seed; per-point seeds are seed XOR point index"),
+    Setting("alpha", float, "X",
             f"target amplitude of the line/circle curves (at most {experiments.MAX_AMPLITUDE:g})"),
-    Setting("s", float, experiments.DEFAULT_S, "X", "alphabet standard deviation"),
-    Setting("out", _output_path, None, "PATH", "output CSV path (default <command>.csv)"),
-    Setting("tol", float, experiments.DEFAULT_TOL, "X", "optimizer abscissa tolerance"),
-    Setting("threads", int, 1, "N",
+    Setting("s", float, "X", "alphabet standard deviation"),
+    Setting("out", _output_path, "PATH", "output CSV path (default <command>.csv)"),
+    Setting("tol", float, "X", "optimizer abscissa tolerance"),
+    Setting("threads", int, "N",
             "worker threads across grid points (capped at the CPU count);"
             " fig1 and circle-vs-line use them"),
 )
@@ -136,8 +135,8 @@ def load_config_file(path: Path) -> dict[str, str]:
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
-    settings = {setting.key: setting.default for setting in SETTINGS}
-    settings["out"] = Path(f"{args.command}.csv")
+    """``out`` and every setting a config file or a flag gives; flags win."""
+    settings: dict = {"out": Path(f"{args.command}.csv")}
     if args.config is not None:
         raw = load_config_file(Path(args.config))
         for key, text in raw.items():
@@ -150,18 +149,6 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         if cli_value is not None:
             settings[key] = cli_value
     return settings
-
-
-def _experiment_config(settings: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        lambda_grid=default_lambda_grid(settings["lambda_points"]),
-        n_samples=settings["samples"],
-        seed=settings["seed"],
-        alpha_line=settings["alpha"],
-        s=settings["s"],
-        tol=settings["tol"],
-        threads=settings["threads"],
-    )
 
 
 def _run_check() -> tuple[list[str], int]:
@@ -217,13 +204,14 @@ def main(argv: list[str] | None = None) -> int:
         else:
             try:
                 settings = _merge_settings(args)
-                config = _experiment_config(settings)
+                out = settings.pop("out")
+                config = ExperimentConfig(**settings)
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             result = _RUNNERS[args.command](config)
-            experiments.write_csv(settings["out"], result.header, result.rows)
-            lines = [f"wrote {settings['out']} ({len(result.rows)} rows)"]
+            experiments.write_csv(out, result.header, result.rows)
+            lines = [f"wrote {out} ({len(result.rows)} rows)"]
             lines += [f"{key}={format(value, '.9g')}" for key, value in result.summary.items()]
             code = 0
         _print_lines(lines)

@@ -31,10 +31,6 @@ from .strategies import CircleTailored, LineTailored
 
 DEFAULT_LAMBDA_POINTS = 50
 MAX_LAMBDA_POINTS = 100_000  # 2,000 times the benchmark's 50-point grid
-DEFAULT_SAMPLES = 100_000
-DEFAULT_SEED = 123456789
-DEFAULT_ALPHA = 5.0
-DEFAULT_S = 0.2
 
 _U64 = 2 ** 64
 
@@ -60,35 +56,33 @@ def default_lambda_grid(points: int = DEFAULT_LAMBDA_POINTS) -> tuple[float, ...
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated inputs of one experiment run."""
+    """Validated settings of one run; the field defaults are the run defaults.
 
-    lambda_grid: tuple[float, ...] = field(default_factory=default_lambda_grid)
-    n_samples: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
-    alpha_line: float = DEFAULT_ALPHA
-    s: float = DEFAULT_S
+    The init fields are the CLI's setting keys other than ``out``, and
+    ``lambda_grid`` is derived once: ``default_lambda_grid(lambda_points)``.
+    """
+
+    lambda_points: int = DEFAULT_LAMBDA_POINTS
+    samples: int = 100_000
+    seed: int = 123456789
+    alpha: float = 5.0
+    s: float = 0.2
     tol: float = DEFAULT_TOL
     threads: int = 1
+    lambda_grid: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        grid = tuple(float(x) for x in self.lambda_grid)
-        object.__setattr__(self, "lambda_grid", grid)
-        if not grid:
-            raise ValueError("lambda grid must not be empty")
-        if any(not (0.0 <= x <= LAMBDA_MAX) for x in grid):
-            raise ValueError(f"lambda grid values must lie in [0, {LAMBDA_MAX}]")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("lambda grid must be strictly increasing")
-        if not MIN_SAMPLES <= self.n_samples <= MAX_SAMPLES:
+        object.__setattr__(self, "lambda_grid", default_lambda_grid(self.lambda_points))
+        if not MIN_SAMPLES <= self.samples <= MAX_SAMPLES:
             raise ValueError(
-                f"need {MIN_SAMPLES} to {MAX_SAMPLES} samples per point, got {self.n_samples}"
+                f"need {MIN_SAMPLES} to {MAX_SAMPLES} samples per point, got {self.samples}"
             )
         if not (0 <= self.seed < _U64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if not (0.0 < self.alpha_line <= MAX_AMPLITUDE):
+        if not (0.0 < self.alpha <= MAX_AMPLITUDE):
             raise ValueError(
                 f"line amplitude must be positive, finite and at most "
-                f"{MAX_AMPLITUDE:g}, got {self.alpha_line}"
+                f"{MAX_AMPLITUDE:g}, got {self.alpha}"
             )
         if not (0.0 < self.s < math.inf):
             raise ValueError(
@@ -154,7 +148,7 @@ def _line_estimate(config: ExperimentConfig, i: int) -> McEstimate:
     """fig1's Monte Carlo column and circle-vs-line's ``f_line`` at grid point ``i``."""
     sq = squeeze_from_lambda(config.lambda_grid[i])
     seed = config.point_seed(i)
-    return mc_average_fidelity(LineTailored(), config.alpha_line, sq, config.n_samples, seed)
+    return mc_average_fidelity(LineTailored(), config.alpha, sq, config.samples, seed)
 
 
 def circle_estimate(sq: SqueezeLevel, amp: float, theta: float, n: int, seed: int) -> McEstimate:
@@ -168,7 +162,7 @@ def run_fig1(config: ExperimentConfig) -> ExperimentResult:
     Columns: lambda, f_standard, f_tailored_disp_mc, f_tailored_disp_mc_stderr.
     The standard column is the closed form (1 + lambda)/2; the tailored
     column is the Monte Carlo outcome average at fixed target amplitude
-    ``alpha_line`` on the real axis.
+    ``alpha`` on the real axis.
     """
 
     def point(i: int) -> tuple[float, ...]:
@@ -244,13 +238,13 @@ def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
     """Monte Carlo comparison of the line and circle tailored strategies.
 
     Columns: lambda, f_line, f_line_stderr, f_circle, f_circle_stderr,
-    both at target amplitude ``alpha_line``.  The circle target sits at a
+    both at target amplitude ``alpha``.  The circle target sits at a
     seeded random angle (the outcome statistics are angle-invariant); the
     two curves use independent derived streams.
     """
     import numpy as np
 
-    amp = config.alpha_line
+    amp = config.alpha
 
     def point(i: int) -> tuple[float, ...]:
         lam = config.lambda_grid[i]
@@ -260,7 +254,7 @@ def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
         theta = np.random.default_rng(
             np.random.SeedSequence(entropy=circle_seed, spawn_key=(0xA11CE,))
         ).uniform(0.0, 2.0 * math.pi)
-        circle = circle_estimate(sq, amp, theta, config.n_samples, circle_seed)
+        circle = circle_estimate(sq, amp, theta, config.samples, circle_seed)
         return (lam, line.mean, line.std_error, circle.mean, circle.std_error)
 
     rows = map_points(point, len(config.lambda_grid), config.threads)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .alphabet import gaussian_weighted_fidelity
 from .fidelity import avg_fidelity_unit_gain
-from .protocol import SqueezeLevel, g2_optimal, variances_tailored
+from .protocol import SqueezeLevel, g2_optimal, tailored_g2, tailored_variances, variances_tailored
 
 if TYPE_CHECKING:
     import numpy as np
@@ -139,8 +139,6 @@ def optimize_gain(
     The objective 2 / ((V(g) + 1) + 4 s^2 (1 - g)^2) has a convex-quadratic
     denominator in g, hence is unimodal and safe for golden-section.
     """
-    if not (s > 0.0):
-        raise ValueError(f"alphabet standard deviation must be positive, got {s}")
     return maximize_scalar(
         lambda g: gaussian_weighted_fidelity(sq, g, s), 0.0, 2.0, tol=tol
     )
@@ -158,25 +156,14 @@ def optimize_eta_g2(sq: SqueezeLevel, tol: float = DEFAULT_TOL) -> OptimizationR
     :func:`cvteleport.protocol.g2_optimal`, leaving the reduced objective
     :func:`tailored_fidelity` to maximise over eta in [0, pi/4].  Its
     unimodality is not taken for granted, so the grid stage runs on
-    ``objective_grid``, its numpy mirror: the same formulas in the same
-    operation order, NaN where the scalar objective would raise or clamp.
-    Returns argmax = (eta*, g2*).
+    ``objective_grid``, its numpy mirror: the same protocol helpers
+    evaluated with numpy, NaN where the scalar objective would raise or
+    clamp.  Returns argmax = (eta*, g2*).
     """
-    G = sq.G
-    root = math.sqrt(G * (G - 1.0))
-
     def objective_grid(eta: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        cos_eta, sin_eta, tan_eta = np.cos(eta), np.sin(eta), np.tan(eta)
-        g2 = cos_eta * root / (cos_eta ** 2 * (2.0 * G - 1.0) + sin_eta ** 2)
-        v_plus = 2.0 * G - 4.0 * tan_eta * root + tan_eta ** 2 * (2.0 * G - 1.0)
-        v_minus = (
-            2.0 * G
-            - 1.0
-            - 8.0 * g2 * cos_eta * root
-            + 4.0 * g2 ** 2 * (cos_eta ** 2 * (2.0 * G - 1.0) + sin_eta ** 2)
-        )
+        v_plus, v_minus = tailored_variances(sq, eta, tailored_g2(sq, eta, np), np)
         with np.errstate(all="ignore"):
             fid = 2.0 / np.sqrt((v_plus + 1.0) * (v_minus + 1.0))
         ok = (v_plus > 0.0) & (v_minus > 0.0) & (fid > 0.0) & (fid <= 1.0)

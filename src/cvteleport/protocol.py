@@ -173,12 +173,42 @@ def g1_of_eta(eta: float) -> float:
     return 1.0 / (2.0 * math.cos(eta))
 
 
-def variances_tailored(sq: SqueezeLevel, eta: float, g2: float) -> QuadratureVariances:
-    """Closed-form output variances of the tailored scheme, g1 fixed by eta.
+def tailored_variances(sq: SqueezeLevel, eta, g2, trig) -> tuple:
+    """Unchecked (V+, V-) of the tailored scheme, g1 fixed by eta.
 
     V+ = 2G - 4 tan(eta) sqrt(G(G-1)) + tan^2(eta) (2G - 1)
     V- = 2G - 1 - 8 g2 cos(eta) sqrt(G(G-1))
          + 4 g2^2 (cos^2(eta) (2G - 1) + sin^2(eta))
+
+    ``trig`` is ``math`` for float arguments or ``numpy`` for arrays, so
+    the optimiser's grid stage evaluates this same expression.
+    """
+    G = sq.G
+    root = math.sqrt(G * (G - 1.0))
+    tan_eta, cos_eta = trig.tan(eta), trig.cos(eta)
+    v_plus = 2.0 * G - 4.0 * tan_eta * root + tan_eta ** 2 * (2.0 * G - 1.0)
+    v_minus = (
+        2.0 * G
+        - 1.0
+        - 8.0 * g2 * cos_eta * root
+        + 4.0 * g2 ** 2 * (cos_eta ** 2 * (2.0 * G - 1.0) + trig.sin(eta) ** 2)
+    )
+    return v_plus, v_minus
+
+
+def tailored_g2(sq: SqueezeLevel, eta, trig):
+    """Unchecked g2* = cos(eta) sqrt(G(G-1)) / (cos^2(eta) (2G - 1) + sin^2(eta)).
+
+    ``trig`` is ``math`` or ``numpy``, as for :func:`tailored_variances`.
+    """
+    G = sq.G
+    cos_eta = trig.cos(eta)
+    denom = cos_eta ** 2 * (2.0 * G - 1.0) + trig.sin(eta) ** 2
+    return cos_eta * math.sqrt(G * (G - 1.0)) / denom
+
+
+def variances_tailored(sq: SqueezeLevel, eta: float, g2: float) -> QuadratureVariances:
+    """Closed-form output variances of the tailored scheme (:func:`tailored_variances`).
 
     Both agree with the coefficient-sum oracle of
     :func:`output_coefficients_tailored` to better than 1e-12.
@@ -187,18 +217,7 @@ def variances_tailored(sq: SqueezeLevel, eta: float, g2: float) -> QuadratureVar
         raise ValueError(f"beam-splitter parameter must lie in [0, pi/4], got {eta}")
     if g2 < 0.0:
         raise ValueError(f"phase gain must be non-negative, got {g2}")
-    G = sq.G
-    root = math.sqrt(G * (G - 1.0))
-    tan_eta = math.tan(eta)
-    cos_eta = math.cos(eta)
-    sin_eta = math.sin(eta)
-    v_plus = 2.0 * G - 4.0 * tan_eta * root + tan_eta ** 2 * (2.0 * G - 1.0)
-    v_minus = (
-        2.0 * G
-        - 1.0
-        - 8.0 * g2 * cos_eta * root
-        + 4.0 * g2 ** 2 * (cos_eta ** 2 * (2.0 * G - 1.0) + sin_eta ** 2)
-    )
+    v_plus, v_minus = tailored_variances(sq, eta, g2, math)
     return QuadratureVariances(v_plus=v_plus, v_minus=v_minus)
 
 
@@ -207,8 +226,7 @@ def g2_optimal(sq: SqueezeLevel, eta: float) -> float:
 
     V- is an upward parabola in g2 (leading coefficient
     4 (cos^2(eta)(2G-1) + sin^2(eta)) > 0), so its minimiser is
-
-        g2* = cos(eta) sqrt(G(G-1)) / (cos^2(eta) (2G - 1) + sin^2(eta)).
+    :func:`tailored_g2`.
 
     Note the + sign in front of sin^2(eta): with a - sign the expression
     would be singular at G = 1, eta = pi/4 and would not minimise V-.
@@ -219,11 +237,7 @@ def g2_optimal(sq: SqueezeLevel, eta: float) -> float:
     """
     if not (0.0 <= eta <= math.pi / 4):
         raise ValueError(f"beam-splitter parameter must lie in [0, pi/4], got {eta}")
-    G = sq.G
-    cos_eta = math.cos(eta)
-    sin_eta = math.sin(eta)
-    denom = cos_eta ** 2 * (2.0 * G - 1.0) + sin_eta ** 2
-    return cos_eta * math.sqrt(G * (G - 1.0)) / denom
+    return tailored_g2(sq, eta, math)
 
 
 def variance_standard_gain(sq: SqueezeLevel, g: float) -> QuadratureVariances:

@@ -8,7 +8,7 @@ import pytest
 from cvteleport.alphabet import gaussian_weighted_fidelity, gaussian_weighted_fidelity_quadrature
 from cvteleport.fidelity import bfk_classical_limit
 from cvteleport.optimize import optimize_gain
-from cvteleport.protocol import squeeze_from_lambda, variance_standard_gain
+from cvteleport.protocol import squeeze_from_G, squeeze_from_lambda, variance_standard_gain
 
 
 class TestClosedForm:
@@ -35,10 +35,21 @@ class TestClosedForm:
         sq = squeeze_from_lambda(0.1)
         with pytest.raises(ValueError):
             gaussian_weighted_fidelity(sq, 1.0, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_weighted_fidelity(sq, 1.0, math.inf)  # was nan
         with pytest.raises(ValueError):
             gaussian_weighted_fidelity_quadrature(sq, 1.0, 1.0, 1.0, order=8)
         with pytest.raises(ValueError):
             gaussian_weighted_fidelity_quadrature(sq, -0.5, 1.0, 1.0, order=32)
+
+
+    @pytest.mark.parametrize("G", [1e4, 1e8, 1e10])
+    def test_overshoot_above_one_raises(self, G):
+        # V + 1 cancels at large G and the closed form rose above 1
+        # (1 + 3.1e-12, 1 + 1.5e-8 and 1 + 1.9e-6 at these gains); like every
+        # other fidelity it now passes checked_fidelity
+        with pytest.raises(ValueError, match="fidelity exceeds 1"):
+            optimize_gain(squeeze_from_G(G), 0.01)
 
 
 class TestQuadratureOracle:

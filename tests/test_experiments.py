@@ -1,5 +1,6 @@
 """Experiment runners, CSV reproducibility, config handling and the CLI."""
 
+import dataclasses
 import io
 import math
 import os
@@ -25,11 +26,9 @@ from cvteleport.experiments import (
     write_csv,
 )
 
-SMALL_GRID = default_lambda_grid(10)  # 11 points incl. 0 and 0.999
-
-
 def small_config(**overrides):
-    settings = dict(lambda_grid=SMALL_GRID, n_samples=20_000, seed=8711)
+    # 11 grid points incl. 0 and 0.999
+    settings = dict(lambda_points=10, samples=20_000, seed=8711)
     settings.update(overrides)
     return ExperimentConfig(**settings)
 
@@ -64,28 +63,27 @@ class TestLambdaGrid:
 class TestConfigValidation:
     def test_defaults_valid(self):
         config = ExperimentConfig()
-        assert config.n_samples == 100_000
-        assert config.alpha_line == 5.0
+        assert config.samples == 100_000
+        assert config.alpha == 5.0
+        assert config.lambda_grid == default_lambda_grid()
 
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"lambda_grid": ()},
-            {"lambda_grid": (0.2, 0.1)},
-            {"lambda_grid": (0.0, 0.9995)},
-            {"lambda_grid": (-0.1, 0.5)},
-            {"n_samples": 999},
+            {"lambda_points": 1},
+            {"lambda_points": experiments.MAX_LAMBDA_POINTS + 1},
+            {"samples": 999},
             {"seed": -1},
             {"seed": 2 ** 64},
-            {"alpha_line": 0.0},
+            {"alpha": 0.0},
             {"s": -0.2},
             {"tol": 0.0},
             {"threads": 0},
-            {"alpha_line": math.inf},
+            {"alpha": math.inf},
             {"s": math.inf},
             {"tol": math.inf},
-            {"alpha_line": 2e150},
-            {"n_samples": 10 ** 14},
+            {"alpha": 2e150},
+            {"samples": 10 ** 14},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -100,7 +98,7 @@ class TestConfigValidation:
 
 class TestReproducibility:
     def test_identical_config_identical_bytes(self, tmp_path):
-        config = small_config(lambda_grid=default_lambda_grid(4), n_samples=2000)
+        config = small_config(lambda_points=4, samples=2000)
         first = csv_bytes(run_fig1(config), tmp_path / "first.csv")
         assert csv_bytes(run_fig1(config), tmp_path / "second.csv") == first
 
@@ -108,9 +106,9 @@ class TestReproducibility:
         # map_points caps the pool at the CPU count; lift the cap so three
         # threads run on any host
         monkeypatch.setattr(experiments, "available_cpus", lambda: 3)
-        base = small_config(lambda_grid=default_lambda_grid(4), n_samples=2000)
+        base = small_config(lambda_points=4, samples=2000)
         serial = csv_bytes(run_circle_vs_line(base), tmp_path / "serial.csv")
-        threaded = small_config(lambda_grid=default_lambda_grid(4), n_samples=2000, threads=3)
+        threaded = small_config(lambda_points=4, samples=2000, threads=3)
         assert csv_bytes(run_circle_vs_line(threaded), tmp_path / "threaded.csv") == serial
 
     @pytest.mark.parametrize(
@@ -118,8 +116,8 @@ class TestReproducibility:
     )
     def test_runner_writes_no_file(self, tmp_path, monkeypatch, runner):
         monkeypatch.chdir(tmp_path)
-        result = runner(small_config(lambda_grid=(0.0, 0.5), n_samples=2000))
-        assert len(result.rows) == 2
+        result = runner(small_config(lambda_points=2, samples=2000))
+        assert len(result.rows) == 3
         assert list(tmp_path.iterdir()) == []
 
 
@@ -140,7 +138,7 @@ class TestMapPoints:
 
 class TestFig1:
     def test_rows_and_summary(self):
-        config = small_config(n_samples=50_000)
+        config = small_config(samples=50_000)
         result = run_fig1(config)
         assert result.header == (
             "lambda", "f_standard", "f_tailored_disp_mc", "f_tailored_disp_mc_stderr",
@@ -155,10 +153,10 @@ class TestFig1:
         assert result.summary["min_tailored_margin_3se"] >= 0.0
 
     def test_csv_format(self, tmp_path):
-        config = small_config(lambda_grid=(0.0, 0.5), n_samples=2000)
+        config = small_config(lambda_points=2, samples=2000)
         lines = csv_bytes(run_fig1(config), tmp_path / "out.csv").decode().splitlines()
         assert lines[0] == "lambda,f_standard,f_tailored_disp_mc,f_tailored_disp_mc_stderr"
-        assert len(lines) == 3
+        assert len(lines) == 4
         for line in lines[1:]:
             for fieldtext in line.split(","):
                 # 9-significant-digit round trip is idempotent
@@ -197,13 +195,14 @@ class TestGaussianAlphabet:
 
 class TestCircleVsLine:
     def test_rows(self):
-        config = small_config(lambda_grid=(0.0, 0.45, 0.9), n_samples=10_000)
+        config = small_config(lambda_points=3, samples=10_000)  # lambda 0, 0.49, 0.98, 0.999
         result = run_circle_vs_line(config)
         first = result.rows[0]
         assert first[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=0.01)
         assert first[3] == pytest.approx(1.0 / math.sqrt(2.0), abs=0.01)
-        row_09 = result.rows[2]
-        assert row_09[1] >= 0.9 and row_09[3] >= 0.9
+        row_098 = result.rows[2]
+        assert row_098[0] == 0.98
+        assert row_098[1] >= 0.9 and row_098[3] >= 0.9
         # statistical agreement where MC noise dominates the systematic
         # finite-amplitude offset between the two estimators (lam <= 0.5);
         # the full-grid check against the exact offset is
@@ -216,7 +215,7 @@ class TestCircleVsLine:
         # one line estimate per grid point feeds both runners
         monkeypatch.setattr(experiments, "available_cpus", lambda: threads)
         config = small_config(
-            lambda_grid=default_lambda_grid(2), n_samples=2000, seed=7, threads=threads
+            lambda_points=2, samples=2000, seed=7, threads=threads
         )
         fig1 = [(r[2], r[3]) for r in run_fig1(config).rows]
         assert fig1 == [(r[1], r[2]) for r in run_circle_vs_line(config).rows]
@@ -277,11 +276,21 @@ class TestSettingsTable:
         from_file = cli._merge_settings(parser.parse_args(["gaussian", "--config", str(cfg)]))
         from_flag = cli._merge_settings(parser.parse_args(["gaussian", setting.flag, value]))
         assert from_file == from_flag
-        assert from_file[setting.key] != defaults[setting.key]
-        config = cli._experiment_config(from_file)
-        assert config == cli._experiment_config(from_flag)
-        if setting.key != "out":
-            assert config != cli._experiment_config(defaults)
+        assert from_file[setting.key] != defaults.get(setting.key)
+        out = from_file.pop("out")
+        config = ExperimentConfig(**from_file)
+        assert out == (Path(value) if setting.key == "out" else Path("gaussian.csv"))
+        if setting.key != "out":  # that one setting is set, the rest keep the field defaults
+            expected = dataclasses.replace(ExperimentConfig(), **{setting.key: setting.type(value)})
+            assert config == expected != ExperimentConfig()
+
+    def test_settings_are_the_config_fields(self):
+        # every setting but ``out`` is an ExperimentConfig field of the same
+        # name, and that field holds the default
+        keys = {s.key for s in cli.SETTINGS} - {"out"}
+        assert keys == {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
+        defaults = cli._merge_settings(cli._build_parser().parse_args(["gaussian"]))
+        assert defaults == {"out": Path("gaussian.csv")}
 
     def test_readme_names_every_flag(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -347,9 +356,11 @@ class TestCli:
             ["fig1", "--config", str(cfg), "--alpha", "4.0"]
         )
         settings = _merge_settings(args)
-        assert settings["alpha"] == 4.0  # CLI beats config file
-        assert settings["samples"] == 2000  # config file beats default
-        assert settings["seed"] == 123456789  # default
+        assert settings.pop("out") == Path("fig1.csv")
+        config = ExperimentConfig(**settings)
+        assert config.alpha == 4.0  # CLI beats config file
+        assert config.samples == 2000  # config file beats default
+        assert config.seed == 123456789  # default
 
     def test_usage_error_exit_2(self):
         proc = run_cli("fig1", "--samples", "not-a-number")

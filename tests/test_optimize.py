@@ -23,6 +23,7 @@ from cvteleport.protocol import (
     g2_optimal,
     squeeze_from_G,
     squeeze_from_lambda,
+    tailored_variances,
     variances_tailored,
 )
 
@@ -344,6 +345,19 @@ class TestOptimizeEtaG2:
             f, f_grid = seen[-1]
             gap = np.abs(f_grid(np.array(xs)) - np.array([f(x) for x in xs]))
             assert gap.max() <= GRID_SLACK / 1000, sq
+
+    def test_grid_stage_reads_the_protocol_helpers(self, monkeypatch):
+        # the numpy mirror has no algebra of its own: a change to the
+        # protocol helper reaches the grid stage
+        calls = []
+
+        def recording(sq, eta, g2, trig):
+            calls.append(trig)
+            return tailored_variances(sq, eta, g2, trig)
+
+        monkeypatch.setattr(optimize, "tailored_variances", recording)
+        optimize_eta_g2(squeeze_from_lambda(0.5))
+        assert calls == [np]
 
     def test_scalar_objective_calls_stay_few(self, eta_g2_objectives):
         _, counts = eta_g2_objectives

@@ -16,6 +16,8 @@ from cvteleport.protocol import (
     squeeze_from_G,
     squeeze_from_lambda,
     standard_gain_coefficients,
+    tailored_g2,
+    tailored_variances,
     variance_standard_gain,
     variances_tailored,
 )
@@ -143,6 +145,22 @@ class TestVariancesTailored:
         v = variances_tailored(sq, math.pi / 4, g2_optimal(sq, math.pi / 4))
         assert abs(v.v_plus - 1.0) < 0.02
         assert abs(v.v_minus - 1.0) < 0.02
+
+    @pytest.mark.parametrize("G", [1.0, 2.0, 500.0, 1e6])
+    def test_numpy_evaluation_matches_the_scalar_one(self, G):
+        # the optimiser's grid stage evaluates the same helpers with numpy;
+        # numpy's tan may differ from libm's by an ulp, which the O(G) terms
+        # of V+- carry, so agreement is to a few ulps of 2G
+        sq = squeeze_from_G(G)
+        eta = np.linspace(0.0, math.pi / 4, 257)
+        g2 = tailored_g2(sq, eta, np)
+        v_plus, v_minus = tailored_variances(sq, eta, g2, np)
+        ulps = 16.0 * G * 2.0 ** -52
+        for i, x in enumerate(eta.tolist()):
+            assert g2[i] == pytest.approx(g2_optimal(sq, x), rel=4 * 2.0 ** -52, abs=0.0)
+            v = variances_tailored(sq, x, g2_optimal(sq, x))
+            assert v_plus[i] == pytest.approx(v.v_plus, rel=0.0, abs=ulps)
+            assert v_minus[i] == pytest.approx(v.v_minus, rel=0.0, abs=ulps)
 
     def test_domain(self):
         sq = squeeze_from_G(2.0)
