@@ -64,8 +64,10 @@ def gaussian_weighted_fidelity_quadrature(
     """
     if order < 16:
         raise ValueError(f"quadrature order must be at least 16, got {order}")
-    if not (s_x > 0.0 and s_y > 0.0):
-        raise ValueError(f"standard deviations must be positive, got ({s_x}, {s_y})")
+    if not (0.0 < s_x < math.inf and 0.0 < s_y < math.inf):
+        raise ValueError(
+            f"standard deviations must be positive and finite, got ({s_x}, {s_y})"
+        )
     if g < 0.0:
         raise ValueError(f"gain must be non-negative, got {g}")
     v = variance_standard_gain(sq, g).v_plus
@@ -77,4 +79,4 @@ def gaussian_weighted_fidelity_quadrature(
     ax = math.sqrt(2.0) * s_x * nodes[:, None]
     ay = math.sqrt(2.0) * s_y * nodes[None, :]
     f = a * np.exp(-c * (ax * ax + ay * ay))
-    return float((weights[:, None] * weights[None, :] * f).sum() / math.pi)
+    return checked_fidelity(float((weights[:, None] * weights[None, :] * f).sum() / math.pi))

@@ -242,7 +242,7 @@ def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
     seeded random angle (the outcome statistics are angle-invariant); the
     two curves use independent derived streams.
     """
-    import numpy as np
+    from .kernel import stream  # the kernel loads here, as on the first estimate
 
     amp = config.alpha
 
@@ -251,9 +251,7 @@ def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
         sq = squeeze_from_lambda(lam)
         circle_seed = (config.point_seed(i) ^ _SECOND_STREAM_SALT) % _U64
         line = _line_estimate(config, i)
-        theta = np.random.default_rng(
-            np.random.SeedSequence(entropy=circle_seed, spawn_key=(0xA11CE,))
-        ).uniform(0.0, 2.0 * math.pi)
+        theta = stream(circle_seed, 0xA11CE).uniform(0.0, 2.0 * math.pi)
         circle = circle_estimate(sq, amp, theta, config.samples, circle_seed)
         return (lam, line.mean, line.std_error, circle.mean, circle.std_error)
 

@@ -1,10 +1,10 @@
 """The numpy chunk kernel behind :func:`cvteleport.measurement.mc_average_fidelity`.
 
 Monte Carlo runs are chunked: chunk k of a run with seed s draws from
-``default_rng(SeedSequence(entropy=s, spawn_key=(k,)))``, and the final
-reduction adds per-chunk partial sums in chunk order, so the estimate
-depends only on (seed, n).  One estimate runs on one thread; callers
-parallelise across independent estimates (grid points) instead.
+``stream(s, k)``, and the final reduction adds per-chunk partial sums in
+chunk order, so the estimate depends only on (seed, n).  One estimate
+runs on one thread; callers parallelise across independent estimates
+(grid points) instead.
 
 A chunk allocates no sample arrays.  Each thread holds its own float64
 workspace: one row of MC_CHUNK values and five scratch rows of MC_BLOCK
@@ -13,8 +13,8 @@ the thread ends (for the main thread, the life of the process).  A
 chunk's stream gives all of w_x, then all of w_y.  w_x fills the row;
 w_y is drawn MC_BLOCK values at a time into the scratch, where
 consecutive ``standard_normal(out=)`` calls continue the stream bit for
-bit; each block is evaluated there and its fidelities are written back
-over its w_x, and the chunk's sums reduce the full row as one array.
+bit; each block's rule writes its fidelities over its w_x, and the
+chunk's sums reduce the full row as one array.
 
 The chunk kernel works on the centred noise w = beta - alpha, drawn as
 sigma * z, never on beta itself.  Every rule displaces by
@@ -24,9 +24,9 @@ epsilon = g beta), so the one-shot exponent collapses to
     log F = -|(alpha - epsilon) - lam (alpha - beta)|^2
           = -(1 - lam)^2 |alpha - guess(beta)|^2,
 
-evaluated as -|(1 - g) alpha - (g - lam) w|^2 for the standard rule, 0 for
-a known target, and -(1 - lam)^2 ((alpha_x - |beta|)^2 + alpha_y^2) for the
-line rule.  For alpha_x > 0 the line rule forms |beta| - alpha_x as
+evaluated as -|(1 - g) alpha - (g - lam) w|^2 for the standard rule and
+-(1 - lam)^2 ((alpha_x - |beta|)^2 + alpha_y^2) for the line rule.  For
+alpha_x > 0 the line rule forms |beta| - alpha_x as
 (w_x (2 alpha_x + w_x) + beta_y^2) / (alpha_x + |beta|), so the difference
 of two nearly equal amplitudes never cancels.  The estimates therefore
 stay right at large amplitudes (|alpha| = 1e16 is tested), where
@@ -54,13 +54,7 @@ import threading
 import numpy as np
 
 from .measurement import MC_CHUNK
-from .strategies import (
-    CircleTailored,
-    LineTailored,
-    OptimalKnownTarget,
-    Standard,
-    Strategy,
-)
+from .strategies import CircleTailored, LineTailored, Standard, Strategy
 
 # Samples the chunk kernel evaluates at a time; changing it changes no value.
 MC_BLOCK = 1 << 13
@@ -69,10 +63,9 @@ MC_BLOCK = 1 << 13
 _workspace = threading.local()
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    )
+def stream(seed: int, key: int) -> np.random.Generator:
+    """The generator of ``seed``'s derived stream ``key``; chunk k draws stream k."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
 def _chunk_workspace() -> tuple[np.ndarray, np.ndarray]:
@@ -93,24 +86,20 @@ def _scaled_normal_into(rng: np.random.Generator, sigma: float, out: np.ndarray)
     out *= sigma
 
 
-def _one_shot_into(strategy: Strategy, alpha, lam: float, work) -> np.ndarray:
-    """One-shot fidelities of the outcomes alpha + w, w in ``work[0]``, ``work[1]``.
+def _one_shot_into(strategy: Strategy, alpha, lam: float, work) -> None:
+    """Overwrite ``work[0]`` with the one-shot fidelities of the outcomes alpha + w.
 
     ``alpha`` is the target as an (x, y) pair of floats and ``work`` six
-    equal-shape float64 rows.  Every strategy but the circle is evaluated
-    in guess form on the centred noise w (see the module docstring).  Rows
-    0 to 5 may be overwritten; the returned fidelities are one of rows 2
-    to 5.
+    equal-shape float64 rows, w_x in row 0 and w_y in row 1; every rule
+    may overwrite rows 1 to 5.  Every strategy but the circle is
+    evaluated in guess form on the centred noise w (see the module
+    docstring).
     """
     ax, ay = alpha
     wx, wy, t2, t3, t4, _ = work
     if isinstance(strategy, CircleTailored):
-        np.add(wx, ax, out=wx)
-        np.add(wy, ay, out=wy)
-        return _circle_one_shot_into(strategy.radius, ax, ay, lam, work)
-    if isinstance(strategy, OptimalKnownTarget):
-        t2.fill(1.0)
-        return t2
+        _circle_one_shot_into(strategy.radius, ax, ay, lam, work)
+        return
     if isinstance(strategy, Standard):
         # -log F = |(1 - g) alpha - (g - lam) w|^2
         g = strategy.gain
@@ -122,7 +111,8 @@ def _one_shot_into(strategy: Strategy, alpha, lam: float, work) -> np.ndarray:
         np.multiply(t3, t3, out=t3)
         np.add(t2, t3, out=t2)
         np.negative(t2, out=t2)
-        return np.exp(t2, out=t2)
+        np.exp(t2, out=wx)
+        return
     if not isinstance(strategy, LineTailored):
         raise TypeError(f"unknown strategy: {strategy!r}")
     # -log F = (1 - lam)^2 ((ax - |beta|)^2 + ay^2), beta = alpha + w.
@@ -147,19 +137,22 @@ def _one_shot_into(strategy: Strategy, alpha, lam: float, work) -> np.ndarray:
     if ay != 0.0:
         np.add(t4, ay * ay, out=t4)
     np.multiply(t4, -(1.0 - lam) ** 2, out=t4)
-    return np.exp(t4, out=t4)
+    np.exp(t4, out=wx)
 
 
-def _circle_one_shot_into(radius: float, ax, ay, lam: float, work: np.ndarray) -> np.ndarray:
-    """Circle-tailored fidelities of the outcomes beta in ``work[0]``, ``work[1]``.
+def _circle_one_shot_into(radius: float, ax, ay, lam: float, work: np.ndarray) -> None:
+    """Circle-tailored fidelities of the outcomes alpha + w over ``work[0]``.
 
-    Evaluates the displacement and ``exp(transfer_exponent(...))`` with
-    ``out=`` ufuncs in the same operation order as the scalar
+    Forms beta = alpha + w in rows 0 and 1, then evaluates the
+    displacement and ``exp(transfer_exponent(...))`` with ``out=`` ufuncs
+    in the same operation order as the scalar
     :func:`~cvteleport.fidelity.transfer_exponent`, so every sample is
-    bit-identical to the out-of-place expression.  Rows 0 to 5 are
-    overwritten; the returned fidelities are a view of row 3.
+    bit-identical to the out-of-place expression.  Rows 1 to 5 are
+    overwritten too.
     """
     bx, by, t2, t3, t4, t5 = work
+    np.add(bx, ax, out=bx)
+    np.add(by, ay, out=by)
     # displacement: ex -> t3, ey -> t2
     scale = (1.0 - lam) * radius
     np.arctan2(by, bx, out=t2)
@@ -193,16 +186,16 @@ def _circle_one_shot_into(radius: float, ax, ay, lam: float, work: np.ndarray) -
     np.subtract(t3, bx, out=t3)
     np.multiply(t4, 2.0 * lam, out=t4)
     np.add(t3, t4, out=t3)
-    return np.exp(t3, out=t3)
+    np.exp(t3, out=bx)
 
 
 def _fidelities_into(strategy, alpha, lam, sigma, rng, row, scratch) -> None:
     """Overwrite ``row`` with the one-shot fidelities of len(row) outcomes.
 
     Draws w_x into ``row``, then w_y block by block into ``scratch[0]``;
-    each block is evaluated with scratch rows 1 to 4 as temporaries and
-    its fidelities are copied back over its w_x.  ``scratch`` has five
-    rows; its width is the block size, which changes no value.
+    each block's rule runs with scratch rows 1 to 4 as temporaries and
+    writes its fidelities over its w_x.  ``scratch`` has five rows; its
+    width is the block size, which changes no value.
     """
     _scaled_normal_into(rng, sigma, row)
     width = scratch.shape[1]
@@ -210,7 +203,7 @@ def _fidelities_into(strategy, alpha, lam, sigma, rng, row, scratch) -> None:
         wx = row[lo : lo + width]
         block = scratch[:, : len(wx)]
         _scaled_normal_into(rng, sigma, block[0])  # continues the w_y stream
-        np.copyto(wx, _one_shot_into(strategy, alpha, lam, (wx, *block)))
+        _one_shot_into(strategy, alpha, lam, (wx, *block))
 
 
 def chunk_sums(strategy: Strategy, alpha, lam: float, sigma: float, n: int, seed: int
@@ -226,7 +219,7 @@ def chunk_sums(strategy: Strategy, alpha, lam: float, sigma: float, n: int, seed
     total_sq = 0.0
     for k in range((n + MC_CHUNK - 1) // MC_CHUNK):
         f = row[: min(n - k * MC_CHUNK, MC_CHUNK)]
-        _fidelities_into(strategy, alpha, lam, sigma, _chunk_rng(seed, k), f, scratch)
+        _fidelities_into(strategy, alpha, lam, sigma, stream(seed, k), f, scratch)
         total += float(f.sum())
         np.multiply(f, f, out=f)
         total_sq += float(f.sum())

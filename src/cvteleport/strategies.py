@@ -7,7 +7,7 @@ Every tailored rule is the convex combination
 of a best guess for the target and the measurement outcome beta; the
 variants differ only in how the guess is formed from prior knowledge.
 The Monte Carlo kernel in :mod:`cvteleport.kernel` evaluates each
-rule; :func:`optimal_displacement` is the known-target rule for one
+rule; :func:`optimal_displacement` is the rule for one guess and one
 outcome, with the points as Python ``complex`` numbers.
 """
 
@@ -32,11 +32,6 @@ class Standard:
 
 
 @dataclass(frozen=True)
-class OptimalKnownTarget:
-    """Perfect prior knowledge: the guess is the true target amplitude."""
-
-
-@dataclass(frozen=True)
 class LineTailored:
     """Targets on the positive real axis: phase known, amplitude guessed as |beta|."""
 
@@ -52,7 +47,7 @@ class CircleTailored:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
 
 
-Strategy = Union[Standard, OptimalKnownTarget, LineTailored, CircleTailored]
+Strategy = Union[Standard, LineTailored, CircleTailored]
 
 
 def optimal_displacement(alpha_guess: complex, beta: complex, sq: SqueezeLevel) -> complex:

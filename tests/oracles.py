@@ -3,8 +3,8 @@
 Each function integrates a strategy's one-shot fidelity against the outcome
 law P(beta | alpha), whose components are normal about those of the target
 with variance 1/(2 (1 - lam^2)), by a route that shares no code with the
-package's sampling kernel: a closed form for the standard rule and the known
-target, and a deterministic polar quadrature for the line and circle rules.
+package's sampling kernel: a closed form for the standard rule, and a
+deterministic polar quadrature for the line and circle rules.
 :func:`decimal_log_fidelity` is the one-shot reference for the sampling
 kernel itself, outcome by outcome in 60-digit decimal arithmetic.
 :func:`covariance_variances` is the reference for the closed-form output
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from cvteleport.strategies import CircleTailored, LineTailored, OptimalKnownTarget, Standard
+from cvteleport.strategies import CircleTailored, LineTailored, Standard
 
 
 def exact_standard(gain, lam, amp):
@@ -122,8 +122,6 @@ def exact_average_fidelity(strategy, alpha, lam):
     circle reference a circle through the target; other cases raise.
     """
     amp = math.hypot(alpha.real, alpha.imag)
-    if isinstance(strategy, OptimalKnownTarget):
-        return 1.0
     if isinstance(strategy, Standard):
         return exact_standard(strategy.gain, lam, amp)
     if isinstance(strategy, LineTailored) and alpha.imag == 0.0 and alpha.real > 0.0:
@@ -153,8 +151,6 @@ def decimal_log_fidelity(strategy, ax, ay, lam, wx, wy):
             if isinstance(strategy, Standard):
                 g = D(strategy.gain)
                 ex, ey = g * bx, g * by
-            elif isinstance(strategy, OptimalKnownTarget):
-                ex, ey = (1 - lam_d) * x + lam_d * bx, (1 - lam_d) * y + lam_d * by
             else:
                 r = (bx * bx + by * by).sqrt()
                 ex, ey = (1 - lam_d) * r + lam_d * bx, lam_d * by
@@ -184,4 +180,5 @@ def oracle_excess(f, log_ref):
     return float(np.max(err / np.maximum(1.0, np.abs(log_ref[normal])), initial=0.0))
 
 
-ORACLE_STRATEGIES = [Standard(1.0), Standard(0.7), OptimalKnownTarget(), LineTailored()]
+# Standard(1.5): a gain above 1, so the standard rule's 1 - g is negative
+ORACLE_STRATEGIES = [Standard(1.0), Standard(0.7), Standard(1.5), LineTailored()]

@@ -42,6 +42,20 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             gaussian_weighted_fidelity_quadrature(sq, -0.5, 1.0, 1.0, order=32)
 
+    @pytest.mark.parametrize(
+        "g, s_x, s_y",
+        [(1.0, math.inf, math.inf), (0.5, math.inf, 1.0), (0.5, 1.0, math.inf),
+         (1.0, math.nan, 1.0)],
+        ids=["both-inf", "x-inf", "y-inf", "x-nan"],
+    )
+    def test_quadrature_widths_finite(self, g, s_x, s_y):
+        # the oracle takes the closed form's domain: an infinite width gave
+        # nan (0 * inf) at unit gain and 0.0 at g = 0.5
+        with pytest.raises(ValueError, match="positive and finite"):
+            gaussian_weighted_fidelity_quadrature(
+                squeeze_from_lambda(0.1), g, s_x, s_y, order=32
+            )
+
 
     @pytest.mark.parametrize("G", [1e4, 1e8, 1e10])
     def test_overshoot_above_one_raises(self, G):

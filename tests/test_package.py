@@ -17,6 +17,9 @@ from cvteleport import cli, experiments
 # The only modules that import numpy when they load; every other module
 # imports it inside the function that computes with arrays.
 NUMPY_AT_LOAD = {"kernel.py", "acceptance.py"}
+# The only modules that import numpy at all.  ``experiments`` is not one:
+# its Monte Carlo runners reach numpy through ``measurement`` and ``kernel``.
+NUMPY_ANYWHERE = NUMPY_AT_LOAD | {"alphabet.py", "optimize.py"}
 
 
 def fresh_python(probe, cwd=None, env=None):
@@ -199,12 +202,13 @@ def _load_time_imports(node):
 
 
 def test_runtime_imports_only_stdlib_and_numpy():
-    # the tests may use scipy; the package itself stays numpy-only, and only
-    # NUMPY_AT_LOAD import numpy when they load
+    # the tests may use scipy; the package itself stays numpy-only, only
+    # NUMPY_AT_LOAD import numpy when they load, and only NUMPY_ANYWHERE at all
     allowed = set(sys.stdlib_module_names) | {"numpy", "cvteleport"}
     package = Path(cvteleport.__file__).parent
     outside = []
     numpy_at_load = set()
+    numpy_anywhere = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         outside += [f"{path.name}: {n}" for node in ast.walk(tree) for n in _imported(node)
@@ -212,5 +216,8 @@ def test_runtime_imports_only_stdlib_and_numpy():
         if any(n.split(".")[0] == "numpy"
                for node in _load_time_imports(tree) for n in _imported(node)):
             numpy_at_load.add(path.name)
+        if any(n.split(".")[0] == "numpy" for node in ast.walk(tree) for n in _imported(node)):
+            numpy_anywhere.add(path.name)
     assert outside == []
     assert numpy_at_load == NUMPY_AT_LOAD
+    assert numpy_anywhere == NUMPY_ANYWHERE

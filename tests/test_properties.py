@@ -129,6 +129,7 @@ def test_kernel_matches_decimal_oracle(ax, ay, lam, seed):
     work = np.empty((6, 64))
     for strategy in ORACLE_STRATEGIES:
         work[:2] = w  # the kernel overwrites its rows
-        got = _one_shot_into(strategy, (ax, ay), lam, work)
+        _one_shot_into(strategy, (ax, ay), lam, work)
+        got = work[0]
         ref = decimal_log_fidelity(strategy, ax, ay, lam, *w)
         assert oracle_excess(got, ref) <= ORACLE_BOUND

@@ -4,7 +4,7 @@ Each closed-form cell under ``perfbench/reference/{full,smoke}`` is checked
 against its formula, and each Monte Carlo cell against the exact moments of
 the one-shot fidelity (``tests/oracles.py``), so a reference regenerated
 with a wrong seed, size or formula fails here.  Each runner must also
-rewrite its smoke reference byte for byte.  The files are only read.
+rewrite its smoke and full references byte for byte.  The files are only read.
 The bounds are fixed; a regeneration must pass them unchanged.
 """
 
@@ -103,18 +103,27 @@ def test_fig1_monte_carlo_column_is_the_line(reference):
     assert fig1["f_tailored_disp_mc_stderr"] == circle_vs_line["f_line_stderr"]
 
 
-@pytest.mark.parametrize("command", ["fig1", "fig3", "gaussian", "circle-vs-line"])
-def test_runner_reproduces_smoke_reference(tmp_path, capsys, command):
+RUNNERS = ["fig1", "fig3", "gaussian", "circle-vs-line"]
+
+
+@pytest.mark.parametrize(
+    "reference, command",
+    [("smoke", c) for c in RUNNERS] + [("full", c) for c in RUNNERS],
+    ids=RUNNERS + [f"full-{c}" for c in RUNNERS],
+)
+def test_runner_reproduces_smoke_reference(tmp_path, capsys, reference, command):
     # a change meant to move no output keeps every runner's CSV byte for byte
-    # at the benchmark's smoke settings, as the benchmark itself checks
-    config = _run_constant("CONFIGS")["smoke"]
+    # at the benchmark's settings, as the benchmark itself checks; the full
+    # settings pin the most fragile cell, circle-vs-line's f_circle_stderr at
+    # lam = 0.999, whose 8th digit follows the samples' last bits
+    config = _run_constant("CONFIGS")[reference]
     out = tmp_path / f"{command}.csv"
     argv = [command, "--lambda-points", str(config["lambda_points"]),
             "--samples", str(config["samples"]), "--tol", config["tol"],
             "--alpha", config["alpha"], "--seed", str(_run_constant("DEFAULT_SEED")),
             "--out", str(out)]
     assert main(argv) == 0, capsys.readouterr().err
-    assert out.read_bytes() == (PERFBENCH / "reference" / "smoke" / f"{command}.csv").read_bytes()
+    assert out.read_bytes() == (PERFBENCH / "reference" / reference / f"{command}.csv").read_bytes()
 
 
 def test_moments_converged_and_positive():

@@ -1,4 +1,4 @@
-"""Displacement rules of the four strategies.
+"""Displacement rules of the three strategies.
 
 The standard, line and circle rules live only in the Monte Carlo kernel,
 which returns one-shot fidelities.  A rule displaces by epsilon at outcome
@@ -30,7 +30,8 @@ def kernel_fidelity(strategy, alpha, beta, sq):
     """The kernel's one-shot fidelity for target ``alpha`` at outcome ``beta``."""
     work = np.empty((6, 1))
     work[0], work[1] = beta.real - alpha.real, beta.imag - alpha.imag
-    return float(_one_shot_into(strategy, (alpha.real, alpha.imag), sq.lam, work)[0])
+    _one_shot_into(strategy, (alpha.real, alpha.imag), sq.lam, work)
+    return float(work[0, 0])
 
 
 def assert_displaces_to(strategy, beta, sq, eps):
