@@ -115,9 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def load_config_file(path: Path) -> dict[str, str]:
-    """Parse a plain ``key = value`` config file with ``#`` comments."""
+    """Parse a UTF-8 ``key = value`` config file with ``#`` comments; a leading BOM is skipped."""
     values: dict[str, str] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -130,8 +130,8 @@ def map_points(worker: Callable[[int], T], count: int, threads: int) -> list[T]:
     """``[worker(i) for i in range(count)]`` on up to ``threads`` threads.
 
     The package's one parallel path.  The pool never exceeds the point
-    count or :func:`available_cpus`: each thread holds its own Monte Carlo
-    workspace, and a thread beyond the CPU count adds memory but no speed.
+    count or :func:`available_cpus`: each running estimate holds a Monte
+    Carlo workspace, so a thread beyond the CPU count adds memory, not speed.
     Results come back in point order, so when every point seeds its own
     streams the list does not depend on ``threads``.
     """

@@ -6,15 +6,15 @@ chunk order, so the estimate depends only on (seed, n).  One estimate
 runs on one thread; callers parallelise across independent estimates
 (grid points) instead.
 
-A chunk allocates no sample arrays.  Each thread holds its own float64
-workspace: one row of MC_CHUNK values and five scratch rows of MC_BLOCK
-values (832 KiB), allocated on the thread's first chunk and kept until
-the thread ends (for the main thread, the life of the process).  A
-chunk's stream gives all of w_x, then all of w_y.  w_x fills the row;
-w_y is drawn MC_BLOCK values at a time into the scratch, where
-consecutive ``standard_normal(out=)`` calls continue the stream bit for
-bit; each block's rule writes its fidelities over its w_x, and the
-chunk's sums reduce the full row as one array.
+A chunk allocates no sample arrays.  Each estimate allocates one float64
+workspace, one row of MC_CHUNK values and five scratch rows of MC_BLOCK
+values (832 KiB), and lets it go when it returns, so no thread keeps a
+workspace between estimates.  A chunk's stream gives all of w_x, then
+all of w_y.  w_x fills the row; w_y is drawn MC_BLOCK values at a time
+into the scratch, where consecutive ``standard_normal(out=)`` calls
+continue the stream bit for bit; each block's rule writes its
+fidelities over its w_x, and the chunk's sums reduce the full row as
+one array.
 
 The chunk kernel works on the centred noise w = beta - alpha, drawn as
 sigma * z, never on beta itself.  Every rule displaces by
@@ -49,8 +49,6 @@ the closed-form runners start without numpy.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .measurement import MC_CHUNK
@@ -59,21 +57,15 @@ from .strategies import CircleTailored, LineTailored, Standard, Strategy
 # Samples the chunk kernel evaluates at a time; changing it changes no value.
 MC_BLOCK = 1 << 13
 
-# Per-thread workspace of the chunk kernel, allocated on a thread's first chunk.
-_workspace = threading.local()
-
 
 def stream(seed: int, key: int) -> np.random.Generator:
     """The generator of ``seed``'s derived stream ``key``; chunk k draws stream k."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
-def _chunk_workspace() -> tuple[np.ndarray, np.ndarray]:
-    """The calling thread's (MC_CHUNK,) sample row and (5, MC_BLOCK) scratch rows."""
-    work = getattr(_workspace, "rows", None)
-    if work is None:
-        work = _workspace.rows = (np.empty(MC_CHUNK), np.empty((5, MC_BLOCK)))
-    return work
+def _new_workspace() -> tuple[np.ndarray, np.ndarray]:
+    """One estimate's (MC_CHUNK,) sample row and (5, MC_BLOCK) scratch rows."""
+    return np.empty(MC_CHUNK), np.empty((5, MC_BLOCK))
 
 
 def _scaled_normal_into(rng: np.random.Generator, sigma: float, out: np.ndarray) -> None:
@@ -212,9 +204,10 @@ def chunk_sums(strategy: Strategy, alpha, lam: float, sigma: float, n: int, seed
 
     ``alpha`` is the target as an (x, y) pair and ``sigma`` the outcome
     components' standard deviation.  Chunk k draws from its own derived
-    generator, and the per-chunk sums are added in chunk order.
+    generator, and the per-chunk sums are added in chunk order.  The
+    workspace is allocated here, once, and freed when the sums return.
     """
-    row, scratch = _chunk_workspace()
+    row, scratch = _new_workspace()
     total = 0.0
     total_sq = 0.0
     for k in range((n + MC_CHUNK - 1) // MC_CHUNK):

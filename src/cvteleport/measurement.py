@@ -8,15 +8,16 @@ alpha is the symmetric complex Gaussian
 
 i.e. each component is normal with mean the matching component of alpha
 and variance 1/(2 (1 - lam^2)).  This density is not an independent
-assumption: averaging the one-shot fidelity under the standard strategy
-against it reproduces the closed Heisenberg-picture curve (1 + lam)/2
-exactly, which the test suite checks end to end (see README for the
-derivation).
+assumption: the test suite derives it, and the one-shot rule, from the
+two-mode squeezed vacuum in the Fock basis, and averaging the one-shot
+fidelity under the standard strategy against it reproduces the closed
+Heisenberg-picture curve (1 + lam)/2 exactly, which the suite checks end
+to end (see README for the derivation).
 
 The Monte Carlo average runs in :mod:`cvteleport.kernel`, the numpy chunk
 kernel, which this module imports on the first estimate (after the inputs
 are checked), so importing it loads no numpy.  The kernel's docstring
-states the chunking, the per-thread workspace and the one-shot forms;
+states the chunking, the per-estimate workspace and the one-shot forms;
 chunk k of a run with seed s draws its own derived stream, so an estimate
 depends only on (seed, n).
 

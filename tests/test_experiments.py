@@ -123,8 +123,8 @@ class TestReproducibility:
 
 class TestMapPoints:
     def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # each thread holds a Monte Carlo workspace; threads beyond the CPU
-        # count add memory and no speed
+        # each thread's estimate allocates a Monte Carlo workspace; threads
+        # beyond the CPU count add memory and no speed
         monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
 
         def worker(i):
@@ -232,6 +232,12 @@ class TestConfigFile:
             "seed = 99\n"
         )
         assert load_config_file(path) == {"samples": "2000", "alpha": "3.5", "seed": "99"}
+
+    def test_byte_order_mark_and_utf8_comment(self, tmp_path):
+        # editors that save "UTF-8 with BOM" put U+FEFF before the first key
+        path = tmp_path / "run.cfg"
+        path.write_bytes("\ufefflambda_points = 4  # λ grid\n# α = 5 ±\nseed = 7\n".encode())
+        assert load_config_file(path) == {"lambda_points": "4", "seed": "7"}
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -344,6 +350,14 @@ class TestCli:
         cfg.write_text("lambda_points = 4\nsamples = 2000\nseed = 7\n")
         out = tmp_path / "fig1.csv"
         proc = run_cli("fig1", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 1 + 5  # header + 4 + cap point
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbflambda_points = 4\ns = 0.5\n")
+        out = tmp_path / "gaussian.csv"
+        proc = run_cli("gaussian", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().splitlines()) == 1 + 5  # header + 4 + cap point
 

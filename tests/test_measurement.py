@@ -3,15 +3,15 @@
 import math
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from cvteleport import experiments
+from cvteleport import experiments, kernel
 from cvteleport.fidelity import transfer_exponent
 from cvteleport.kernel import (
     MC_BLOCK,
-    _chunk_workspace,
     _fidelities_into,
     _one_shot_into,
     _scaled_normal_into,
@@ -329,13 +329,15 @@ class TestChunkKernel:
 
     def test_chunks_allocate_no_sample_arrays(self):
         args = (LineTailored(), ALPHA5, squeeze_from_lambda(0.4), 1_000_000, 61)
-        mc_average_fidelity(*args)  # allocates this thread's workspace
+        mc_average_fidelity(*args)  # warm-up: the first estimate's one-off imports
         tracemalloc.start()
         try:
             mc_average_fidelity(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        # the peak is the estimate's own 832 KiB workspace plus about 2 KiB:
+        # its 16 chunks add no sample array
         assert peak < 1 << 20
 
 
@@ -401,19 +403,68 @@ class TestBlockedChunk:
         est = mc_average_fidelity(strategy, ALPHA5, squeeze_from_lambda(lam), n, seed)
         assert (est.mean, est.std_error) == (mean, se)
 
-    def test_thread_workspace_under_1_mib(self):
-        sizes = []
+    def test_thread_workspace_under_1_mib(self, monkeypatch):
+        # the workspace a worker thread allocates for one estimate
+        made = _record_workspaces(monkeypatch)
+        args = (LineTailored(), ALPHA5, squeeze_from_lambda(0.4), 10_000, 66)
+        _run_on_worker_thread(lambda: mc_average_fidelity(*args))
+        assert [size for size, _ in made] == [MC_CHUNK * 8 + 5 * MC_BLOCK * 8]
+        assert made[0][0] <= 1 << 20
+
+
+def _record_workspaces(monkeypatch) -> list:
+    """Record (bytes, weakrefs) of every workspace the kernel allocates."""
+    made = []
+    allocate = kernel._new_workspace
+
+    def recording():
+        work = allocate()
+        made.append((sum(a.nbytes for a in work), [weakref.ref(a) for a in work]))
+        return work
+
+    monkeypatch.setattr(kernel, "_new_workspace", recording)
+    return made
+
+
+def _run_on_worker_thread(target) -> None:
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+
+
+class TestWorkspaceLifetime:
+    """A workspace lives for one estimate, not for the thread that ran it."""
+
+    ARGS = (LineTailored(), ALPHA5, squeeze_from_lambda(0.4))
+
+    def test_freed_when_the_estimate_returns_on_the_main_thread(self, monkeypatch):
+        made = _record_workspaces(monkeypatch)
+        mc_average_fidelity(*self.ARGS, 10_000, 67)
+        assert len(made) == 1
+        assert all(ref() is None for ref in made[0][1])
+
+    def test_freed_when_the_estimate_returns_on_a_worker_thread(self, monkeypatch):
+        # checked while the thread is still alive: a thread-local workspace
+        # would be freed only when the thread ends
+        made = _record_workspaces(monkeypatch)
+        alive = []
 
         def run():
-            mc_average_fidelity(LineTailored(), ALPHA5, squeeze_from_lambda(0.4), 10_000, 66)
-            sizes.append(sum(a.nbytes for a in _chunk_workspace()))
+            mc_average_fidelity(*self.ARGS, 10_000, 68)
+            alive.extend(ref() is not None for _, refs in made for ref in refs)
 
-        thread = threading.Thread(target=run)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert sizes == [MC_CHUNK * 8 + 5 * MC_BLOCK * 8]
-        assert sizes[0] <= 1 << 20
+        _run_on_worker_thread(run)
+        assert alive == [False, False]
+
+    def test_allocated_once_per_estimate(self, monkeypatch):
+        made = _record_workspaces(monkeypatch)
+        n = 1_000_000
+        assert -(-n // MC_CHUNK) == 16
+        mc_average_fidelity(*self.ARGS, n, 69)
+        assert len(made) == 1
+        mc_average_fidelity(*self.ARGS, n, 69)
+        assert len(made) == 2  # and the next estimate allocates its own
 
 
 class TestQuadratureOracle:
