@@ -44,8 +44,6 @@ from .fidelity import (
 from .measurement import McEstimate, mc_average_fidelity
 from .optimize import optimize_gain
 from .protocol import (
-    ProtocolSettings,
-    g1_of_eta,
     output_coefficients_tailored,
     squeeze_from_G,
     squeeze_from_lambda,
@@ -274,9 +272,7 @@ def _property_oracle() -> tuple[bool, str]:
         eta = rng.uniform(0.0, math.pi / 4)
         g2 = rng.uniform(0.0, 2.0)
         g = rng.uniform(0.0, 2.0)
-        plus, minus = output_coefficients_tailored(
-            sq, ProtocolSettings(eta=eta, g1=g1_of_eta(eta), g2=g2)
-        )
+        plus, minus = output_coefficients_tailored(sq, eta, g2)
         v = variances_tailored(sq, eta, g2)
         worst = max(worst, abs(v.v_plus - plus.variance()), abs(v.v_minus - minus.variance()))
         vs = variance_standard_gain(sq, g)

@@ -67,11 +67,8 @@ class McEstimate:
 
     mean: float
     std_error: float
-    n_samples: int
 
     def __post_init__(self) -> None:
-        if self.n_samples < 2:
-            raise ValueError(f"need at least 2 samples, got {self.n_samples}")
         if not (math.isfinite(self.mean) and self.std_error >= 0.0):
             raise ValueError(
                 f"bad estimate: mean={self.mean}, std_error={self.std_error}"
@@ -105,4 +102,4 @@ def mc_average_fidelity(
     total, total_sq = chunk_sums(strategy, (alpha.real, alpha.imag), sq.lam, sigma, n, seed)
     mean = total / n
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n), n_samples=n)
+    return McEstimate(mean=mean, std_error=math.sqrt(var / n))

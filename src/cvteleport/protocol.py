@@ -11,6 +11,8 @@ Conventions used throughout the package:
   the two-mode squeezer is derived from it.
 * Normalisation factors are absorbed into the classical gains, so unit
   gain on a measured quadrature corresponds to a gain value of 1/sqrt(2).
+* The tailored scheme tunes the splitter angle eta and the phase gain g2;
+  its amplitude gain is g1 = 1/(2 cos(eta)), unit gain on the target.
 
 Every closed-form variance here can be cross-checked against the
 coefficient-sum oracle: an output quadrature is a real linear combination
@@ -66,27 +68,6 @@ def squeeze_from_lambda(lam: float) -> SqueezeLevel:
 
 
 @dataclass(frozen=True)
-class ProtocolSettings:
-    """Beam-splitter parameter and classical gains of the tailored scheme.
-
-    ``eta`` is the beam-splitter mixing angle in radians (reflectivity
-    sin^2(eta)); only [0, pi/4] — reflectivities up to 50:50 — is allowed.
-    ``g1`` and ``g2`` scale the two measured quadratures before they are
-    sent to the receiver; g1 = g2 = 1/sqrt(2) is unit gain.
-    """
-
-    eta: float
-    g1: float
-    g2: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.eta <= math.pi / 4):
-            raise ValueError(f"beam-splitter parameter must lie in [0, pi/4], got {self.eta}")
-        if self.g1 < 0.0 or self.g2 < 0.0:
-            raise ValueError(f"gains must be non-negative, got g1={self.g1}, g2={self.g2}")
-
-
-@dataclass(frozen=True)
 class QuadratureVariances:
     """Amplitude (v_plus) and phase (v_minus) variances of the output mode.
 
@@ -127,9 +108,9 @@ class QuadratureCoefficients:
 
 
 def output_coefficients_tailored(
-    sq: SqueezeLevel, settings: ProtocolSettings
+    sq: SqueezeLevel, eta: float, g2: float
 ) -> tuple[QuadratureCoefficients, QuadratureCoefficients]:
-    """Output-quadrature expansions of the tailored scheme.
+    """Output-quadrature expansions of the tailored scheme, g1 = 1/(2 cos(eta)).
 
     The amplitude quadrature of the output mode is
 
@@ -145,32 +126,26 @@ def output_coefficients_tailored(
 
     Returns the (plus, minus) coefficient sets.
     """
-    rg = math.sqrt(sq.G)
-    rg1 = math.sqrt(sq.G - 1.0)
-    sin_eta = math.sin(settings.eta)
-    cos_eta = math.cos(settings.eta)
-    plus = QuadratureCoefficients(
-        c_v1=rg1 - 2.0 * settings.g1 * sin_eta * rg,
-        c_v2=rg - 2.0 * settings.g1 * sin_eta * rg1,
-        c_in=2.0 * settings.g1 * cos_eta,
-    )
-    minus = QuadratureCoefficients(
-        c_v1=-(rg1 - 2.0 * settings.g2 * cos_eta * rg),
-        c_v2=rg - 2.0 * settings.g2 * cos_eta * rg1,
-        c_in=2.0 * settings.g2 * sin_eta,
-    )
-    return plus, minus
-
-
-def g1_of_eta(eta: float) -> float:
-    """Amplitude gain g1 = 1/(2 cos(eta)) that puts unit gain on the target.
-
-    With this choice the target-mode coefficient in the output amplitude
-    quadrature is exactly 1.
-    """
     if not (0.0 <= eta <= math.pi / 4):
         raise ValueError(f"beam-splitter parameter must lie in [0, pi/4], got {eta}")
-    return 1.0 / (2.0 * math.cos(eta))
+    if g2 < 0.0:
+        raise ValueError(f"phase gain must be non-negative, got {g2}")
+    g1 = 1.0 / (2.0 * math.cos(eta))
+    rg = math.sqrt(sq.G)
+    rg1 = math.sqrt(sq.G - 1.0)
+    sin_eta = math.sin(eta)
+    cos_eta = math.cos(eta)
+    plus = QuadratureCoefficients(
+        c_v1=rg1 - 2.0 * g1 * sin_eta * rg,
+        c_v2=rg - 2.0 * g1 * sin_eta * rg1,
+        c_in=2.0 * g1 * cos_eta,
+    )
+    minus = QuadratureCoefficients(
+        c_v1=-(rg1 - 2.0 * g2 * cos_eta * rg),
+        c_v2=rg - 2.0 * g2 * cos_eta * rg1,
+        c_in=2.0 * g2 * sin_eta,
+    )
+    return plus, minus
 
 
 def tailored_variances(sq: SqueezeLevel, eta, g2, trig) -> tuple:

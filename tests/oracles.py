@@ -11,6 +11,9 @@ kernel itself, outcome by outcome in 60-digit decimal arithmetic.
 variances, as a quadratic form over the resource's covariance matrix.
 :func:`fock_conditional` is the reference for the outcome law and the
 one-shot rule themselves, from the resource state in the Fock basis.
+:func:`optimal_tailoring` and :func:`optimal_gain` are the closed-form
+optima behind the optimiser columns, and :func:`golden_section_max` their
+numerical second witness.
 """
 
 import decimal
@@ -62,6 +65,72 @@ def covariance_variances(lam, eta, g2):
         values.append(float(c @ cov @ c))
         scales.append(float(np.abs(c) @ np.abs(cov) @ np.abs(c)))
     return tuple(values), tuple(scales)
+
+
+def optimal_tailoring(lam):
+    """The tailored scheme's optimum (F, eta*, g2*) at squeezing ``lam``, in closed form.
+
+    With t = tan(eta), g1 = 1/(2 cos eta) and the phase gain at the vertex of
+    its parabola, (V+ + 1)(V- + 1) = 2G h(t) with
+    h(t) = (1 + t^2)(2G (t - lam)^2 + 3 - t^2)/(t^2 + 2G - 1), written with
+    2G (1 - lam^2) = 2 so that no O(G) terms cancel.  The minimiser of h on
+    [0, 1] is an endpoint or a real root of the quintic numerator of h'; each
+    root is polished by one Newton step.  Then F = 2/sqrt(2G h(t*)) and
+    g2* = lam G sqrt(1 + t*^2)/(t*^2 + 2G - 1).
+    """
+    G = 1.0 / ((1.0 - lam) * (1.0 + lam))
+    t = np.polynomial.Polynomial([0.0, 1.0])
+    numerator = (1.0 + t**2) * (2.0 * G * (t - lam) ** 2 + 3.0 - t**2)
+    denominator = t**2 + 2.0 * G - 1.0
+    slope = numerator.deriv() * denominator - numerator * denominator.deriv()
+
+    def h(x):
+        return (1.0 + x * x) * (2.0 * G * (x - lam) ** 2 + 3.0 - x * x) / (x * x + 2.0 * G - 1.0)
+
+    # every root's real part is a candidate: a spurious one in [0, 1] cannot
+    # beat the true minimum, which is an endpoint or a real root
+    candidates = [0.0, 1.0]
+    dslope = slope.deriv()
+    for x in slope.roots().real:
+        x = float(x - slope(x) / dslope(x))
+        if 0.0 <= x <= 1.0:
+            candidates.append(x)
+    t_star = min(candidates, key=h)
+    g2 = lam * G * math.sqrt(1.0 + t_star * t_star) / (t_star * t_star + 2.0 * G - 1.0)
+    return 2.0 / math.sqrt(2.0 * G * h(t_star)), math.atan(t_star), g2
+
+
+def optimal_gain(lam, s):
+    """The gain-optimised alphabet-weighted fidelity (F, g*) for a Gaussian
+    alphabet of standard deviation ``s``, in closed form.
+
+    The objective is 2 / (2G (g - lam)^2 + 2 + 4 s^2 (1 - g)^2), the
+    common-gain V + 1 = 2G (g - lam)^2 + 2 written without cancelling O(G)
+    terms; its denominator is a parabola in g with vertex
+    g* = (lam G + 2 s^2)/(G + 2 s^2), clipped to the search box [0, 2].
+    """
+    G = 1.0 / ((1.0 - lam) * (1.0 + lam))
+    g = min(max((lam * G + 2.0 * s * s) / (G + 2.0 * s * s), 0.0), 2.0)
+    return 2.0 / (2.0 * G * (g - lam) ** 2 + 2.0 + 4.0 * s * s * (1.0 - g) ** 2), g
+
+
+def golden_section_max(f, lo, hi, tol):
+    """(argmax, max) of a unimodal ``f`` on [lo, hi], bracketed to width ``tol``
+    by golden-section search; the endpoints are candidates too."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1, x2 = b - shrink * (b - a), a + shrink * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + shrink * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - shrink * (b - a)
+            f1 = f(x1)
+    return max([(lo, f(lo)), (hi, f(hi)), (x1, f1), (x2, f2)], key=lambda p: p[1])
 
 
 def _displacement(z, dim):

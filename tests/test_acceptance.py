@@ -194,10 +194,11 @@ def test_readme_quotes_the_computed_numbers(circle_line):
         for (_, line, circle), offset in zip(estimates, offsets)
     )
     _, cap_line, cap_circle = estimates[-1]
-    cap_sd = cap_line.std_error * math.sqrt(cap_line.n_samples)
+    n = 100_000  # criterion 9's samples per estimate
+    cap_sd = cap_line.std_error * math.sqrt(n)
     # standard errors grow as n^-1/2 down to the smallest permitted sample size
     cap_allowance = acceptance.circle_line_allowance(cap_line, cap_circle) * math.sqrt(
-        cap_line.n_samples / MIN_SAMPLES
+        n / MIN_SAMPLES
     )
     quotes = [
         f"`{_sci(offset_at(0.0), '+.2e')}` at `lam = 0`",

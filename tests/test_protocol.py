@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from cvteleport.protocol import (
-    ProtocolSettings,
     QuadratureVariances,
     SqueezeLevel,
-    g1_of_eta,
     g2_optimal,
     output_coefficients_tailored,
     squeeze_from_G,
@@ -83,16 +81,15 @@ class TestSqueezeLevel:
 
 class TestSettingsAndVariancesTypes:
     def test_eta_range(self):
-        with pytest.raises(ValueError):
-            ProtocolSettings(eta=math.pi / 3, g1=0.5, g2=0.5)
-        with pytest.raises(ValueError):
-            ProtocolSettings(eta=-0.01, g1=0.5, g2=0.5)
+        sq = squeeze_from_G(2.0)
+        with pytest.raises(ValueError, match="beam-splitter"):
+            output_coefficients_tailored(sq, math.pi / 3, 0.5)
+        with pytest.raises(ValueError, match="beam-splitter"):
+            output_coefficients_tailored(sq, -0.01, 0.5)
 
     def test_negative_gains(self):
-        with pytest.raises(ValueError):
-            ProtocolSettings(eta=0.1, g1=-0.1, g2=0.5)
-        with pytest.raises(ValueError):
-            ProtocolSettings(eta=0.1, g1=0.5, g2=-0.1)
+        with pytest.raises(ValueError, match="phase gain"):
+            output_coefficients_tailored(squeeze_from_G(2.0), 0.1, -0.1)
 
     def test_variances_positive(self):
         with pytest.raises(ValueError):
@@ -104,28 +101,18 @@ class TestSettingsAndVariancesTypes:
 class TestOutputCoefficients:
     def test_no_squeezing_transmissive(self):
         # fully transmissive splitter, g1 = 1/2: plus quadrature is v2 + a_in
-        sq = squeeze_from_G(1.0)
-        plus, _ = output_coefficients_tailored(
-            sq, ProtocolSettings(eta=0.0, g1=0.5, g2=0.0)
-        )
+        plus, _ = output_coefficients_tailored(squeeze_from_G(1.0), 0.0, 0.0)
         assert (plus.c_v2, plus.c_v1, plus.c_in) == (1.0, 0.0, 1.0)
         assert plus.variance() == pytest.approx(2.0, abs=1e-14)
 
     def test_no_squeezing_5050(self):
-        sq = squeeze_from_G(1.0)
-        g1 = 1.0 / (2.0 * math.cos(math.pi / 4))
-        plus, _ = output_coefficients_tailored(
-            sq, ProtocolSettings(eta=math.pi / 4, g1=g1, g2=0.0)
-        )
+        plus, _ = output_coefficients_tailored(squeeze_from_G(1.0), math.pi / 4, 0.0)
         assert plus.variance() == pytest.approx(3.0, abs=1e-12)
 
     def test_unit_gain_5050_matches_standard(self):
         # eta = pi/4 with g1 = g2 = 1/sqrt(2) is the common-gain scheme at g = 1
         sq = squeeze_from_G(4.0 / 3.0)
-        g = 1.0 / math.sqrt(2.0)
-        plus, minus = output_coefficients_tailored(
-            sq, ProtocolSettings(eta=math.pi / 4, g1=g, g2=g)
-        )
+        plus, minus = output_coefficients_tailored(sq, math.pi / 4, 1.0 / math.sqrt(2.0))
         ref = variance_standard_gain(sq, 1.0)
         assert plus.variance() == pytest.approx(ref.v_plus, abs=1e-12)
         assert minus.variance() == pytest.approx(ref.v_minus, abs=1e-12)
@@ -171,25 +158,17 @@ class TestVariancesTailored:
 
 
 class TestGains:
-    @pytest.mark.parametrize(
-        "eta, expected",
-        [(0.0, 0.5), (math.pi / 4, 1.0 / math.sqrt(2.0)), (math.pi / 6, 1.0 / math.sqrt(3.0))],
-    )
-    def test_g1_of_eta(self, eta, expected):
-        assert g1_of_eta(eta) == pytest.approx(expected, abs=1e-12)
-
     def test_g1_unit_gain_on_target(self):
-        # the target coefficient of the plus quadrature must be exactly 1
+        # g1 = 1/(2 cos(eta)): the target coefficient of the plus quadrature is 1
         for eta in np.linspace(0.0, math.pi / 4, 20):
-            plus, _ = output_coefficients_tailored(
-                squeeze_from_G(3.0),
-                ProtocolSettings(eta=float(eta), g1=g1_of_eta(float(eta)), g2=0.3),
-            )
+            plus, _ = output_coefficients_tailored(squeeze_from_G(3.0), float(eta), 0.3)
             assert plus.c_in == pytest.approx(1.0, abs=1e-15)
 
     def test_g1_domain(self):
-        with pytest.raises(ValueError):
-            g1_of_eta(1.0)
+        # g1 is defined up to the 50:50 splitter, the last eta above, and
+        # not one ulp beyond it
+        with pytest.raises(ValueError, match="beam-splitter"):
+            output_coefficients_tailored(squeeze_from_G(3.0), math.nextafter(math.pi / 4, 1.0), 0.3)
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, math.pi / 4])
     def test_g2_zero_without_squeezing(self, eta):
@@ -244,9 +223,7 @@ class TestCoefficientOracle:
             sq = squeeze_from_lambda(rng.uniform(0.0, 0.95))
             eta = rng.uniform(0.0, math.pi / 4)
             g2 = rng.uniform(0.0, 2.0)
-            plus, minus = output_coefficients_tailored(
-                sq, ProtocolSettings(eta=eta, g1=g1_of_eta(eta), g2=g2)
-            )
+            plus, minus = output_coefficients_tailored(sq, eta, g2)
             v = variances_tailored(sq, eta, g2)
             assert abs(v.v_plus - plus.variance()) <= 1e-12
             assert abs(v.v_minus - minus.variance()) <= 1e-12
@@ -275,9 +252,7 @@ class TestCoefficientOracle:
         for lam in (0.99, 0.999):
             sq = squeeze_from_lambda(lam)
             for eta in (0.0, 0.4, math.pi / 4):
-                plus, minus = output_coefficients_tailored(
-                    sq, ProtocolSettings(eta=eta, g1=g1_of_eta(eta), g2=1.3)
-                )
+                plus, minus = output_coefficients_tailored(sq, eta, 1.3)
                 v = variances_tailored(sq, eta, 1.3)
                 assert v.v_plus == pytest.approx(plus.variance(), rel=1e-12)
                 assert v.v_minus == pytest.approx(minus.variance(), rel=1e-12)

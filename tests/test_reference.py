@@ -1,23 +1,34 @@
 """The benchmark's reference CSVs certify themselves.
 
 Each closed-form cell under ``perfbench/reference/{full,smoke}`` is checked
-against its formula, and each Monte Carlo cell against the exact moments of
-the one-shot fidelity (``tests/oracles.py``), so a reference regenerated
-with a wrong seed, size or formula fails here.  Each runner must also
-rewrite its smoke and full references byte for byte.  The files are only read.
-The bounds are fixed; a regeneration must pass them unchanged.
+against its formula, each optimiser cell against its closed-form optimum,
+and each Monte Carlo cell against the exact moments of the one-shot
+fidelity (``tests/oracles.py``), so a reference regenerated with a wrong
+seed, size, formula or optimiser fails here.  Each runner must also rewrite
+its smoke and full references byte for byte, also with numpy's run-time
+SIMD dispatch switched off.  The files are only read.  The bounds are
+fixed; a regeneration must pass them unchanged.
 """
 
 import ast
 import csv
+import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 
 from cvteleport.cli import main
-from cvteleport.experiments import default_lambda_grid
-from oracles import line_circle_central_moments
+from cvteleport.experiments import ExperimentConfig, default_lambda_grid
+from oracles import (
+    covariance_variances,
+    golden_section_max,
+    line_circle_central_moments,
+    optimal_gain,
+    optimal_tailoring,
+)
+from test_package import fresh_python
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCES = ["full", "smoke"]
@@ -103,7 +114,78 @@ def test_fig1_monte_carlo_column_is_the_line(reference):
     assert fig1["f_tailored_disp_mc_stderr"] == circle_vs_line["f_line_stderr"]
 
 
+# An optimiser cell holds its closed-form optimum: a value to one unit in the
+# 9th significant digit, an argument to ARG_TOLS times the run's --tol.
+# Golden-section search brackets a flat maximum only until float rounding
+# stops ordering its evaluations, so an argument is tol-close, not exact
+# (worst at the references: 3.56, 0.34 and 1.17 tol for eta*, g2* and g*).
+ARG_TOLS = 10.0
+
+
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_optimiser_columns(reference):
+    tol = float(_run_constant("CONFIGS")[reference]["tol"])
+    s = ExperimentConfig().s  # the references run at the default alphabet
+    optima = {
+        "fig3": (("f_full", "eta_star", "g2_star"), optimal_tailoring),
+        "gaussian": (("f_opt", "g_opt"), lambda lam: optimal_gain(lam, s)),
+    }
+    off = []
+    for command, (columns, optimum) in optima.items():
+        cells = _columns(reference, command)
+        for i, lam in enumerate(cells["lambda"]):
+            value, *arguments = optimum(float(lam))
+            bounds = [_ninth_digit(value)] + [ARG_TOLS * tol] * len(arguments)
+            for column, exact, bound in zip(columns, [value, *arguments], bounds):
+                if abs(float(cells[column][i]) - exact) > bound:
+                    off.append(f"{command} {column} at lam={lam}: {cells[column][i]} != {exact!r}")
+    assert off == []
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 0.98, 0.999])
+def test_closed_form_optima_against_golden_section(lam):
+    # a second witness for the closed forms, sharing no algebra with them:
+    # golden-section at tol 1e-13 over the covariance-matrix variances, and
+    # over the expanded common-gain variance; the values agree to rounding,
+    # the arguments only to the flat maximum's resolution
+    def tailored(eta, g2):
+        (v_plus, v_minus), _ = covariance_variances(lam, eta, g2)
+        return 2.0 / math.sqrt((v_plus + 1.0) * (v_minus + 1.0))
+
+    def best_g2(eta):
+        return golden_section_max(lambda g2: tailored(eta, g2), 0.0, 2.0, 1e-13)
+
+    eta, f = golden_section_max(lambda x: best_g2(x)[1], 0.0, math.pi / 4, 1e-13)
+    f_exact, eta_exact, g2_exact = optimal_tailoring(lam)
+    assert abs(f - f_exact) <= 1e-12
+    assert abs(eta - eta_exact) <= 1e-7
+    assert abs(best_g2(eta)[0] - g2_exact) <= 1e-7
+
+    G, s = 1.0 / ((1.0 - lam) * (1.0 + lam)), ExperimentConfig().s
+    g, f = golden_section_max(
+        lambda g: 2.0 / (2.0 * G - 4.0 * g * math.sqrt(G * (G - 1.0)) + 2.0 * g * g * G
+                         + 4.0 * s * s * (1.0 - g) ** 2),
+        0.0, 2.0, 1e-13,
+    )
+    f_exact, g_exact = optimal_gain(lam, s)
+    assert abs(f - f_exact) <= 1e-12
+    assert abs(g - g_exact) <= 1e-7
+
+
 RUNNERS = ["fig1", "fig3", "gaussian", "circle-vs-line"]
+
+
+def _runner_argv(reference, command, out):
+    """The CLI arguments that made ``reference``'s ``command`` CSV, writing to ``out``."""
+    config = _run_constant("CONFIGS")[reference]
+    return [command, "--lambda-points", str(config["lambda_points"]),
+            "--samples", str(config["samples"]), "--tol", config["tol"],
+            "--alpha", config["alpha"], "--seed", str(_run_constant("DEFAULT_SEED")),
+            "--out", str(out)]
+
+
+def _reference_bytes(reference, command):
+    return (PERFBENCH / "reference" / reference / f"{command}.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -116,14 +198,36 @@ def test_runner_reproduces_smoke_reference(tmp_path, capsys, reference, command)
     # at the benchmark's settings, as the benchmark itself checks; the full
     # settings pin the most fragile cell, circle-vs-line's f_circle_stderr at
     # lam = 0.999, whose 8th digit follows the samples' last bits
-    config = _run_constant("CONFIGS")[reference]
     out = tmp_path / f"{command}.csv"
-    argv = [command, "--lambda-points", str(config["lambda_points"]),
-            "--samples", str(config["samples"]), "--tol", config["tol"],
-            "--alpha", config["alpha"], "--seed", str(_run_constant("DEFAULT_SEED")),
-            "--out", str(out)]
-    assert main(argv) == 0, capsys.readouterr().err
-    assert out.read_bytes() == (PERFBENCH / "reference" / reference / f"{command}.csv").read_bytes()
+    assert main(_runner_argv(reference, command, out)) == 0, capsys.readouterr().err
+    assert out.read_bytes() == _reference_bytes(reference, command)
+
+
+def test_references_hold_without_simd_dispatch(tmp_path):
+    # the byte-identical contract rests on numpy's Generator streams and on
+    # the kernel's operation and chunk order, not on the SIMD level numpy
+    # picks at run time: with every feature it dispatches above its baseline
+    # switched off (its exp and log then differ by an ulp here and there),
+    # each runner still writes its references byte for byte
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    dispatch = list(getattr(umath, "__cpu_dispatch__", []))
+    if not any(umath.__cpu_features__.get(name) for name in dispatch):
+        pytest.skip("numpy dispatches nothing above its baseline on this CPU")
+    runs = {f"{r}-{c}": _runner_argv(r, c, tmp_path / f"{r}-{c}.csv")
+            for r in REFERENCES for c in RUNNERS}
+    probe = (
+        "import json\n"
+        "from numpy._core import _multiarray_umath as umath\n"
+        "from cvteleport.cli import main\n"
+        f"print(json.dumps({{n: umath.__cpu_features__.get(n) for n in {dispatch!r}}}))\n"
+        f"assert all(main(argv) == 0 for argv in {list(runs.values())!r})\n"
+    )
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(dispatch))
+    features = json.loads(fresh_python(probe, env=env).splitlines()[0])
+    assert features == {name: False for name in dispatch}  # the child really ran without them
+    changed = [run for run in runs
+               if (tmp_path / f"{run}.csv").read_bytes() != _reference_bytes(*run.split("-", 1))]
+    assert changed == []
 
 
 def test_moments_converged_and_positive():
