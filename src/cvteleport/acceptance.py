@@ -39,9 +39,10 @@ from .fidelity import (
     avg_fidelity_unit_gain,
     bfk_classical_limit,
     one_shot_fidelity,
+    optimal_displacement,
     transfer_exponent,
 )
-from .measurement import McEstimate, mc_average_fidelity
+from .measurement import LineTailored, McEstimate, Standard, mc_average_fidelity
 from .optimize import optimize_gain
 from .protocol import (
     output_coefficients_tailored,
@@ -51,7 +52,6 @@ from .protocol import (
     variance_standard_gain,
     variances_tailored,
 )
-from .strategies import LineTailored, Standard, optimal_displacement
 
 BASE_SEED = 987654321
 
@@ -70,7 +70,7 @@ def format_line(res: CriterionResult) -> str:
 
 
 def _seed(k: int) -> int:
-    return (BASE_SEED ^ (k * 0x9E3779B9)) % 2 ** 64
+    return BASE_SEED ^ (k * 0x9E3779B9)
 
 
 def criterion_standard_baseline() -> CriterionResult:

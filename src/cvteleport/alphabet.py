@@ -68,8 +68,6 @@ def gaussian_weighted_fidelity_quadrature(
         raise ValueError(
             f"standard deviations must be positive and finite, got ({s_x}, {s_y})"
         )
-    if g < 0.0:
-        raise ValueError(f"gain must be non-negative, got {g}")
     v = variance_standard_gain(sq, g).v_plus
     a = 2.0 / (v + 1.0)
     c = 2.0 * (1.0 - g) ** 2 / (v + 1.0)

@@ -24,10 +24,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-from .measurement import MAX_AMPLITUDE, MAX_SAMPLES, MIN_SAMPLES, McEstimate, mc_average_fidelity
+from .measurement import (
+    MAX_AMPLITUDE, MAX_SAMPLES, MIN_SAMPLES, CircleTailored, LineTailored, McEstimate,
+    mc_average_fidelity,
+)
 from .optimize import DEFAULT_TOL, optimize_eta_g2, optimize_gain, tailored_fidelity
 from .protocol import LAMBDA_MAX, SqueezeLevel, squeeze_from_lambda
-from .strategies import CircleTailored, LineTailored
 
 DEFAULT_LAMBDA_POINTS = 50
 MAX_LAMBDA_POINTS = 100_000  # 2,000 times the benchmark's 50-point grid
@@ -94,7 +96,7 @@ class ExperimentConfig:
             raise ValueError(f"thread count must be at least 1, got {self.threads}")
 
     def point_seed(self, index: int) -> int:
-        return (self.seed ^ index) % _U64
+        return self.seed ^ index
 
 
 @dataclass(frozen=True)
@@ -249,7 +251,7 @@ def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
     def point(i: int) -> tuple[float, ...]:
         lam = config.lambda_grid[i]
         sq = squeeze_from_lambda(lam)
-        circle_seed = (config.point_seed(i) ^ _SECOND_STREAM_SALT) % _U64
+        circle_seed = config.point_seed(i) ^ _SECOND_STREAM_SALT
         line = _line_estimate(config, i)
         theta = stream(circle_seed, 0xA11CE).uniform(0.0, 2.0 * math.pi)
         circle = circle_estimate(sq, amp, theta, config.samples, circle_seed)

@@ -66,6 +66,19 @@ def one_shot_fidelity(alpha: complex, beta: complex, epsilon: complex, sq: Squee
     return checked_fidelity(math.exp(transfer_exponent(u.real, u.imag, w.real, w.imag, sq.lam)))
 
 
+def optimal_displacement(alpha_guess: complex, beta: complex, sq: SqueezeLevel) -> complex:
+    """Fidelity-maximising displacement epsilon = (1-lam) alpha_guess + lam beta.
+
+    With no squeezing it is best to displace straight to the guess; as
+    squeezing grows the measurement outcome takes over and the rule tends
+    to the standard unit-gain displacement.  Both points must be finite.
+    """
+    if not (cmath.isfinite(alpha_guess) and cmath.isfinite(beta)):
+        raise ValueError(f"points must be finite, got {alpha_guess}, {beta}")
+    lam = sq.lam
+    return (1.0 - lam) * alpha_guess + lam * beta
+
+
 def avg_fidelity_unit_gain(v: QuadratureVariances) -> float:
     """Average fidelity at unit gain: 2 / sqrt((V+ + 1)(V- + 1))."""
     return checked_fidelity(2.0 / math.sqrt((v.v_plus + 1.0) * (v.v_minus + 1.0)))

@@ -51,8 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measurement import MC_CHUNK
-from .strategies import CircleTailored, LineTailored, Standard, Strategy
+from .measurement import MC_CHUNK, CircleTailored, LineTailored, Standard, Strategy
 
 # Samples the chunk kernel evaluates at a time; changing it changes no value.
 MC_BLOCK = 1 << 13

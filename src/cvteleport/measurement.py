@@ -14,6 +14,10 @@ fidelity under the standard strategy against it reproduces the closed
 Heisenberg-picture curve (1 + lam)/2 exactly, which the suite checks end
 to end (see README for the derivation).
 
+The estimator takes one of three receiver strategies: :class:`Standard`,
+:class:`LineTailored` or :class:`CircleTailored`; the kernel's docstring
+derives the displacement each one applies.
+
 The Monte Carlo average runs in :mod:`cvteleport.kernel`, the numpy chunk
 kernel, which this module imports on the first estimate (after the inputs
 are checked), so importing it loads no numpy.  The kernel's docstring
@@ -31,12 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Union
 
 from .protocol import LAMBDA_MAX, SqueezeLevel
-
-if TYPE_CHECKING:
-    from .strategies import Strategy
 
 # Fixed chunk size of the Monte Carlo reduction; part of the determinism
 # contract, so changing it changes the streams.
@@ -49,6 +50,36 @@ MAX_SAMPLES = 1_000_000_000
 # Largest target amplitude the kernels accept: they square outcome
 # components, and |beta|^2 overflows above |beta| ~ 1e154.
 MAX_AMPLITUDE = 1e150
+
+
+@dataclass(frozen=True)
+class Standard:
+    """Plain scaled displacement epsilon = gain * beta."""
+
+    gain: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.gain < 0.0:
+            raise ValueError(f"gain must be non-negative, got {self.gain}")
+
+
+@dataclass(frozen=True)
+class LineTailored:
+    """Targets on the positive real axis: phase known, amplitude guessed as |beta|."""
+
+
+@dataclass(frozen=True)
+class CircleTailored:
+    """Targets of known amplitude (the radius), phase guessed as arg(beta)."""
+
+    radius: float
+
+    def __post_init__(self) -> None:
+        if self.radius < 0.0:
+            raise ValueError(f"radius must be non-negative, got {self.radius}")
+
+
+Strategy = Union[Standard, LineTailored, CircleTailored]
 
 
 def component_sigma(sq: SqueezeLevel) -> float:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from cvteleport.strategies import CircleTailored, LineTailored, Standard
+from cvteleport.measurement import CircleTailored, LineTailored, Standard
 
 
 def exact_standard(gain, lam, amp):

@@ -25,6 +25,7 @@ from cvteleport.experiments import (
     run_gaussian_alphabet,
     write_csv,
 )
+from oracles import exact_line_circle, optimal_gain, optimal_tailoring
 
 def small_config(**overrides):
     # 11 grid points incl. 0 and 0.999
@@ -94,6 +95,10 @@ class TestConfigValidation:
         config = ExperimentConfig(seed=0b1100)
         assert config.point_seed(0) == 0b1100
         assert config.point_seed(5) == 0b1100 ^ 5
+        # the largest seed and index stay below 2^64 with no reduction
+        top = ExperimentConfig(seed=2 ** 64 - 1).point_seed(experiments.MAX_LAMBDA_POINTS)
+        assert top == (2 ** 64 - 1) ^ experiments.MAX_LAMBDA_POINTS
+        assert top < 2 ** 64
 
 
 class TestReproducibility:
@@ -221,6 +226,72 @@ class TestCircleVsLine:
         assert fig1 == [(r[1], r[2]) for r in run_circle_vs_line(config).rows]
 
 
+# Each runner at the corners of ExperimentConfig's accepted box, every row
+# held to its exact value or its limit.  circle-vs-line is split by column so
+# that only the circle cases that ROADMAP item 2 fixes are expected failures.
+CIRCLE_ROUNDS_W_AWAY = pytest.mark.xfail(
+    strict=True,
+    reason="the circle kernel forms beta = alpha + w, so at |alpha| >= 1e16 w rounds "
+    "away: 0.187 +- 0.006 at lam = 0 for 1e16, 0 +- 0 for 1e150 (ROADMAP item 2)",
+)
+CORNERS = (
+    [("fig1", "alpha", a, "line") for a in (1e-300, 5.0, 1e16, 1e150)]
+    + [("circle-vs-line", "alpha", a, "line") for a in (1e-300, 5.0, 1e16, 1e150)]
+    + [("circle-vs-line", "alpha", a, "circle") for a in (1e-300, 5.0)]
+    + [pytest.param("circle-vs-line", "alpha", a, "circle", marks=CIRCLE_ROUNDS_W_AWAY)
+       for a in (1e16, 1e150)]
+    + [("gaussian", "s", s, "optimum") for s in (1e-200, 0.2, 1e200)]
+    + [("fig3", "tol", tol, "optimum") for tol in (1e-300, 1e-8)]
+)
+
+
+def _tailored_mc_limit(rule, alpha, lam):
+    """The line or circle mean: exact at alpha = 5, else its limit."""
+    if alpha == 5.0:
+        return exact_line_circle(alpha, lam)[rule == "circle"]
+    if alpha < 1.0:  # alpha -> 0: the circle's radius, hence its guess, is 0
+        return 1.0 if rule == "circle" else (1.0 + lam) / 2.0
+    return math.sqrt((1.0 + lam) / 2.0)
+
+
+def _corner_checks(command, value, rule, cell, lam):
+    """(column, exact, bound) for each cell of the row at ``lam``."""
+    if command in ("fig1", "circle-vs-line"):
+        column = "f_tailored_disp_mc" if command == "fig1" else f"f_{rule}"
+        se = cell[f"{column}_stderr"]
+        checks = [(column, _tailored_mc_limit(rule, value, lam), 5.0 * se if se else 1e-12)]
+        if command == "fig1":
+            checks.append(("f_standard", (1.0 + lam) / 2.0, 1e-12))
+        return checks
+    if command == "gaussian":
+        if value < 1e-100:
+            return [("f_opt", 1.0, 1e-12)]
+        if value > 1e100:
+            return [("f_opt", (1.0 + lam) / 2.0, 1e-12), ("g_opt", 1.0, 1e-12)]
+        f, g = optimal_gain(lam, value)
+        return [("f_opt", f, 1e-10), ("g_opt", g, 1e-7)]
+    f, eta, g2 = optimal_tailoring(lam)  # 1e-7: the flat maximum's resolution
+    return [("f_full", f, 1e-10), ("eta_star", eta, 1e-7), ("g2_star", g2, 1e-7),
+            ("f_disp_only", math.sqrt((1.0 + lam) / 2.0), 1e-12),
+            ("f_standard", (1.0 + lam) / 2.0, 1e-12)]
+
+
+@pytest.mark.parametrize(
+    "command, key, value, rule", CORNERS,
+    ids=lambda v: format(v, "g") if isinstance(v, float) else v,
+)
+def test_runner_at_corner(command, key, value, rule):
+    config = ExperimentConfig(lambda_points=2, samples=1000, **{key: value})
+    result = cli._RUNNERS[command](config)
+    off = []
+    for row in result.rows:
+        cell = dict(zip(result.header, row))
+        for column, exact, bound in _corner_checks(command, value, rule, cell, row[0]):
+            if not abs(cell[column] - exact) <= bound:
+                off.append(f"{column} at lam={row[0]}: {cell[column]!r} != {exact!r}")
+    assert off == []
+
+
 class TestConfigFile:
     def test_parse(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -317,6 +388,16 @@ class TestSettingsTable:
     def test_help_states_the_checked_bound(self, key, bound):
         # the help is formatted from the constant the range check uses
         assert format(bound, "g") in cli._BY_KEY[key].help
+
+
+def test_readme_package_layout_names_every_module():
+    # one row of README's "Package layout" per module, and no row for a module
+    # that is gone
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("## Package layout"):].split("\n\n")[1]
+    rows = re.findall(r"^\| `cvteleport\.(\w+)` ", table, flags=re.M)
+    modules = {path.stem for path in Path(cvteleport.__file__).parent.glob("*.py")}
+    assert sorted(rows) == sorted(modules - {"__init__", "__main__"})
 
 
 def run_cli(*args, cwd=None, timeout=300, preexec_fn=None, stdout=subprocess.PIPE, env=None):

@@ -10,11 +10,11 @@ from cvteleport.fidelity import (
     bfk_classical_limit,
     checked_fidelity,
     one_shot_fidelity,
+    optimal_displacement,
     transfer_exponent,
 )
-from cvteleport.measurement import mc_average_fidelity
+from cvteleport.measurement import LineTailored, mc_average_fidelity
 from cvteleport.protocol import QuadratureVariances, squeeze_from_lambda
-from cvteleport.strategies import LineTailored, optimal_displacement
 
 SQ = squeeze_from_lambda(0.5)
 

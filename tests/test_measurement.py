@@ -21,12 +21,14 @@ from cvteleport.measurement import (
     MAX_AMPLITUDE,
     MAX_SAMPLES,
     MC_CHUNK,
+    CircleTailored,
+    LineTailored,
     McEstimate,
+    Standard,
     component_sigma,
     mc_average_fidelity,
 )
 from cvteleport.protocol import squeeze_from_lambda, variance_standard_gain
-from cvteleport.strategies import CircleTailored, LineTailored, Standard
 from oracles import (
     ORACLE_BOUND,
     ORACLE_STRATEGIES,
@@ -94,6 +96,15 @@ class TestMcAverageFidelity:
             mc_average_fidelity(
                 Standard(1.0), ALPHA5, squeeze_from_lambda(0.5), MAX_SAMPLES + 1, 1
             )
+
+    def test_unknown_strategy_raises(self):
+        # the kernel's dispatch is the one guard between a wrong type and a
+        # silent wrong estimate: a look-alike of Standard is none of the three
+        class LookAlike:
+            gain = 1.0
+
+        with pytest.raises(TypeError, match="unknown strategy: "):
+            mc_average_fidelity(LookAlike(), ALPHA5, squeeze_from_lambda(0.5), 1_000, 1)
 
     def test_standard_matches_closed_form(self):
         est = mc_average_fidelity(

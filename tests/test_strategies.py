@@ -13,15 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from cvteleport.fidelity import one_shot_fidelity
+from cvteleport.fidelity import one_shot_fidelity, optimal_displacement
 from cvteleport.kernel import _one_shot_into
+from cvteleport.measurement import CircleTailored, LineTailored, Standard
 from cvteleport.protocol import squeeze_from_lambda
-from cvteleport.strategies import (
-    CircleTailored,
-    LineTailored,
-    Standard,
-    optimal_displacement,
-)
 
 TARGETS = (complex(1.0, 0.0), complex(-0.5, 2.0), complex(0.0, -1.5))
 
