@@ -45,12 +45,12 @@ from .fidelity import (
 from .measurement import LineTailored, McEstimate, Standard, mc_average_fidelity
 from .optimize import optimize_gain
 from .protocol import (
+    SqueezeLevel,
     output_coefficients_tailored,
     squeeze_from_G,
-    squeeze_from_lambda,
     standard_gain_coefficients,
+    tailored_variances,
     variance_standard_gain,
-    variances_tailored,
 )
 
 BASE_SEED = 987654321
@@ -84,7 +84,7 @@ def criterion_standard_baseline() -> CriterionResult:
     def pull(i: int) -> float:
         lam = lams[i]
         est = mc_average_fidelity(
-            Standard(1.0), 5.0, squeeze_from_lambda(lam), 100_000, _seed(100 + i)
+            Standard(1.0), 5.0, SqueezeLevel(lam), 100_000, _seed(100 + i)
         )
         return abs(est.mean - (1.0 + lam) / 2.0) / est.std_error
 
@@ -100,7 +100,7 @@ def criterion_standard_baseline() -> CriterionResult:
 def criterion_line_limit() -> CriterionResult:
     """Line-tailored MC at lam=0, amplitude 5: 1/sqrt(2) within 0.005."""
     est = mc_average_fidelity(
-        LineTailored(), 5.0, squeeze_from_lambda(0.0), 1_000_000, _seed(2)
+        LineTailored(), 5.0, SqueezeLevel(0.0), 1_000_000, _seed(2)
     )
     err = abs(est.mean - 1.0 / math.sqrt(2.0))
     return CriterionResult(
@@ -198,7 +198,7 @@ def criterion_wide_alphabet() -> CriterionResult:
 
 def criterion_narrow_alphabet() -> CriterionResult:
     """s=0.2 alphabet at lam=0 brackets the Gaussian classical limit."""
-    res = optimize_gain(squeeze_from_lambda(0.0), 0.2)
+    res = optimize_gain(SqueezeLevel(0.0), 0.2)
     in_bracket = 0.928 <= res.value <= 0.936
     bfk = bfk_classical_limit(0.2)
     bfk_exact = abs(bfk - 27.0 / 29.0) <= 1e-12 and abs(bfk - 0.9310345) <= 5e-8
@@ -231,7 +231,7 @@ def circle_line_estimates() -> list[tuple[float, McEstimate, McEstimate]]:
 
     def point(i: int) -> tuple[float, McEstimate, McEstimate]:
         lam = grid[i]
-        sq = squeeze_from_lambda(lam)
+        sq = SqueezeLevel(lam)
         line = mc_average_fidelity(LineTailored(), amp, sq, 100_000, _seed(900 + i))
         theta = np.random.default_rng(_seed(950 + i)).uniform(0.0, 2.0 * math.pi)
         circle = circle_estimate(sq, amp, theta, 100_000, _seed(975 + i))
@@ -268,13 +268,13 @@ def _property_oracle() -> tuple[bool, str]:
     worst = 0.0
     for _ in range(1000):
         lam = rng.uniform(0.0, 0.95)
-        sq = squeeze_from_lambda(lam)
+        sq = SqueezeLevel(lam)
         eta = rng.uniform(0.0, math.pi / 4)
         g2 = rng.uniform(0.0, 2.0)
         g = rng.uniform(0.0, 2.0)
         plus, minus = output_coefficients_tailored(sq, eta, g2)
-        v = variances_tailored(sq, eta, g2)
-        worst = max(worst, abs(v.v_plus - plus.variance()), abs(v.v_minus - minus.variance()))
+        v_plus, v_minus = tailored_variances(sq, eta, g2, math)
+        worst = max(worst, abs(v_plus - plus.variance()), abs(v_minus - minus.variance()))
         vs = variance_standard_gain(sq, g)
         worst = max(worst, abs(vs.v_plus - standard_gain_coefficients(sq, g).variance()))
     return worst <= 1e-12, f"oracle worst |closed-form - sum-of-squares| {worst:.2e}"
@@ -288,7 +288,7 @@ def _property_displacement_argmax() -> tuple[bool, str]:
     centre = (100, 100)
     for _ in range(100):
         lam = rng.uniform(0.0, 0.999)
-        sq = squeeze_from_lambda(lam)
+        sq = SqueezeLevel(lam)
         alpha = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         beta = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         eps = optimal_displacement(alpha, beta, sq)
@@ -308,7 +308,7 @@ def _property_perfect_knowledge() -> tuple[bool, str]:
     worst = 0.0
     for _ in range(1000):
         lam = rng.uniform(0.0, 0.999)
-        sq = squeeze_from_lambda(lam)
+        sq = SqueezeLevel(lam)
         alpha = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         beta = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         eps = optimal_displacement(alpha, beta, sq)
@@ -319,7 +319,7 @@ def _property_perfect_knowledge() -> tuple[bool, str]:
 def _property_closed_form_vs_quadrature() -> tuple[bool, str]:
     worst = 0.0
     for lam in (0.0, 0.3, 0.6, 0.9, 0.99):
-        sq = squeeze_from_lambda(lam)
+        sq = SqueezeLevel(lam)
         for g in (0.0, 0.5, 1.0, 1.5, 2.0):
             for s in (0.1, 0.2, 0.5, 1.0, 2.0):
                 closed = gaussian_weighted_fidelity(sq, g, s)

@@ -29,7 +29,7 @@ from .measurement import (
     mc_average_fidelity,
 )
 from .optimize import DEFAULT_TOL, optimize_eta_g2, optimize_gain, tailored_fidelity
-from .protocol import LAMBDA_MAX, SqueezeLevel, squeeze_from_lambda
+from .protocol import LAMBDA_MAX, SqueezeLevel
 
 DEFAULT_LAMBDA_POINTS = 50
 MAX_LAMBDA_POINTS = 100_000  # 2,000 times the benchmark's 50-point grid
@@ -148,7 +148,7 @@ def map_points(worker: Callable[[int], T], count: int, threads: int) -> list[T]:
 
 def _line_estimate(config: ExperimentConfig, i: int) -> McEstimate:
     """fig1's Monte Carlo column and circle-vs-line's ``f_line`` at grid point ``i``."""
-    sq = squeeze_from_lambda(config.lambda_grid[i])
+    sq = SqueezeLevel(config.lambda_grid[i])
     seed = config.point_seed(i)
     return mc_average_fidelity(LineTailored(), config.alpha, sq, config.samples, seed)
 
@@ -193,7 +193,7 @@ def run_fig3(config: ExperimentConfig) -> ExperimentResult:
     """
 
     def point(lam: float) -> tuple[float, ...]:
-        sq = squeeze_from_lambda(lam)
+        sq = SqueezeLevel(lam)
         res = optimize_eta_g2(sq, tol=config.tol)
         eta_star, g2_star = res.argmax
         disp_only = tailored_fidelity(sq, math.pi / 4)
@@ -222,7 +222,7 @@ def run_gaussian_alphabet(config: ExperimentConfig) -> ExperimentResult:
     """
 
     def point(lam: float) -> tuple[float, ...]:
-        res = optimize_gain(squeeze_from_lambda(lam), config.s, tol=config.tol)
+        res = optimize_gain(SqueezeLevel(lam), config.s, tol=config.tol)
         return (lam, res.value, res.argmax[0])
 
     rows = [point(lam) for lam in config.lambda_grid]
@@ -250,7 +250,7 @@ def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
 
     def point(i: int) -> tuple[float, ...]:
         lam = config.lambda_grid[i]
-        sq = squeeze_from_lambda(lam)
+        sq = SqueezeLevel(lam)
         circle_seed = config.point_seed(i) ^ _SECOND_STREAM_SALT
         line = _line_estimate(config, i)
         theta = stream(circle_seed, 0xA11CE).uniform(0.0, 2.0 * math.pi)

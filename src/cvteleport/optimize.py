@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .alphabet import gaussian_weighted_fidelity
 from .fidelity import avg_fidelity_unit_gain
-from .protocol import SqueezeLevel, g2_optimal, tailored_g2, tailored_variances, variances_tailored
+from .protocol import QuadratureVariances, SqueezeLevel, tailored_g2, tailored_variances
 
 if TYPE_CHECKING:
     import numpy as np
@@ -146,14 +146,17 @@ def optimize_gain(
 
 def tailored_fidelity(sq: SqueezeLevel, eta: float) -> float:
     """Unit-gain fidelity of the tailored scheme at splitter angle eta and phase gain g2*(eta)."""
-    return avg_fidelity_unit_gain(variances_tailored(sq, eta, g2_optimal(sq, eta)))
+    if not (0.0 <= eta <= math.pi / 4):
+        raise ValueError(f"beam-splitter parameter must lie in [0, pi/4], got {eta}")
+    v_plus, v_minus = tailored_variances(sq, eta, tailored_g2(sq, eta, math), math)
+    return avg_fidelity_unit_gain(QuadratureVariances(v_plus, v_minus))
 
 
 def optimize_eta_g2(sq: SqueezeLevel, tol: float = DEFAULT_TOL) -> OptimizationResult:
     """Jointly maximise the tailored-scheme fidelity over (eta, g2).
 
     The inner g2 problem is the exact quadratic minimiser
-    :func:`cvteleport.protocol.g2_optimal`, leaving the reduced objective
+    :func:`cvteleport.protocol.tailored_g2`, leaving the reduced objective
     :func:`tailored_fidelity` to maximise over eta in [0, pi/4].  Its
     unimodality is not taken for granted, so the grid stage runs on
     ``objective_grid``, its numpy mirror: the same protocol helpers
@@ -173,7 +176,7 @@ def optimize_eta_g2(sq: SqueezeLevel, tol: float = DEFAULT_TOL) -> OptimizationR
                           tol=tol, f_grid=objective_grid)
     eta_star = res.argmax[0]
     return OptimizationResult(
-        argmax=(eta_star, g2_optimal(sq, eta_star)),
+        argmax=(eta_star, tailored_g2(sq, eta_star, math)),
         value=res.value,
         evaluations=res.evaluations,
     )

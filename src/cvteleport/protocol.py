@@ -60,13 +60,6 @@ def squeeze_from_G(G: float) -> SqueezeLevel:
     return SqueezeLevel(lam=math.sqrt((G - 1.0) / G))
 
 
-def squeeze_from_lambda(lam: float) -> SqueezeLevel:
-    """Build a squeeze level from the squeezing parameter lam in [0, 1)."""
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
-        raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam!r}")
-    return SqueezeLevel(lam=float(lam))
-
-
 @dataclass(frozen=True)
 class QuadratureVariances:
     """Amplitude (v_plus) and phase (v_minus) variances of the output mode.
@@ -156,7 +149,9 @@ def tailored_variances(sq: SqueezeLevel, eta, g2, trig) -> tuple:
          + 4 g2^2 (cos^2(eta) (2G - 1) + sin^2(eta))
 
     ``trig`` is ``math`` for float arguments or ``numpy`` for arrays, so
-    the optimiser's grid stage evaluates this same expression.
+    the optimiser's grid stage evaluates this same expression.  V+ and V-
+    agree with the coefficient-sum oracle of
+    :func:`output_coefficients_tailored` to better than 1e-12.
     """
     G = sq.G
     root = math.sqrt(G * (G - 1.0))
@@ -174,45 +169,20 @@ def tailored_variances(sq: SqueezeLevel, eta, g2, trig) -> tuple:
 def tailored_g2(sq: SqueezeLevel, eta, trig):
     """Unchecked g2* = cos(eta) sqrt(G(G-1)) / (cos^2(eta) (2G - 1) + sin^2(eta)).
 
-    ``trig`` is ``math`` or ``numpy``, as for :func:`tailored_variances`.
+    The phase gain minimising V- at fixed eta: V- is an upward parabola in
+    g2 (leading coefficient 4 (cos^2(eta)(2G-1) + sin^2(eta)) > 0).  Note
+    the + sign in front of sin^2(eta): with a - sign the expression would
+    be singular at G = 1, eta = pi/4 and would not minimise V-.  The
+    denominator as written is strictly positive everywhere in the domain,
+    and the coefficient-sum oracle confirms the minimum (see the optimality
+    tests).  g2* is 0 at G = 1 and tends to 1/sqrt(2) at eta = pi/4 as G
+    grows.  ``trig`` is ``math`` or ``numpy``, as for
+    :func:`tailored_variances`.
     """
     G = sq.G
     cos_eta = trig.cos(eta)
     denom = cos_eta ** 2 * (2.0 * G - 1.0) + trig.sin(eta) ** 2
     return cos_eta * math.sqrt(G * (G - 1.0)) / denom
-
-
-def variances_tailored(sq: SqueezeLevel, eta: float, g2: float) -> QuadratureVariances:
-    """Closed-form output variances of the tailored scheme (:func:`tailored_variances`).
-
-    Both agree with the coefficient-sum oracle of
-    :func:`output_coefficients_tailored` to better than 1e-12.
-    """
-    if not (0.0 <= eta <= math.pi / 4):
-        raise ValueError(f"beam-splitter parameter must lie in [0, pi/4], got {eta}")
-    if g2 < 0.0:
-        raise ValueError(f"phase gain must be non-negative, got {g2}")
-    v_plus, v_minus = tailored_variances(sq, eta, g2, math)
-    return QuadratureVariances(v_plus=v_plus, v_minus=v_minus)
-
-
-def g2_optimal(sq: SqueezeLevel, eta: float) -> float:
-    """Phase gain minimising the output phase variance at fixed eta.
-
-    V- is an upward parabola in g2 (leading coefficient
-    4 (cos^2(eta)(2G-1) + sin^2(eta)) > 0), so its minimiser is
-    :func:`tailored_g2`.
-
-    Note the + sign in front of sin^2(eta): with a - sign the expression
-    would be singular at G = 1, eta = pi/4 and would not minimise V-.
-    The denominator as written is strictly positive everywhere in the
-    domain, and the coefficient-sum oracle confirms the minimum (see the
-    optimality tests).  g2* is 0 at G = 1 and tends to 1/sqrt(2) at
-    eta = pi/4 as G grows.
-    """
-    if not (0.0 <= eta <= math.pi / 4):
-        raise ValueError(f"beam-splitter parameter must lie in [0, pi/4], got {eta}")
-    return tailored_g2(sq, eta, math)
 
 
 def variance_standard_gain(sq: SqueezeLevel, g: float) -> QuadratureVariances:

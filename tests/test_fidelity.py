@@ -14,9 +14,9 @@ from cvteleport.fidelity import (
     transfer_exponent,
 )
 from cvteleport.measurement import LineTailored, mc_average_fidelity
-from cvteleport.protocol import QuadratureVariances, squeeze_from_lambda
+from cvteleport.protocol import QuadratureVariances, SqueezeLevel
 
-SQ = squeeze_from_lambda(0.5)
+SQ = SqueezeLevel(0.5)
 
 
 class TestPoints:
@@ -57,23 +57,23 @@ class TestOneShot:
     @pytest.mark.parametrize("lam", [0.0, 0.3, 0.9])
     def test_identity_when_all_equal(self, lam):
         a = complex(1.2, -0.4)
-        sq = squeeze_from_lambda(lam)
+        sq = SqueezeLevel(lam)
         assert one_shot_fidelity(a, a, a, sq) == 1.0
 
     def test_coherent_overlap_no_squeezing(self):
         # lam = 0 with epsilon = 0 reduces to exp(-|alpha|^2)
-        f = one_shot_fidelity(1 + 0j, 0j, 0j, squeeze_from_lambda(0.0))
+        f = one_shot_fidelity(1 + 0j, 0j, 0j, SqueezeLevel(0.0))
         assert f == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_exact_cancellation_at_optimum(self):
-        sq = squeeze_from_lambda(0.5)
+        sq = SqueezeLevel(0.5)
         f = one_shot_fidelity(1 + 0j, 0.5 + 0j, 0.75 + 0j, sq)
         assert f == pytest.approx(1.0, abs=1e-14)
 
     def test_range_random(self):
         rng = np.random.default_rng(11)
         for _ in range(10_000):
-            sq = squeeze_from_lambda(rng.uniform(0.0, 0.999))
+            sq = SqueezeLevel(rng.uniform(0.0, 0.999))
             args = rng.uniform(-5.0, 5.0, 6)
             alpha, beta, epsilon = (complex(x, y) for x, y in args.reshape(3, 2))
             assert 0.0 <= one_shot_fidelity(alpha, beta, epsilon, sq) <= 1.0
@@ -81,7 +81,7 @@ class TestOneShot:
     def test_perfect_knowledge_identity(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
-            sq = squeeze_from_lambda(rng.uniform(0.0, 0.999))
+            sq = SqueezeLevel(rng.uniform(0.0, 0.999))
             alpha = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
             beta = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
             eps = optimal_displacement(alpha, beta, sq)
@@ -93,7 +93,7 @@ class TestOneShot:
         dx, dy = offsets[:, None], offsets[None, :]
         for _ in range(25):
             lam = rng.uniform(0.0, 0.999)
-            sq = squeeze_from_lambda(lam)
+            sq = SqueezeLevel(lam)
             alpha = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
             beta = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
             eps = optimal_displacement(alpha, beta, sq)

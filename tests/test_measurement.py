@@ -28,7 +28,7 @@ from cvteleport.measurement import (
     component_sigma,
     mc_average_fidelity,
 )
-from cvteleport.protocol import squeeze_from_lambda, variance_standard_gain
+from cvteleport.protocol import SqueezeLevel, variance_standard_gain
 from oracles import (
     ORACLE_BOUND,
     ORACLE_STRATEGIES,
@@ -52,18 +52,18 @@ class TestOutcomeModel:
         [(0.0, 0.5), (0.8, 1.0 / (2.0 * (1.0 - 0.64)))],
     )
     def test_component_variance(self, lam, var):
-        sigma = component_sigma(squeeze_from_lambda(lam))
+        sigma = component_sigma(SqueezeLevel(lam))
         assert sigma ** 2 == pytest.approx(var, rel=1e-12)
 
     def test_lambda_cap(self):
         with pytest.raises(ValueError, match="capped at 0.999 for outcome sampling"):
-            component_sigma(squeeze_from_lambda(0.9995))
+            component_sigma(SqueezeLevel(0.9995))
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.8])
     def test_density_moments(self, lam):
         # 1e6 draws from the stated density: mean alpha, per-component
         # variance 1/(2(1-lam^2)), each within 3 standard errors
-        sigma = component_sigma(squeeze_from_lambda(lam))
+        sigma = component_sigma(SqueezeLevel(lam))
         alpha = complex(1.3, -0.7)
         n = 1_000_000
         rng = np.random.default_rng(31)
@@ -88,13 +88,13 @@ class TestMcEstimate:
 class TestMcAverageFidelity:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
-            mc_average_fidelity(Standard(1.0), ALPHA5, squeeze_from_lambda(0.5), 999, 1)
+            mc_average_fidelity(Standard(1.0), ALPHA5, SqueezeLevel(0.5), 999, 1)
 
     def test_maximum_samples(self):
         # rejected before any sampling
         with pytest.raises(ValueError, match="samples"):
             mc_average_fidelity(
-                Standard(1.0), ALPHA5, squeeze_from_lambda(0.5), MAX_SAMPLES + 1, 1
+                Standard(1.0), ALPHA5, SqueezeLevel(0.5), MAX_SAMPLES + 1, 1
             )
 
     def test_unknown_strategy_raises(self):
@@ -104,11 +104,11 @@ class TestMcAverageFidelity:
             gain = 1.0
 
         with pytest.raises(TypeError, match="unknown strategy: "):
-            mc_average_fidelity(LookAlike(), ALPHA5, squeeze_from_lambda(0.5), 1_000, 1)
+            mc_average_fidelity(LookAlike(), ALPHA5, SqueezeLevel(0.5), 1_000, 1)
 
     def test_standard_matches_closed_form(self):
         est = mc_average_fidelity(
-            Standard(1.0), ALPHA5, squeeze_from_lambda(0.5), 200_000, 41
+            Standard(1.0), ALPHA5, SqueezeLevel(0.5), 200_000, 41
         )
         assert abs(est.mean - 0.75) <= 3 * est.std_error
 
@@ -116,18 +116,18 @@ class TestMcAverageFidelity:
     def test_standard_curve_reproduced(self, lam):
         # end-to-end validation of the outcome density against (1+lam)/2
         est = mc_average_fidelity(
-            Standard(1.0), ALPHA5, squeeze_from_lambda(lam), 100_000, 42
+            Standard(1.0), ALPHA5, SqueezeLevel(lam), 100_000, 42
         )
         assert abs(est.mean - (1.0 + lam) / 2.0) <= 3 * est.std_error
 
     def test_line_tailored_limit(self):
         est = mc_average_fidelity(
-            LineTailored(), ALPHA5, squeeze_from_lambda(0.0), 200_000, 43
+            LineTailored(), ALPHA5, SqueezeLevel(0.0), 200_000, 43
         )
         assert abs(est.mean - 1.0 / math.sqrt(2.0)) <= 0.005
 
     def test_deterministic_for_fixed_seed(self):
-        args = (Standard(1.0), ALPHA5, squeeze_from_lambda(0.7), 150_000, 45)
+        args = (Standard(1.0), ALPHA5, SqueezeLevel(0.7), 150_000, 45)
         a = mc_average_fidelity(*args)
         b = mc_average_fidelity(*args)
         assert (a.mean, a.std_error) == (b.mean, b.std_error)
@@ -140,7 +140,7 @@ class TestMcAverageFidelity:
         n = 3 * MC_CHUNK + 17
 
         def point(i):
-            sq = squeeze_from_lambda(0.2 * i)
+            sq = SqueezeLevel(0.2 * i)
             return mc_average_fidelity(LineTailored(), ALPHA5, sq, n, 46 + i)
 
         assert experiments.map_points(point, 5, 4) == experiments.map_points(point, 5, 1)
@@ -150,7 +150,7 @@ class TestMcAverageFidelity:
         # at |alpha| = 1e16 the line rule tends to sqrt((1 + lam)/2) and the
         # standard rule is (1 + lam)/2 at every amplitude; forming alpha - guess
         # from beta = alpha + w directly loses w to rounding there
-        alpha, sq = complex(1e16, 0.0), squeeze_from_lambda(lam)
+        alpha, sq = complex(1e16, 0.0), SqueezeLevel(lam)
         line = mc_average_fidelity(LineTailored(), alpha, sq, 100_000, 62)
         standard = mc_average_fidelity(Standard(1.0), alpha, sq, 100_000, 63)
         assert abs(line.mean - math.sqrt((1.0 + lam) / 2.0)) <= 5 * line.std_error
@@ -161,7 +161,7 @@ class TestMcAverageFidelity:
         # beyond it the estimate would silently read F = 1.  The circle target
         # sits at angle 0, where its expanded exponent loses nothing to rounding
         # (off that axis it does: test_circle_large_amplitude_off_axis).
-        sq = squeeze_from_lambda(0.0)
+        sq = SqueezeLevel(0.0)
         limits = {
             LineTailored(): 1.0 / math.sqrt(2.0),
             CircleTailored(MAX_AMPLITUDE): 1.0 / math.sqrt(2.0),
@@ -188,14 +188,14 @@ class TestMcAverageFidelity:
         # at lam = 0 and |alpha| -> infinity the circle rule tends to 1/sqrt(2)
         # at every target angle, like the line rule; today it gives 0.569 at
         # angle 1.0 and 0.99975 at angle 2.5
-        amp, sq = 1e16, squeeze_from_lambda(0.0)
+        amp, sq = 1e16, SqueezeLevel(0.0)
         alpha = complex(amp * math.cos(theta), amp * math.sin(theta))
         est = mc_average_fidelity(CircleTailored(amp), alpha, sq, 20_000, 64)
         assert abs(est.mean - 1.0 / math.sqrt(2.0)) <= 5 * est.std_error
 
     def test_seed_changes_stream(self):
-        a = mc_average_fidelity(Standard(1.0), ALPHA5, squeeze_from_lambda(0.5), 10_000, 1)
-        b = mc_average_fidelity(Standard(1.0), ALPHA5, squeeze_from_lambda(0.5), 10_000, 2)
+        a = mc_average_fidelity(Standard(1.0), ALPHA5, SqueezeLevel(0.5), 10_000, 1)
+        b = mc_average_fidelity(Standard(1.0), ALPHA5, SqueezeLevel(0.5), 10_000, 2)
         assert a.mean != b.mean
 
 
@@ -238,7 +238,7 @@ class TestChunkKernel:
     def _noise(self, alpha, lam, seed):
         """Centred outcomes w = beta - alpha, with beta = 0 in the first three."""
         rng = np.random.default_rng(seed)
-        sigma = component_sigma(squeeze_from_lambda(lam))
+        sigma = component_sigma(SqueezeLevel(lam))
         wx = rng.normal(0.0, sigma, self.M)
         wy = rng.normal(0.0, sigma, self.M)
         wx[:3], wy[:3] = -alpha.real, -alpha.imag  # where arg(beta) is undefined
@@ -337,7 +337,7 @@ class TestChunkKernel:
         assert rng.random() == ref_rng.random()
 
     def test_chunks_allocate_no_sample_arrays(self):
-        args = (LineTailored(), ALPHA5, squeeze_from_lambda(0.4), 1_000_000, 61)
+        args = (LineTailored(), ALPHA5, SqueezeLevel(0.4), 1_000_000, 61)
         mc_average_fidelity(*args)  # warm-up: the first estimate's one-off imports
         tracemalloc.start()
         try:
@@ -353,7 +353,7 @@ class TestChunkKernel:
 def _whole_chunk(strategy, alpha, lam, seed, m):
     """One chunk's fidelities from a single (6, m) kernel call on its stream."""
     rng = np.random.default_rng(seed)
-    sigma = component_sigma(squeeze_from_lambda(lam))
+    sigma = component_sigma(SqueezeLevel(lam))
     work = np.empty((6, m))
     _scaled_normal_into(rng, sigma, work[0])
     _scaled_normal_into(rng, sigma, work[1])
@@ -372,7 +372,7 @@ class TestBlockedChunk:
     @pytest.mark.parametrize("width", [1000, 4096, MC_BLOCK, MC_CHUNK])
     def test_blocks_equal_whole_chunk(self, strategy, m, width):
         alpha, lam = complex(3.0, -4.0), 0.7
-        sigma = component_sigma(squeeze_from_lambda(lam))
+        sigma = component_sigma(SqueezeLevel(lam))
         row, scratch = np.empty(m), np.empty((5, width))
         rng = np.random.default_rng(64)
         _fidelities_into(strategy, (alpha.real, alpha.imag), lam, sigma, rng, row, scratch)
@@ -395,7 +395,7 @@ class TestBlockedChunk:
         # the estimate reduces each chunk's full row exactly as a (6, m)
         # whole-chunk kernel would: same sums, same chunk order
         n, seed, lam = 2 * MC_CHUNK + 1003, 65, 0.4
-        sigma = component_sigma(squeeze_from_lambda(lam))
+        sigma = component_sigma(SqueezeLevel(lam))
         total = total_sq = 0.0
         for k in range(3):
             m = min(n - k * MC_CHUNK, MC_CHUNK)
@@ -409,13 +409,13 @@ class TestBlockedChunk:
             total_sq += float((f * f).sum())
         mean = total / n
         se = math.sqrt(max(total_sq - n * mean * mean, 0.0) / (n - 1) / n)
-        est = mc_average_fidelity(strategy, ALPHA5, squeeze_from_lambda(lam), n, seed)
+        est = mc_average_fidelity(strategy, ALPHA5, SqueezeLevel(lam), n, seed)
         assert (est.mean, est.std_error) == (mean, se)
 
     def test_thread_workspace_under_1_mib(self, monkeypatch):
         # the workspace a worker thread allocates for one estimate
         made = _record_workspaces(monkeypatch)
-        args = (LineTailored(), ALPHA5, squeeze_from_lambda(0.4), 10_000, 66)
+        args = (LineTailored(), ALPHA5, SqueezeLevel(0.4), 10_000, 66)
         _run_on_worker_thread(lambda: mc_average_fidelity(*args))
         assert [size for size, _ in made] == [MC_CHUNK * 8 + 5 * MC_BLOCK * 8]
         assert made[0][0] <= 1 << 20
@@ -445,7 +445,7 @@ def _run_on_worker_thread(target) -> None:
 class TestWorkspaceLifetime:
     """A workspace lives for one estimate, not for the thread that ran it."""
 
-    ARGS = (LineTailored(), ALPHA5, squeeze_from_lambda(0.4))
+    ARGS = (LineTailored(), ALPHA5, SqueezeLevel(0.4))
 
     def test_freed_when_the_estimate_returns_on_the_main_thread(self, monkeypatch):
         made = _record_workspaces(monkeypatch)
@@ -484,7 +484,7 @@ class TestQuadratureOracle:
         # fidelity A exp(-c |alpha|^2), A = 2/(V+1), c = 2 (1-g)^2/(V+1),
         # and (1 + lam)/2 at unit gain
         for lam in (0.0, 0.3, 0.6, 0.9, 0.99):
-            sq = squeeze_from_lambda(lam)
+            sq = SqueezeLevel(lam)
             for g in np.linspace(0.0, 2.0, 9):
                 v = variance_standard_gain(sq, g).v_plus
                 for amp in (0.0, 1.0, 5.0):
@@ -507,7 +507,7 @@ class TestQuadratureOracle:
         ],
     )
     def test_agrees_with_mc(self, strategy, lam):
-        est = mc_average_fidelity(strategy, ALPHA5, squeeze_from_lambda(lam), 100_000, 47)
+        est = mc_average_fidelity(strategy, ALPHA5, SqueezeLevel(lam), 100_000, 47)
         exact = exact_average_fidelity(strategy, ALPHA5, lam)
         assert abs(est.mean - exact) <= 3 * est.std_error
 
@@ -520,7 +520,7 @@ class TestCircleLineEquivalence:
         # offset, is test_acceptance::test_criterion_09_circle_line_equivalence
         rng = np.random.default_rng(48)
         for lam in (0.0, 0.25, 0.5):
-            sq = squeeze_from_lambda(lam)
+            sq = SqueezeLevel(lam)
             line = mc_average_fidelity(LineTailored(), ALPHA5, sq, 10_000, 49)
             theta = rng.uniform(0.0, 2.0 * math.pi)
             circle = mc_average_fidelity(
@@ -547,7 +547,7 @@ class TestCircleLineEquivalence:
         # tie-break does not rotate)
         rng = np.random.default_rng(67)
         for lam in (0.0, 0.5, 0.95):
-            sigma = component_sigma(squeeze_from_lambda(lam))
+            sigma = component_sigma(SqueezeLevel(lam))
             wx, wy = rng.normal(0.0, sigma, (2, 1003))
             fids = []
             for t in (0.0, 1.0, 2.5):

@@ -18,14 +18,16 @@ from cvteleport.optimize import (
     maximize_scalar,
     optimize_eta_g2,
     optimize_gain,
+    tailored_fidelity,
 )
 from cvteleport.protocol import (
-    g2_optimal,
+    QuadratureVariances,
+    SqueezeLevel,
     squeeze_from_G,
-    squeeze_from_lambda,
+    tailored_g2,
     tailored_variances,
-    variances_tailored,
 )
+from oracles import optimal_tailoring
 
 
 GRID = 1024
@@ -71,15 +73,22 @@ def scalar_scan_maximize(f, lo, hi, tol):
     return OptimizationResult((best_x,), best_f, evaluations)
 
 
+def fidelity_at(sq, eta, g2):
+    """Unit-gain fidelity of the tailored scheme at (eta, g2), positive variances checked."""
+    return avg_fidelity_unit_gain(QuadratureVariances(*tailored_variances(sq, eta, g2, math)))
+
+
 def scalar_scan_eta_g2(sq, tol=optimize.DEFAULT_TOL):
     """``optimize_eta_g2`` with the grid stage run on the scalar objective."""
 
     def objective(eta):
-        return avg_fidelity_unit_gain(variances_tailored(sq, eta, g2_optimal(sq, eta)))
+        return fidelity_at(sq, eta, tailored_g2(sq, eta, math))
 
     res = scalar_scan_maximize(objective, 0.0, math.pi / 4, tol)
     eta_star = res.argmax[0]
-    return OptimizationResult((eta_star, g2_optimal(sq, eta_star)), res.value, res.evaluations)
+    return OptimizationResult(
+        (eta_star, tailored_g2(sq, eta_star, math)), res.value, res.evaluations
+    )
 
 
 def _outcome(optimizer, sq, tol):
@@ -90,7 +99,7 @@ def _outcome(optimizer, sq, tol):
 
 
 # >= 200 squeezing levels over the whole range, plus large gains
-SWEEP = [squeeze_from_lambda(float(lam)) for lam in np.linspace(0.0, 0.999, 201)] + [
+SWEEP = [SqueezeLevel(float(lam)) for lam in np.linspace(0.0, 0.999, 201)] + [
     squeeze_from_G(G) for G in (1.0, 3.0, 40.0, 1e3, 1e6)
 ]
 
@@ -141,7 +150,7 @@ class TestMaximizeScalar:
         assert res.value == 0.0
 
     def test_gain_objective(self):
-        sq = squeeze_from_lambda(0.0)
+        sq = SqueezeLevel(0.0)
         res = maximize_scalar(
             lambda g: gaussian_weighted_fidelity(sq, g, 0.2), 0.0, 2.0, tol=1e-8
         )
@@ -150,7 +159,7 @@ class TestMaximizeScalar:
     def test_negated_phase_variance(self):
         sq = squeeze_from_G(2.0)
         res = maximize_scalar(
-            lambda g2: -variances_tailored(sq, math.pi / 4, g2).v_minus,
+            lambda g2: -tailored_variances(sq, math.pi / 4, g2, math)[1],
             0.0, 2.0, tol=1e-8,
         )
         assert res.argmax[0] == pytest.approx(0.5, abs=1e-6)
@@ -229,23 +238,23 @@ class TestMaximizeScalar:
 
 class TestOptimizeGain:
     def test_narrow_alphabet(self):
-        res = optimize_gain(squeeze_from_lambda(0.0), 0.2)
+        res = optimize_gain(SqueezeLevel(0.0), 0.2)
         assert res.argmax[0] == pytest.approx(1.0 / 13.5, abs=1e-6)
         assert res.value == pytest.approx(0.9310345, abs=5e-8)
 
     def test_wide_alphabet(self):
-        res = optimize_gain(squeeze_from_lambda(0.0), 100.0)
+        res = optimize_gain(SqueezeLevel(0.0), 100.0)
         assert abs(res.argmax[0] - 1.0) <= 1e-3
         assert res.value == pytest.approx(0.5, abs=1e-3)
 
     def test_high_squeezing(self):
-        res = optimize_gain(squeeze_from_lambda(0.999), 0.2)
+        res = optimize_gain(SqueezeLevel(0.999), 0.2)
         assert res.value >= 0.99
 
     def test_soundness_against_grid(self):
         rng = np.random.default_rng(71)
         for _ in range(10):
-            sq = squeeze_from_lambda(rng.uniform(0.0, 0.99))
+            sq = SqueezeLevel(rng.uniform(0.0, 0.99))
             s = rng.uniform(0.05, 10.0)
             res = optimize_gain(sq, s)
             grid_best = max(
@@ -256,7 +265,7 @@ class TestOptimizeGain:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            optimize_gain(squeeze_from_lambda(0.5), -0.2)
+            optimize_gain(SqueezeLevel(0.5), -0.2)
 
 
 class TestOptimizeEtaG2:
@@ -274,7 +283,7 @@ class TestOptimizeEtaG2:
         sq = squeeze_from_G(2.0)
         res = optimize_eta_g2(sq)
         half = math.pi / 4
-        disp_only = avg_fidelity_unit_gain(variances_tailored(sq, half, g2_optimal(sq, half)))
+        disp_only = tailored_fidelity(sq, half)
         assert res.value > disp_only
         assert res.value > (1.0 + sq.lam) / 2.0
 
@@ -283,10 +292,10 @@ class TestOptimizeEtaG2:
         etas = np.linspace(0.0, math.pi / 4, 64)
         g2s = np.linspace(0.0, 2.0, 64)
         for _ in range(5):
-            sq = squeeze_from_lambda(rng.uniform(0.0, 0.99))
+            sq = SqueezeLevel(rng.uniform(0.0, 0.99))
             res = optimize_eta_g2(sq)
             grid_best = max(
-                avg_fidelity_unit_gain(variances_tailored(sq, float(e), float(g)))
+                fidelity_at(sq, float(e), float(g))
                 for e in etas
                 for g in g2s
             )
@@ -301,7 +310,7 @@ class TestOptimizeEtaG2:
             assert 0.0 <= g2_star <= 2.0
             probes = [(e, g) for e in (0.0, math.pi / 4, math.pi / 8) for g in (0.0, 2.0, 1.0)]
             for eta, g2 in probes:
-                probe = avg_fidelity_unit_gain(variances_tailored(sq, eta, g2))
+                probe = fidelity_at(sq, eta, g2)
                 assert res.value >= probe - 1e-12
 
     def test_tuned_curves_shape(self):
@@ -310,7 +319,7 @@ class TestOptimizeEtaG2:
         grid = list(np.linspace(0.0, 0.98, 50)) + [0.999]
         eta_stars, g2_stars = [], []
         for lam in grid:
-            res = optimize_eta_g2(squeeze_from_lambda(float(lam)))
+            res = optimize_eta_g2(SqueezeLevel(float(lam)))
             eta_stars.append(res.argmax[0])
             g2_stars.append(res.argmax[1])
         assert eta_stars[0] == 0.0 and g2_stars[0] == 0.0
@@ -347,8 +356,9 @@ class TestOptimizeEtaG2:
             assert gap.max() <= GRID_SLACK / 1000, sq
 
     def test_grid_stage_reads_the_protocol_helpers(self, monkeypatch):
-        # the numpy mirror has no algebra of its own: a change to the
-        # protocol helper reaches the grid stage
+        # neither the numpy mirror nor the scalar objective has algebra of
+        # its own: a change to the protocol helper reaches the grid stage
+        # (one numpy call) and every scalar evaluation after it
         calls = []
 
         def recording(sq, eta, g2, trig):
@@ -356,13 +366,13 @@ class TestOptimizeEtaG2:
             return tailored_variances(sq, eta, g2, trig)
 
         monkeypatch.setattr(optimize, "tailored_variances", recording)
-        optimize_eta_g2(squeeze_from_lambda(0.5))
-        assert calls == [np]
+        res = optimize_eta_g2(SqueezeLevel(0.5))
+        assert calls[0] is np and calls[1:] == [math] * (res.evaluations - GRID)
 
     def test_scalar_objective_calls_stay_few(self, eta_g2_objectives):
         _, counts = eta_g2_objectives
         for lam in default_lambda_grid():
-            optimize_eta_g2(squeeze_from_lambda(lam), tol=1e-12)
+            optimize_eta_g2(SqueezeLevel(lam), tol=1e-12)
         assert len(counts) == len(default_lambda_grid())
         assert max(counts) < 100
 
@@ -383,17 +393,38 @@ class TestOptimizeEtaG2:
             except ValueError:
                 raises.append(i)
                 continue
-            v = variances_tailored(sq, x, g2_optimal(sq, x))
-            if 2.0 / math.sqrt((v.v_plus + 1.0) * (v.v_minus + 1.0)) > 1.0:
+            v_plus, v_minus = tailored_variances(sq, x, tailored_g2(sq, x, math), math)
+            if 2.0 / math.sqrt((v_plus + 1.0) * (v_minus + 1.0)) > 1.0:
                 clamps.append(i)
         nans = list(np.flatnonzero(np.isnan(f_grid(np.array(xs)))))
         assert raises and nans == sorted(raises + clamps)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="ROADMAP item 8: the O(G) terms of V+- cancel, and at G = 1e6 the "
+        "fidelity overshoots 1 by 5.8e-11",
+    )
+    def test_large_gain_at_fine_tol_returns(self):
+        sq = squeeze_from_G(1e6)
+        res = optimize_eta_g2(sq, tol=1e-12)
+        f_exact, eta_exact, _ = optimal_tailoring(sq.lam)
+        assert abs(res.value - f_exact) <= 1e-10
+        assert abs(res.argmax[0] - eta_exact) <= 1e-7
+
+    def test_tailored_fidelity_domain(self):
+        # the protocol helpers are unchecked; the objective keeps the eta range
+        sq = squeeze_from_G(2.0)
+        message = r"beam-splitter parameter must lie in \[0, pi/4\]"
+        for eta in (-0.01, 1.0, math.nextafter(math.pi / 4, 1.0)):
+            with pytest.raises(ValueError, match=message):
+                tailored_fidelity(sq, eta)
+
     def test_dominance_over_lambda_grid(self):
         for lam in np.linspace(0.0, 0.98, 20):
-            sq = squeeze_from_lambda(float(lam))
+            sq = SqueezeLevel(float(lam))
             full = optimize_eta_g2(sq).value
             half = math.pi / 4
-            disp = avg_fidelity_unit_gain(variances_tailored(sq, half, g2_optimal(sq, half)))
+            disp = tailored_fidelity(sq, half)
             std = (1.0 + sq.lam) / 2.0
             assert full > disp > std

@@ -15,7 +15,12 @@ from cvteleport import cli, experiments
 from cvteleport.fidelity import avg_fidelity_unit_gain, one_shot_fidelity
 from cvteleport.kernel import _one_shot_into
 from cvteleport.measurement import component_sigma
-from cvteleport.protocol import squeeze_from_lambda, variance_standard_gain, variances_tailored
+from cvteleport.protocol import (
+    QuadratureVariances,
+    SqueezeLevel,
+    tailored_variances,
+    variance_standard_gain,
+)
 from oracles import (
     ORACLE_BOUND,
     ORACLE_STRATEGIES,
@@ -115,8 +120,9 @@ _gain = st.floats(0.0, 2.0)
     lam=st.floats(0.0, 0.999), eta=st.floats(0.0, math.pi / 4), g=_gain, g2=_gain
 )
 def test_uncertainty_product_and_fidelity_bound(lam, eta, g, g2):
-    sq = squeeze_from_lambda(lam)
-    for v in (variances_tailored(sq, eta, g2), variance_standard_gain(sq, g)):
+    sq = SqueezeLevel(lam)
+    tailored = QuadratureVariances(*tailored_variances(sq, eta, g2, math))
+    for v in (tailored, variance_standard_gain(sq, g)):
         assert v.v_plus * v.v_minus >= 1.0 - 1e-12
         assert avg_fidelity_unit_gain(v) <= 1.0
 
@@ -131,7 +137,7 @@ def test_uncertainty_product_and_fidelity_bound(lam, eta, g, g2):
 )
 def test_kernel_matches_decimal_oracle(ax, ay, lam, seed):
     # every branch of the line kernel (alpha_x <= 0, alpha_y != 0) on random targets
-    sigma = component_sigma(squeeze_from_lambda(lam))
+    sigma = component_sigma(SqueezeLevel(lam))
     w = np.random.default_rng(seed).normal(0.0, sigma, (2, 64))
     w[:, 0] = -ax, -ay  # the outcome beta = 0
     work = np.empty((6, 64))
@@ -160,7 +166,7 @@ def _disc(radius):
 def _stated_density(alpha, beta, lam):
     """P(beta | alpha) as the engine samples it: two normal components of
     standard deviation ``component_sigma`` about the target's."""
-    var = component_sigma(squeeze_from_lambda(lam)) ** 2
+    var = component_sigma(SqueezeLevel(lam)) ** 2
     return math.exp(-abs(beta - alpha) ** 2 / (2.0 * var)) / (2.0 * math.pi * var)
 
 
@@ -174,7 +180,7 @@ def _fock_errors(alpha, beta, epsilon, lam, density, fidelity):
 @hypothesis.given(alpha=_disc(2.9), w=_disc(3.0), epsilon=_disc(2.9), lam=st.floats(0.0, 0.9))
 def test_outcome_law_and_one_shot_rule_match_fock_oracle(alpha, w, epsilon, lam):
     beta = alpha + w
-    f = one_shot_fidelity(alpha, beta, epsilon, squeeze_from_lambda(lam))
+    f = one_shot_fidelity(alpha, beta, epsilon, SqueezeLevel(lam))
     df, dp = _fock_errors(alpha, beta, epsilon, lam, _stated_density(alpha, beta, lam), f)
     assert df <= FOCK_F_BOUND
     assert dp <= FOCK_DENSITY_RTOL

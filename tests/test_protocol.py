@@ -9,15 +9,12 @@ import pytest
 from cvteleport.protocol import (
     QuadratureVariances,
     SqueezeLevel,
-    g2_optimal,
     output_coefficients_tailored,
     squeeze_from_G,
-    squeeze_from_lambda,
     standard_gain_coefficients,
     tailored_g2,
     tailored_variances,
     variance_standard_gain,
-    variances_tailored,
 )
 from oracles import covariance_variances
 
@@ -38,7 +35,7 @@ class TestSqueezeLevel:
     def test_no_squeezing_is_exact(self):
         # criterion 1 needs the standard baseline F(0) = 1/2 exactly
         assert squeeze_from_G(1.0).G == 1.0
-        assert squeeze_from_lambda(0.0).G == 1.0
+        assert SqueezeLevel(0.0).G == 1.0
 
     def test_lambda_is_the_only_field(self):
         assert [f.name for f in dataclasses.fields(SqueezeLevel) if f.init] == ["lam"]
@@ -48,7 +45,7 @@ class TestSqueezeLevel:
         [(0.0, 1.0), (0.5, 4.0 / 3.0), (0.9, 1.0 / 0.19)],
     )
     def test_from_lambda(self, lam, G):
-        sq = squeeze_from_lambda(lam)
+        sq = SqueezeLevel(lam)
         assert sq.lam == lam
         assert sq.G == pytest.approx(G, rel=1e-12)
 
@@ -60,22 +57,22 @@ class TestSqueezeLevel:
     @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan])
     def test_from_lambda_domain(self, bad):
         with pytest.raises(ValueError):
-            squeeze_from_lambda(bad)
+            SqueezeLevel(bad)
 
     def test_round_trip(self):
         # the composed map has condition number ~2G in float64, so the
         # 1e-10 relative bound is only meaningful below G ~ 1e5; above
         # that the conditioning bound 2 G eps (~4.4e-10 at G = 1e6) applies
         for G in np.geomspace(1.0, 1e5, 300):
-            back = squeeze_from_lambda(squeeze_from_G(float(G)).lam).G
+            back = SqueezeLevel(squeeze_from_G(float(G)).lam).G
             assert back == pytest.approx(G, rel=1e-10)
         for G in np.geomspace(1e5, 1e6, 100):
-            back = squeeze_from_lambda(squeeze_from_G(float(G)).lam).G
+            back = SqueezeLevel(squeeze_from_G(float(G)).lam).G
             assert back == pytest.approx(G, rel=2.0 * G * 2.0 ** -52)
 
     def test_lambda_invariant_after_inverse_map(self):
         for lam in np.linspace(0.0, 0.9999, 500):
-            sq = squeeze_from_lambda(float(lam))
+            sq = SqueezeLevel(float(lam))
             assert abs(sq.lam - math.sqrt((sq.G - 1.0) / sq.G)) <= 1e-12
 
 
@@ -121,17 +118,17 @@ class TestOutputCoefficients:
 class TestVariancesTailored:
     def test_limit_cases(self):
         sq = squeeze_from_G(1.0)
-        v = variances_tailored(sq, 0.0, 0.0)
-        assert (v.v_plus, v.v_minus) == (2.0, 1.0)
-        v = variances_tailored(sq, math.pi / 4, 0.0)
-        assert v.v_plus == pytest.approx(3.0, abs=1e-12)
-        assert v.v_minus == pytest.approx(1.0, abs=1e-12)
+        assert tailored_variances(sq, 0.0, 0.0, math) == (2.0, 1.0)
+        v_plus, v_minus = tailored_variances(sq, math.pi / 4, 0.0, math)
+        assert v_plus == pytest.approx(3.0, abs=1e-12)
+        assert v_minus == pytest.approx(1.0, abs=1e-12)
 
     def test_large_squeezing_5050(self):
         sq = squeeze_from_G(100.0)
-        v = variances_tailored(sq, math.pi / 4, g2_optimal(sq, math.pi / 4))
-        assert abs(v.v_plus - 1.0) < 0.02
-        assert abs(v.v_minus - 1.0) < 0.02
+        g2 = tailored_g2(sq, math.pi / 4, math)
+        v_plus, v_minus = tailored_variances(sq, math.pi / 4, g2, math)
+        assert abs(v_plus - 1.0) < 0.02
+        assert abs(v_minus - 1.0) < 0.02
 
     @pytest.mark.parametrize("G", [1.0, 2.0, 500.0, 1e6])
     def test_numpy_evaluation_matches_the_scalar_one(self, G):
@@ -144,17 +141,11 @@ class TestVariancesTailored:
         v_plus, v_minus = tailored_variances(sq, eta, g2, np)
         ulps = 16.0 * G * 2.0 ** -52
         for i, x in enumerate(eta.tolist()):
-            assert g2[i] == pytest.approx(g2_optimal(sq, x), rel=4 * 2.0 ** -52, abs=0.0)
-            v = variances_tailored(sq, x, g2_optimal(sq, x))
-            assert v_plus[i] == pytest.approx(v.v_plus, rel=0.0, abs=ulps)
-            assert v_minus[i] == pytest.approx(v.v_minus, rel=0.0, abs=ulps)
-
-    def test_domain(self):
-        sq = squeeze_from_G(2.0)
-        with pytest.raises(ValueError):
-            variances_tailored(sq, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            variances_tailored(sq, 0.1, -1.0)
+            g2_x = tailored_g2(sq, x, math)
+            assert g2[i] == pytest.approx(g2_x, rel=4 * 2.0 ** -52, abs=0.0)
+            v_plus_x, v_minus_x = tailored_variances(sq, x, g2_x, math)
+            assert v_plus[i] == pytest.approx(v_plus_x, rel=0.0, abs=ulps)
+            assert v_minus[i] == pytest.approx(v_minus_x, rel=0.0, abs=ulps)
 
 
 class TestGains:
@@ -172,20 +163,21 @@ class TestGains:
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, math.pi / 4])
     def test_g2_zero_without_squeezing(self, eta):
-        assert g2_optimal(squeeze_from_G(1.0), eta) == 0.0
+        assert tailored_g2(squeeze_from_G(1.0), eta, math) == 0.0
 
     def test_g2_infinite_squeezing_limit(self):
-        g2 = g2_optimal(squeeze_from_G(1e6), math.pi / 4)
+        g2 = tailored_g2(squeeze_from_G(1e6), math.pi / 4, math)
         assert abs(g2 - 1.0 / math.sqrt(2.0)) < 1e-3
 
     def test_g2_quadratic_minimum(self):
         sq = squeeze_from_G(2.0)
-        g2 = g2_optimal(sq, math.pi / 4)
+        g2 = tailored_g2(sq, math.pi / 4, math)
         assert g2 == pytest.approx(0.5, abs=1e-12)
-        assert variances_tailored(sq, math.pi / 4, g2).v_minus == pytest.approx(1.0, abs=1e-12)
+        best = tailored_variances(sq, math.pi / 4, g2, math)[1]
+        assert best == pytest.approx(1.0, abs=1e-12)
         grid = np.linspace(0.0, 2.0, 10_001)
-        v_grid = [variances_tailored(sq, math.pi / 4, float(g)).v_minus for g in grid]
-        assert min(v_grid) >= variances_tailored(sq, math.pi / 4, g2).v_minus - 1e-12
+        _, v_grid = tailored_variances(sq, math.pi / 4, grid, np)
+        assert v_grid.min() >= best - 1e-12
 
 
 class TestStandardGain:
@@ -220,13 +212,13 @@ class TestCoefficientOracle:
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(321)
         for _ in range(1000):
-            sq = squeeze_from_lambda(rng.uniform(0.0, 0.95))
+            sq = SqueezeLevel(rng.uniform(0.0, 0.95))
             eta = rng.uniform(0.0, math.pi / 4)
             g2 = rng.uniform(0.0, 2.0)
             plus, minus = output_coefficients_tailored(sq, eta, g2)
-            v = variances_tailored(sq, eta, g2)
-            assert abs(v.v_plus - plus.variance()) <= 1e-12
-            assert abs(v.v_minus - minus.variance()) <= 1e-12
+            v_plus, v_minus = tailored_variances(sq, eta, g2, math)
+            assert abs(v_plus - plus.variance()) <= 1e-12
+            assert abs(v_minus - minus.variance()) <= 1e-12
             g = rng.uniform(0.0, 2.0)
             assert abs(
                 variance_standard_gain(sq, g).v_plus
@@ -243,26 +235,26 @@ class TestCoefficientOracle:
             eta = rng.uniform(0.0, math.pi / 4)
             g2 = rng.uniform(0.0, 2.0)
             (v_plus, v_minus), (s_plus, s_minus) = covariance_variances(lam, eta, g2)
-            v = variances_tailored(squeeze_from_lambda(lam), eta, g2)
-            assert abs(v.v_plus - v_plus) <= 1e-12 * s_plus
-            assert abs(v.v_minus - v_minus) <= 1e-12 * s_minus
+            got_plus, got_minus = tailored_variances(SqueezeLevel(lam), eta, g2, math)
+            assert abs(got_plus - v_plus) <= 1e-12 * s_plus
+            assert abs(got_minus - v_minus) <= 1e-12 * s_minus
 
     def test_oracle_equivalence_high_squeezing(self):
         # relative agreement continues through the top of the lam range
         for lam in (0.99, 0.999):
-            sq = squeeze_from_lambda(lam)
+            sq = SqueezeLevel(lam)
             for eta in (0.0, 0.4, math.pi / 4):
                 plus, minus = output_coefficients_tailored(sq, eta, 1.3)
-                v = variances_tailored(sq, eta, 1.3)
-                assert v.v_plus == pytest.approx(plus.variance(), rel=1e-12)
-                assert v.v_minus == pytest.approx(minus.variance(), rel=1e-12)
+                v_plus, v_minus = tailored_variances(sq, eta, 1.3, math)
+                assert v_plus == pytest.approx(plus.variance(), rel=1e-12)
+                assert v_minus == pytest.approx(minus.variance(), rel=1e-12)
 
     def test_g2_optimal_dominates_grid(self):
         rng = np.random.default_rng(654)
         grid = np.linspace(0.0, 4.0, 10_000)
         for _ in range(100):
-            sq = squeeze_from_lambda(rng.uniform(0.0, 0.99))
+            sq = SqueezeLevel(rng.uniform(0.0, 0.99))
             eta = rng.uniform(0.0, math.pi / 4)
-            best = variances_tailored(sq, eta, g2_optimal(sq, eta)).v_minus
-            v_grid = [variances_tailored(sq, eta, float(g)).v_minus for g in grid]
-            assert best <= min(v_grid) + 1e-12
+            best = tailored_variances(sq, eta, tailored_g2(sq, eta, math), math)[1]
+            _, v_grid = tailored_variances(sq, eta, grid, np)
+            assert best <= v_grid.min() + 1e-12

@@ -16,7 +16,7 @@ import pytest
 from cvteleport.fidelity import one_shot_fidelity, optimal_displacement
 from cvteleport.kernel import _one_shot_into
 from cvteleport.measurement import CircleTailored, LineTailored, Standard
-from cvteleport.protocol import squeeze_from_lambda
+from cvteleport.protocol import SqueezeLevel
 
 TARGETS = (complex(1.0, 0.0), complex(-0.5, 2.0), complex(0.0, -1.5))
 
@@ -38,20 +38,20 @@ def assert_displaces_to(strategy, beta, sq, eps):
 class TestOptimalDisplacement:
     def test_no_squeezing_uses_guess(self):
         guess = complex(1.5, -2.0)
-        eps = optimal_displacement(guess, complex(9.0, 9.0), squeeze_from_lambda(0.0))
+        eps = optimal_displacement(guess, complex(9.0, 9.0), SqueezeLevel(0.0))
         assert eps == guess
 
     def test_large_squeezing_uses_outcome(self):
         beta = complex(0.5, 0.25)
         eps = optimal_displacement(
-            complex(1.0, 0.0), beta, squeeze_from_lambda(1.0 - 1e-9)
+            complex(1.0, 0.0), beta, SqueezeLevel(1.0 - 1e-9)
         )
         assert eps.real == pytest.approx(beta.real, abs=1e-8)
         assert eps.imag == pytest.approx(beta.imag, abs=1e-8)
 
     def test_arithmetic(self):
         eps = optimal_displacement(
-            complex(1.0, 0.0), complex(0.5, 0.0), squeeze_from_lambda(0.5)
+            complex(1.0, 0.0), complex(0.5, 0.0), SqueezeLevel(0.5)
         )
         assert (eps.real, eps.imag) == (0.75, 0.0)
 
@@ -60,23 +60,23 @@ class TestLineDisplacement:
     def test_arithmetic(self):
         beta = complex(3.0, 4.0)
         assert_displaces_to(
-            LineTailored(), beta, squeeze_from_lambda(0.5), complex(4.0, 2.0)
+            LineTailored(), beta, SqueezeLevel(0.5), complex(4.0, 2.0)
         )
 
     def test_pure_guess_limit(self):
         beta = complex(-1.0, 2.0)
         guess = complex(math.hypot(beta.real, beta.imag), 0.0)
-        assert_displaces_to(LineTailored(), beta, squeeze_from_lambda(0.0), guess)
+        assert_displaces_to(LineTailored(), beta, SqueezeLevel(0.0), guess)
 
     def test_outcome_on_line(self):
         beta = complex(2.0, 0.0)
-        assert_displaces_to(LineTailored(), beta, squeeze_from_lambda(0.3), beta)
+        assert_displaces_to(LineTailored(), beta, SqueezeLevel(0.3), beta)
 
 
 class TestCircleDisplacement:
     def test_projects_onto_circle(self):
         assert_displaces_to(
-            CircleTailored(2.0), complex(0.0, 5.0), squeeze_from_lambda(0.0),
+            CircleTailored(2.0), complex(0.0, 5.0), SqueezeLevel(0.0),
             complex(0.0, 2.0),
         )
 
@@ -85,17 +85,17 @@ class TestCircleDisplacement:
         # beta only within 1e-6; test_interpolation pins the rule exactly
         r = 3.0
         beta = complex(r * math.cos(1.1), r * math.sin(1.1))
-        assert_displaces_to(CircleTailored(r), beta, squeeze_from_lambda(1.0 - 1e-9), beta)
+        assert_displaces_to(CircleTailored(r), beta, SqueezeLevel(1.0 - 1e-9), beta)
 
     def test_outcome_on_circle(self):
         # |beta| equal to the radius makes the displacement exactly beta
         beta = complex(3.0, 4.0)
-        assert_displaces_to(CircleTailored(5.0), beta, squeeze_from_lambda(0.5), beta)
+        assert_displaces_to(CircleTailored(5.0), beta, SqueezeLevel(0.5), beta)
 
     def test_origin_outcome_takes_arg_zero(self):
         # arg(0) resolved as 0: the guess sits on the positive real axis
         assert_displaces_to(
-            CircleTailored(2.0), complex(0.0, 0.0), squeeze_from_lambda(0.4),
+            CircleTailored(2.0), complex(0.0, 0.0), SqueezeLevel(0.4),
             complex((1.0 - 0.4) * 2.0, 0.0),
         )
 
@@ -115,7 +115,7 @@ class TestStandardDisplacement:
     )
     def test_scaling(self, g, beta, expected):
         assert_displaces_to(
-            Standard(g), complex(*beta), squeeze_from_lambda(0.6),
+            Standard(g), complex(*beta), SqueezeLevel(0.6),
             complex(*expected),
         )
 
@@ -131,7 +131,7 @@ class TestProperties:
         rng = np.random.default_rng(21)
         for _ in range(500):
             lam = rng.uniform(0.0, 0.999)
-            sq = squeeze_from_lambda(lam)
+            sq = SqueezeLevel(lam)
             beta = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
             guess = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
             eps = optimal_displacement(guess, beta, sq)
@@ -152,7 +152,7 @@ class TestProperties:
 
     def test_line_circle_agree_on_positive_axis(self):
         for lam in (0.0, 0.4, 0.97):
-            sq = squeeze_from_lambda(lam)
+            sq = SqueezeLevel(lam)
             for x in (0.5, 2.0, 7.5):
                 beta = complex(x, 0.0)
                 for alpha in TARGETS:
@@ -164,7 +164,7 @@ class TestProperties:
         rng = np.random.default_rng(22)
         for _ in range(10):
             lam = rng.uniform(0.0, 0.999)
-            sq = squeeze_from_lambda(lam)
+            sq = SqueezeLevel(lam)
             alpha = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             beta = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             eps = optimal_displacement(alpha, beta, sq)
