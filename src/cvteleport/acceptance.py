@@ -29,6 +29,7 @@ from .experiments import (
     ExperimentConfig,
     available_cpus,
     circle_estimate,
+    circle_line_allowance,
     default_lambda_grid,
     map_points,
     run_fig1,
@@ -75,7 +76,8 @@ def _seed(k: int) -> int:
 
 def criterion_standard_baseline() -> CriterionResult:
     """Analytic standard curve (1+lam)/2 and its Monte Carlo reproduction."""
-    f0 = avg_fidelity_unit_gain(variance_standard_gain(squeeze_from_G(1.0), 1.0))
+    v = variance_standard_gain(squeeze_from_G(1.0), 1.0)
+    f0 = avg_fidelity_unit_gain(v, v)
     if f0 != 0.5:
         detail = f"analytic F(0)={f0!r} != 0.5"
         return CriterionResult(1, "standard baseline", False, detail)
@@ -215,11 +217,6 @@ def criterion_narrow_alphabet() -> CriterionResult:
     )
 
 
-def circle_line_allowance(line: McEstimate, circle: McEstimate) -> float:
-    """Criterion 9's allowance at one grid point: 3 (se_line + se_circle)."""
-    return 3.0 * (line.std_error + circle.std_error)
-
-
 def circle_line_estimates() -> list[tuple[float, McEstimate, McEstimate]]:
     """Criterion 9's (lam, line, circle) Monte Carlo estimates over the default grid.
 
@@ -247,7 +244,7 @@ def criterion_circle_line_equivalence() -> CriterionResult:
     worst_excess = -math.inf
     for lam, line, circle in estimates:
         diff = abs(line.mean - circle.mean)
-        allowance = circle_line_allowance(line, circle)
+        allowance = circle_line_allowance(line.std_error, circle.std_error)
         worst_excess = max(worst_excess, diff - allowance)
         if diff > allowance:
             failures.append((lam, diff, allowance))
@@ -275,8 +272,8 @@ def _property_oracle() -> tuple[bool, str]:
         plus, minus = output_coefficients_tailored(sq, eta, g2)
         v_plus, v_minus = tailored_variances(sq, eta, g2, math)
         worst = max(worst, abs(v_plus - plus.variance()), abs(v_minus - minus.variance()))
-        vs = variance_standard_gain(sq, g)
-        worst = max(worst, abs(vs.v_plus - standard_gain_coefficients(sq, g).variance()))
+        v = variance_standard_gain(sq, g)
+        worst = max(worst, abs(v - standard_gain_coefficients(sq, g).variance()))
     return worst <= 1e-12, f"oracle worst |closed-form - sum-of-squares| {worst:.2e}"
 
 

@@ -48,7 +48,7 @@ def gaussian_weighted_fidelity(sq: SqueezeLevel, g: float, s: float) -> float:
     """
     if not (0.0 < s < math.inf):
         raise ValueError(f"alphabet standard deviation must be positive and finite, got {s}")
-    v = variance_standard_gain(sq, g).v_plus
+    v = variance_standard_gain(sq, g)
     a = 2.0 / (v + 1.0)
     c = 2.0 * (1.0 - g) ** 2 / (v + 1.0)
     return checked_fidelity(a / (1.0 + 2.0 * c * s * s))
@@ -68,7 +68,7 @@ def gaussian_weighted_fidelity_quadrature(
         raise ValueError(
             f"standard deviations must be positive and finite, got ({s_x}, {s_y})"
         )
-    v = variance_standard_gain(sq, g).v_plus
+    v = variance_standard_gain(sq, g)
     a = 2.0 / (v + 1.0)
     c = 2.0 * (1.0 - g) ** 2 / (v + 1.0)
     import numpy as np

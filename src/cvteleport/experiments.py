@@ -236,6 +236,11 @@ def run_gaussian_alphabet(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(header, tuple(rows), summary)
 
 
+def circle_line_allowance(se_line: float, se_circle: float) -> float:
+    """Allowance on |f_line - f_circle| at one grid point: 3 (se_line + se_circle)."""
+    return 3.0 * (se_line + se_circle)
+
+
 def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
     """Monte Carlo comparison of the line and circle tailored strategies.
 
@@ -260,7 +265,7 @@ def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
     rows = map_points(point, len(config.lambda_grid), config.threads)
     header = ("lambda", "f_line", "f_line_stderr", "f_circle", "f_circle_stderr")
     diffs = [abs(r[1] - r[3]) for r in rows]
-    allowances = [3.0 * (r[2] + r[4]) for r in rows]
+    allowances = [circle_line_allowance(r[2], r[4]) for r in rows]
     summary = {
         "f_line_lambda0": rows[0][1],
         "f_circle_lambda0": rows[0][3],

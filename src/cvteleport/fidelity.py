@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .protocol import QuadratureVariances, SqueezeLevel
+from .protocol import SqueezeLevel
 
 # Overshoot above 1 tolerated (and clamped) by checked_fidelity.
 OVERSHOOT_TOL = 1e-12
@@ -79,9 +79,18 @@ def optimal_displacement(alpha_guess: complex, beta: complex, sq: SqueezeLevel) 
     return (1.0 - lam) * alpha_guess + lam * beta
 
 
-def avg_fidelity_unit_gain(v: QuadratureVariances) -> float:
-    """Average fidelity at unit gain: 2 / sqrt((V+ + 1)(V- + 1))."""
-    return checked_fidelity(2.0 / math.sqrt((v.v_plus + 1.0) * (v.v_minus + 1.0)))
+def avg_fidelity_unit_gain(v_plus: float, v_minus: float) -> float:
+    """Average fidelity at unit gain: 2 / sqrt((V+ + 1)(V- + 1)).
+
+    ``v_plus`` and ``v_minus`` are the amplitude and phase variances of the
+    output mode and must be positive.  Conditional phase variances below
+    the vacuum level do occur for G > 1 at partially transmissive settings
+    (the receiver's displacement cancels part of his mode's noise through
+    the EPR correlations), so only positivity is checked.
+    """
+    if not (v_plus > 0.0 and v_minus > 0.0):
+        raise ValueError(f"variances must be positive, got ({v_plus}, {v_minus})")
+    return checked_fidelity(2.0 / math.sqrt((v_plus + 1.0) * (v_minus + 1.0)))
 
 
 def bfk_classical_limit(s: float) -> float:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .alphabet import gaussian_weighted_fidelity
 from .fidelity import avg_fidelity_unit_gain
-from .protocol import QuadratureVariances, SqueezeLevel, tailored_g2, tailored_variances
+from .protocol import SqueezeLevel, tailored_g2, tailored_variances
 
 if TYPE_CHECKING:
     import numpy as np
@@ -148,8 +148,7 @@ def tailored_fidelity(sq: SqueezeLevel, eta: float) -> float:
     """Unit-gain fidelity of the tailored scheme at splitter angle eta and phase gain g2*(eta)."""
     if not (0.0 <= eta <= math.pi / 4):
         raise ValueError(f"beam-splitter parameter must lie in [0, pi/4], got {eta}")
-    v_plus, v_minus = tailored_variances(sq, eta, tailored_g2(sq, eta, math), math)
-    return avg_fidelity_unit_gain(QuadratureVariances(v_plus, v_minus))
+    return avg_fidelity_unit_gain(*tailored_variances(sq, eta, tailored_g2(sq, eta, math), math))
 
 
 def optimize_eta_g2(sq: SqueezeLevel, tol: float = DEFAULT_TOL) -> OptimizationResult:

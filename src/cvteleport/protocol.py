@@ -61,26 +61,6 @@ def squeeze_from_G(G: float) -> SqueezeLevel:
 
 
 @dataclass(frozen=True)
-class QuadratureVariances:
-    """Amplitude (v_plus) and phase (v_minus) variances of the output mode.
-
-    Strictly positive.  Conditional phase variances below the vacuum level
-    do occur for G > 1 at partially transmissive settings (the receiver's
-    displacement cancels part of his mode's noise through the EPR
-    correlations), so only positivity is enforced here.
-    """
-
-    v_plus: float
-    v_minus: float
-
-    def __post_init__(self) -> None:
-        if not (self.v_plus > 0.0 and self.v_minus > 0.0):
-            raise ValueError(
-                f"variances must be positive, got ({self.v_plus}, {self.v_minus})"
-            )
-
-
-@dataclass(frozen=True)
 class QuadratureCoefficients:
     """Linear expansion of an output quadrature over the independent inputs.
 
@@ -185,21 +165,25 @@ def tailored_g2(sq: SqueezeLevel, eta, trig):
     return cos_eta * math.sqrt(G * (G - 1.0)) / denom
 
 
-def variance_standard_gain(sq: SqueezeLevel, g: float) -> QuadratureVariances:
-    """Output variances of the 50:50 scheme with a common scalar gain g.
+def variance_standard_gain(sq: SqueezeLevel, g: float) -> float:
+    """Output variance of the 50:50 scheme with a common scalar gain g.
 
     Both quadratures carry the same variance
 
         V = 2G - 4 g sqrt(G(G-1)) + 2 g^2 G - 1,
 
     the sum-of-squares of the coefficients
-    (sqrt(G) - g sqrt(G-1), sqrt(G-1) - g sqrt(G), -g).
+    (sqrt(G) - g sqrt(G-1), sqrt(G-1) - g sqrt(G), -g).  In exact
+    arithmetic V >= 1 for every finite g >= 0; a NaN or infinite gain makes
+    V NaN, which is rejected.
     """
     if g < 0.0:
         raise ValueError(f"gain must be non-negative, got {g}")
     G = sq.G
     v = 2.0 * G - 4.0 * g * math.sqrt(G * (G - 1.0)) + 2.0 * g ** 2 * G - 1.0
-    return QuadratureVariances(v_plus=v, v_minus=v)
+    if not v > 0.0:
+        raise ValueError(f"variances must be positive, got ({v}, {v})")
+    return v
 
 
 def standard_gain_coefficients(sq: SqueezeLevel, g: float) -> QuadratureCoefficients:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from cvteleport import acceptance, experiments
-from cvteleport.experiments import default_lambda_grid
+from cvteleport.experiments import circle_line_allowance, default_lambda_grid
 from cvteleport.measurement import MIN_SAMPLES
 from oracles import exact_line_circle
 
@@ -79,7 +79,7 @@ def _points_outside(estimates, offsets):
         lam
         for (lam, line, circle), offset in zip(estimates, offsets)
         if abs((line.mean - circle.mean) - offset)
-        > acceptance.circle_line_allowance(line, circle)
+        > circle_line_allowance(line.std_error, circle.std_error)
     ]
 
 
@@ -166,7 +166,8 @@ def test_criterion_09_red_from_the_offset_alone(circle_line):
     assert result.detail.startswith(f"{len(outside)}/{len(estimates)} grid points exceed")
     worst = max(
         estimates,
-        key=lambda p: abs(p[1].mean - p[2].mean) - acceptance.circle_line_allowance(p[1], p[2]),
+        key=lambda p: abs(p[1].mean - p[2].mean)
+        - circle_line_allowance(p[1].std_error, p[2].std_error),
     )
     assert f"worst at lam={worst[0]:.3f}:" in result.detail
 
@@ -190,14 +191,15 @@ def test_readme_quotes_the_computed_numbers(circle_line):
     far = [line - circle for line, circle in (exact_line_circle(a, 0.0) for a in (10.0, 20.0))]
     outside = _points_outside(estimates, [0.0] * len(offsets))
     residual = max(
-        abs((line.mean - circle.mean) - offset) / acceptance.circle_line_allowance(line, circle)
+        abs((line.mean - circle.mean) - offset)
+        / circle_line_allowance(line.std_error, circle.std_error)
         for (_, line, circle), offset in zip(estimates, offsets)
     )
     _, cap_line, cap_circle = estimates[-1]
     n = 100_000  # criterion 9's samples per estimate
     cap_sd = cap_line.std_error * math.sqrt(n)
     # standard errors grow as n^-1/2 down to the smallest permitted sample size
-    cap_allowance = acceptance.circle_line_allowance(cap_line, cap_circle) * math.sqrt(
+    cap_allowance = circle_line_allowance(cap_line.std_error, cap_circle.std_error) * math.sqrt(
         n / MIN_SAMPLES
     )
     quotes = [

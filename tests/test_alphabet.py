@@ -17,7 +17,7 @@ class TestClosedForm:
         for _ in range(100):
             sq = SqueezeLevel(rng.uniform(0.0, 0.99))
             s = rng.uniform(0.05, 100.0)
-            v = variance_standard_gain(sq, 1.0).v_plus
+            v = variance_standard_gain(sq, 1.0)
             assert gaussian_weighted_fidelity(sq, 1.0, s) == 2.0 / (v + 1.0)
 
     def test_narrow_alphabet_matches_classical_limit(self):
@@ -108,7 +108,7 @@ class TestQuadratureOracle:
             g = rng.uniform(0.0, 1.5)
             s_x = rng.uniform(0.1, 2.0)
             s_y = rng.uniform(0.1, 2.0)
-            v = variance_standard_gain(sq, g).v_plus
+            v = variance_standard_gain(sq, g)
             a = 2.0 / (v + 1.0)
             c = 2.0 * (1.0 - g) ** 2 / (v + 1.0)
             expected = a / math.sqrt((1 + 2 * c * s_x ** 2) * (1 + 2 * c * s_y ** 2))

@@ -14,7 +14,7 @@ from cvteleport.fidelity import (
     transfer_exponent,
 )
 from cvteleport.measurement import LineTailored, mc_average_fidelity
-from cvteleport.protocol import QuadratureVariances, SqueezeLevel
+from cvteleport.protocol import SqueezeLevel
 
 SQ = SqueezeLevel(0.5)
 
@@ -110,19 +110,19 @@ class TestOneShot:
 
 class TestAveraged:
     def test_unit_gain_values(self):
-        assert avg_fidelity_unit_gain(QuadratureVariances(2.0, 1.0)) == pytest.approx(
+        assert avg_fidelity_unit_gain(2.0, 1.0) == pytest.approx(
             math.sqrt(2.0 / 3.0), abs=1e-15
         )
-        assert avg_fidelity_unit_gain(QuadratureVariances(3.0, 1.0)) == pytest.approx(
+        assert avg_fidelity_unit_gain(3.0, 1.0) == pytest.approx(
             1.0 / math.sqrt(2.0), abs=1e-15
         )
-        assert avg_fidelity_unit_gain(QuadratureVariances(1.0, 1.0)) == 1.0
+        assert avg_fidelity_unit_gain(1.0, 1.0) == 1.0
 
     def test_range_random(self):
         rng = np.random.default_rng(15)
         for _ in range(10_000):
-            v = QuadratureVariances(rng.uniform(1.0, 40.0), rng.uniform(1.0, 40.0))
-            assert 0.0 <= avg_fidelity_unit_gain(v) <= 1.0
+            v_plus, v_minus = rng.uniform(1.0, 40.0), rng.uniform(1.0, 40.0)
+            assert 0.0 <= avg_fidelity_unit_gain(v_plus, v_minus) <= 1.0
 
 
 class TestClassicalLimit:

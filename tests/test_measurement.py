@@ -486,7 +486,7 @@ class TestQuadratureOracle:
         for lam in (0.0, 0.3, 0.6, 0.9, 0.99):
             sq = SqueezeLevel(lam)
             for g in np.linspace(0.0, 2.0, 9):
-                v = variance_standard_gain(sq, g).v_plus
+                v = variance_standard_gain(sq, g)
                 for amp in (0.0, 1.0, 5.0):
                     c = 2.0 * (1.0 - g) ** 2 / (v + 1.0)
                     heisenberg = 2.0 / (v + 1.0) * math.exp(-c * amp * amp)

@@ -21,7 +21,6 @@ from cvteleport.optimize import (
     tailored_fidelity,
 )
 from cvteleport.protocol import (
-    QuadratureVariances,
     SqueezeLevel,
     squeeze_from_G,
     tailored_g2,
@@ -75,7 +74,7 @@ def scalar_scan_maximize(f, lo, hi, tol):
 
 def fidelity_at(sq, eta, g2):
     """Unit-gain fidelity of the tailored scheme at (eta, g2), positive variances checked."""
-    return avg_fidelity_unit_gain(QuadratureVariances(*tailored_variances(sq, eta, g2, math)))
+    return avg_fidelity_unit_gain(*tailored_variances(sq, eta, g2, math))
 
 
 def scalar_scan_eta_g2(sq, tol=optimize.DEFAULT_TOL):

@@ -16,7 +16,6 @@ from cvteleport.fidelity import avg_fidelity_unit_gain, one_shot_fidelity
 from cvteleport.kernel import _one_shot_into
 from cvteleport.measurement import component_sigma
 from cvteleport.protocol import (
-    QuadratureVariances,
     SqueezeLevel,
     tailored_variances,
     variance_standard_gain,
@@ -121,10 +120,10 @@ _gain = st.floats(0.0, 2.0)
 )
 def test_uncertainty_product_and_fidelity_bound(lam, eta, g, g2):
     sq = SqueezeLevel(lam)
-    tailored = QuadratureVariances(*tailored_variances(sq, eta, g2, math))
-    for v in (tailored, variance_standard_gain(sq, g)):
-        assert v.v_plus * v.v_minus >= 1.0 - 1e-12
-        assert avg_fidelity_unit_gain(v) <= 1.0
+    v = variance_standard_gain(sq, g)
+    for v_plus, v_minus in (tailored_variances(sq, eta, g2, math), (v, v)):
+        assert v_plus * v_minus >= 1.0 - 1e-12
+        assert avg_fidelity_unit_gain(v_plus, v_minus) <= 1.0
 
 
 # the circle joins once its kernel works on centred noise too
