@@ -49,7 +49,6 @@ from .protocol import (
     SqueezeLevel,
     output_coefficients_tailored,
     squeeze_from_G,
-    standard_gain_coefficients,
     tailored_variances,
     variance_standard_gain,
 )
@@ -271,9 +270,11 @@ def _property_oracle() -> tuple[bool, str]:
         g = rng.uniform(0.0, 2.0)
         plus, minus = output_coefficients_tailored(sq, eta, g2)
         v_plus, v_minus = tailored_variances(sq, eta, g2, math)
-        worst = max(worst, abs(v_plus - plus.variance()), abs(v_minus - minus.variance()))
+        # the common-gain scheme is the 50:50 phase quadrature at g2 = g/sqrt(2)
+        _, phase = output_coefficients_tailored(sq, math.pi / 4, g / math.sqrt(2.0))
         v = variance_standard_gain(sq, g)
-        worst = max(worst, abs(v - standard_gain_coefficients(sq, g).variance()))
+        for v_closed, c in ((v_plus, plus), (v_minus, minus), (v, phase)):
+            worst = max(worst, abs(v_closed - (c[0] ** 2 + c[1] ** 2 + c[2] ** 2)))
     return worst <= 1e-12, f"oracle worst |closed-form - sum-of-squares| {worst:.2e}"
 
 

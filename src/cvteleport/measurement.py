@@ -59,8 +59,8 @@ class Standard:
     gain: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.gain < 0.0:
-            raise ValueError(f"gain must be non-negative, got {self.gain}")
+        if not (0.0 <= self.gain < math.inf):
+            raise ValueError(f"gain must be non-negative and finite, got {self.gain}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ class CircleTailored:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius < 0.0:
-            raise ValueError(f"radius must be non-negative, got {self.radius}")
+        if not (0.0 <= self.radius < math.inf):
+            raise ValueError(f"radius must be non-negative and finite, got {self.radius}")
 
 
 Strategy = Union[Standard, LineTailored, CircleTailored]

@@ -18,8 +18,9 @@ Every closed-form variance here can be cross-checked against the
 coefficient-sum oracle: an output quadrature is a real linear combination
 of the independent input-mode quadratures (the two pre-squeezer vacua and
 the target), each of which contributes unit variance, so its variance is
-the sum of squared coefficients.  ``QuadratureCoefficients.variance()``
-implements that oracle.
+the sum of squared coefficients.  :func:`output_coefficients_tailored`
+gives those coefficients; the common-gain scheme at gain g is its 50:50
+phase quadrature (eta = pi/4) at g2 = g/sqrt(2).
 """
 
 from __future__ import annotations
@@ -60,29 +61,9 @@ def squeeze_from_G(G: float) -> SqueezeLevel:
     return SqueezeLevel(lam=math.sqrt((G - 1.0) / G))
 
 
-@dataclass(frozen=True)
-class QuadratureCoefficients:
-    """Linear expansion of an output quadrature over the independent inputs.
-
-    ``c_v1`` and ``c_v2`` multiply the two pre-squeezer vacuum modes,
-    ``c_in`` multiplies the coherent target mode.  Each underlying mode
-    carries unit quadrature variance, so the variance of the combination
-    is the plain sum of squares — the oracle used to validate every
-    closed-form variance in this module.
-    """
-
-    c_v1: float
-    c_v2: float
-    c_in: float
-
-    def variance(self) -> float:
-        """Sum-of-squares variance of the expanded quadrature."""
-        return self.c_v1 ** 2 + self.c_v2 ** 2 + self.c_in ** 2
-
-
 def output_coefficients_tailored(
     sq: SqueezeLevel, eta: float, g2: float
-) -> tuple[QuadratureCoefficients, QuadratureCoefficients]:
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
     """Output-quadrature expansions of the tailored scheme, g1 = 1/(2 cos(eta)).
 
     The amplitude quadrature of the output mode is
@@ -97,27 +78,22 @@ def output_coefficients_tailored(
       - (sqrt(G-1) - 2 g2 cos(eta) sqrt(G)) X-_v1
       + 2 g2 sin(eta) X-_in.
 
-    Returns the (plus, minus) coefficient sets.
+    Returns the (plus, minus) expansions as (c_v1, c_v2, c_in) triples:
+    c_v1 and c_v2 multiply the two pre-squeezer vacuum modes, c_in the
+    coherent target.  The inputs are independent and each has unit
+    variance, so each quadrature's variance is V = c_v1^2 + c_v2^2 + c_in^2.
     """
     if not (0.0 <= eta <= math.pi / 4):
         raise ValueError(f"beam-splitter parameter must lie in [0, pi/4], got {eta}")
-    if g2 < 0.0:
-        raise ValueError(f"phase gain must be non-negative, got {g2}")
+    if not (0.0 <= g2 < math.inf):
+        raise ValueError(f"phase gain must be non-negative and finite, got {g2}")
     g1 = 1.0 / (2.0 * math.cos(eta))
     rg = math.sqrt(sq.G)
     rg1 = math.sqrt(sq.G - 1.0)
     sin_eta = math.sin(eta)
     cos_eta = math.cos(eta)
-    plus = QuadratureCoefficients(
-        c_v1=rg1 - 2.0 * g1 * sin_eta * rg,
-        c_v2=rg - 2.0 * g1 * sin_eta * rg1,
-        c_in=2.0 * g1 * cos_eta,
-    )
-    minus = QuadratureCoefficients(
-        c_v1=-(rg1 - 2.0 * g2 * cos_eta * rg),
-        c_v2=rg - 2.0 * g2 * cos_eta * rg1,
-        c_in=2.0 * g2 * sin_eta,
-    )
+    plus = (rg1 - 2.0 * g1 * sin_eta * rg, rg - 2.0 * g1 * sin_eta * rg1, 2.0 * g1 * cos_eta)
+    minus = (-(rg1 - 2.0 * g2 * cos_eta * rg), rg - 2.0 * g2 * cos_eta * rg1, 2.0 * g2 * sin_eta)
     return plus, minus
 
 
@@ -172,8 +148,9 @@ def variance_standard_gain(sq: SqueezeLevel, g: float) -> float:
 
         V = 2G - 4 g sqrt(G(G-1)) + 2 g^2 G - 1,
 
-    the sum-of-squares of the coefficients
-    (sqrt(G) - g sqrt(G-1), sqrt(G-1) - g sqrt(G), -g).  In exact
+    the sum-of-squares of the phase triple of
+    :func:`output_coefficients_tailored` at eta = pi/4, g2 = g/sqrt(2),
+    (g sqrt(G) - sqrt(G-1), sqrt(G) - g sqrt(G-1), g).  In exact
     arithmetic V >= 1 for every finite g >= 0; a NaN or infinite gain makes
     V NaN, which is rejected.
     """
@@ -184,12 +161,3 @@ def variance_standard_gain(sq: SqueezeLevel, g: float) -> float:
     if not v > 0.0:
         raise ValueError(f"variances must be positive, got ({v}, {v})")
     return v
-
-
-def standard_gain_coefficients(sq: SqueezeLevel, g: float) -> QuadratureCoefficients:
-    """Coefficient expansion behind :func:`variance_standard_gain` (oracle)."""
-    if g < 0.0:
-        raise ValueError(f"gain must be non-negative, got {g}")
-    rg = math.sqrt(sq.G)
-    rg1 = math.sqrt(sq.G - 1.0)
-    return QuadratureCoefficients(c_v1=rg1 - g * rg, c_v2=rg - g * rg1, c_in=-g)

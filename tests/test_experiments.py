@@ -651,6 +651,11 @@ class TestCli:
         assert all(l.startswith(("[PASS]", "[FAIL]")) for l in lines)
         assert proc.returncode in (0, 1)
         assert ("criteria passed" in proc.stdout)
+        # the whole text is pinned, digits included.  Like the reference
+        # CSVs it assumes numpy 2.4.6, whose Generator streams the Monte
+        # Carlo criteria draw; a change that moves a line updates the file
+        golden = (Path(__file__).parent / "check_stdout.txt").read_text()
+        assert proc.stdout == golden
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,

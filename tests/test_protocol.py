@@ -12,12 +12,16 @@ from cvteleport.protocol import (
     SqueezeLevel,
     output_coefficients_tailored,
     squeeze_from_G,
-    standard_gain_coefficients,
     tailored_g2,
     tailored_variances,
     variance_standard_gain,
 )
 from oracles import covariance_variances
+
+
+def sum_sq(c):
+    """Variance of a (c_v1, c_v2, c_in) expansion over unit-variance inputs."""
+    return c[0] ** 2 + c[1] ** 2 + c[2] ** 2
 
 
 class TestSqueezeLevel:
@@ -89,6 +93,12 @@ class TestSettingsAndVariancesTypes:
         with pytest.raises(ValueError, match="phase gain"):
             output_coefficients_tailored(squeeze_from_G(2.0), 0.1, -0.1)
 
+    @pytest.mark.parametrize("g2", [math.nan, math.inf])
+    def test_non_finite_phase_gain(self, g2):
+        # a plain g2 < 0 check would let NaN and +inf through
+        with pytest.raises(ValueError, match="phase gain must be non-negative"):
+            output_coefficients_tailored(SqueezeLevel(0.5), 0.3, g2)
+
     def test_variances_positive(self):
         # the fidelity that consumes the variances checks them
         for v_plus, v_minus in ((math.nan, 1.0), (0.0, 1.0), (1.0, -0.5)):
@@ -101,20 +111,20 @@ class TestOutputCoefficients:
     def test_no_squeezing_transmissive(self):
         # fully transmissive splitter, g1 = 1/2: plus quadrature is v2 + a_in
         plus, _ = output_coefficients_tailored(squeeze_from_G(1.0), 0.0, 0.0)
-        assert (plus.c_v2, plus.c_v1, plus.c_in) == (1.0, 0.0, 1.0)
-        assert plus.variance() == pytest.approx(2.0, abs=1e-14)
+        assert plus == (0.0, 1.0, 1.0)
+        assert sum_sq(plus) == pytest.approx(2.0, abs=1e-14)
 
     def test_no_squeezing_5050(self):
         plus, _ = output_coefficients_tailored(squeeze_from_G(1.0), math.pi / 4, 0.0)
-        assert plus.variance() == pytest.approx(3.0, abs=1e-12)
+        assert sum_sq(plus) == pytest.approx(3.0, abs=1e-12)
 
     def test_unit_gain_5050_matches_standard(self):
         # eta = pi/4 with g1 = g2 = 1/sqrt(2) is the common-gain scheme at g = 1
         sq = squeeze_from_G(4.0 / 3.0)
         plus, minus = output_coefficients_tailored(sq, math.pi / 4, 1.0 / math.sqrt(2.0))
         ref = variance_standard_gain(sq, 1.0)
-        assert plus.variance() == pytest.approx(ref, abs=1e-12)
-        assert minus.variance() == pytest.approx(ref, abs=1e-12)
+        assert sum_sq(plus) == pytest.approx(ref, abs=1e-12)
+        assert sum_sq(minus) == pytest.approx(ref, abs=1e-12)
 
 
 class TestVariancesTailored:
@@ -154,8 +164,8 @@ class TestGains:
     def test_g1_unit_gain_on_target(self):
         # g1 = 1/(2 cos(eta)): the target coefficient of the plus quadrature is 1
         for eta in np.linspace(0.0, math.pi / 4, 20):
-            plus, _ = output_coefficients_tailored(squeeze_from_G(3.0), float(eta), 0.3)
-            assert plus.c_in == pytest.approx(1.0, abs=1e-15)
+            (_, _, c_in), _ = output_coefficients_tailored(squeeze_from_G(3.0), float(eta), 0.3)
+            assert c_in == pytest.approx(1.0, abs=1e-15)
 
     def test_g1_domain(self):
         # g1 is defined up to the 50:50 splitter, the last eta above, and
@@ -186,9 +196,11 @@ class TestStandardGain:
     def test_examples(self):
         assert variance_standard_gain(squeeze_from_G(1.0), 1.0) == 3.0
         assert variance_standard_gain(squeeze_from_G(1.0), 0.0) == 1.0
-        # value fixed by the coefficient oracle: 1/3 + 1/3 + 1 = 5/3
+        # value fixed by the coefficient oracle: 1/3 + 1/3 + 1 = 5/3; the
+        # common-gain scheme is the 50:50 phase quadrature at g2 = g/sqrt(2)
         sq = squeeze_from_G(4.0 / 3.0)
-        oracle = standard_gain_coefficients(sq, 1.0).variance()
+        _, phase = output_coefficients_tailored(sq, math.pi / 4, 1.0 / math.sqrt(2.0))
+        oracle = sum_sq(phase)
         assert oracle == pytest.approx(5.0 / 3.0, abs=1e-12)
         assert variance_standard_gain(sq, 1.0) == pytest.approx(oracle, abs=1e-12)
 
@@ -226,13 +238,11 @@ class TestCoefficientOracle:
             g2 = rng.uniform(0.0, 2.0)
             plus, minus = output_coefficients_tailored(sq, eta, g2)
             v_plus, v_minus = tailored_variances(sq, eta, g2, math)
-            assert abs(v_plus - plus.variance()) <= 1e-12
-            assert abs(v_minus - minus.variance()) <= 1e-12
+            assert abs(v_plus - sum_sq(plus)) <= 1e-12
+            assert abs(v_minus - sum_sq(minus)) <= 1e-12
             g = rng.uniform(0.0, 2.0)
-            assert abs(
-                variance_standard_gain(sq, g)
-                - standard_gain_coefficients(sq, g).variance()
-            ) <= 1e-12
+            _, phase = output_coefficients_tailored(sq, math.pi / 4, g / math.sqrt(2.0))
+            assert abs(variance_standard_gain(sq, g) - sum_sq(phase)) <= 1e-12
 
     def test_covariance_oracle_random(self):
         # V+- as c^T Sigma c over the resource covariance, an algebra
@@ -255,8 +265,8 @@ class TestCoefficientOracle:
             for eta in (0.0, 0.4, math.pi / 4):
                 plus, minus = output_coefficients_tailored(sq, eta, 1.3)
                 v_plus, v_minus = tailored_variances(sq, eta, 1.3, math)
-                assert v_plus == pytest.approx(plus.variance(), rel=1e-12)
-                assert v_minus == pytest.approx(minus.variance(), rel=1e-12)
+                assert v_plus == pytest.approx(sum_sq(plus), rel=1e-12)
+                assert v_minus == pytest.approx(sum_sq(minus), rel=1e-12)
 
     def test_g2_optimal_dominates_grid(self):
         rng = np.random.default_rng(654)

@@ -103,6 +103,12 @@ class TestCircleDisplacement:
         with pytest.raises(ValueError):
             CircleTailored(radius=-2.0)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius(self, radius):
+        # a plain radius < 0 check would let NaN and +inf through
+        with pytest.raises(ValueError, match="radius must be non-negative"):
+            CircleTailored(radius)
+
 
 class TestStandardDisplacement:
     @pytest.mark.parametrize(
@@ -122,6 +128,12 @@ class TestStandardDisplacement:
     def test_negative_gain(self):
         with pytest.raises(ValueError):
             Standard(gain=-1.0)
+
+    @pytest.mark.parametrize("gain", [math.nan, math.inf])
+    def test_non_finite_gain(self, gain):
+        # rejected when built, not after the estimate has drawn every sample
+        with pytest.raises(ValueError, match="gain must be non-negative"):
+            Standard(gain)
 
 
 class TestProperties:
