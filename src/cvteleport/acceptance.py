@@ -269,7 +269,7 @@ def _property_oracle() -> tuple[bool, str]:
         g2 = rng.uniform(0.0, 2.0)
         g = rng.uniform(0.0, 2.0)
         plus, minus = output_coefficients_tailored(sq, eta, g2)
-        v_plus, v_minus = tailored_variances(sq, eta, g2, math)
+        v_plus, v_minus = tailored_variances(sq, eta, g2)
         # the common-gain scheme is the 50:50 phase quadrature at g2 = g/sqrt(2)
         _, phase = output_coefficients_tailored(sq, math.pi / 4, g / math.sqrt(2.0))
         v = variance_standard_gain(sq, g)

@@ -37,15 +37,6 @@ _FALLBACK_GRID = 1024
 GRID_SLACK = 1e-9
 
 
-class NonFiniteObjectiveError(ValueError):
-    """Objective returned a non-finite value; ``x`` is the offending abscissa."""
-
-    def __init__(self, x: float, value: float):
-        super().__init__(f"objective is not finite at x={x!r}: {value!r}")
-        self.x = x
-        self.value = value
-
-
 @dataclass(frozen=True)
 class OptimizationResult:
     """Argmax (1 or 2 coordinates), objective value and search metadata."""
@@ -72,7 +63,8 @@ def maximize_scalar(
     finite or within GRID_SLACK of its maximum; the first scalar maximum
     wins, as in a scalar scan.  The endpoints and midpoint are always
     candidates, so boundary maxima are returned exactly.  ``evaluations``
-    counts the grid points and every scalar evaluation.
+    counts the grid points and every scalar evaluation.  A non-finite
+    value of f raises ValueError naming its abscissa.
     """
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -86,7 +78,7 @@ def maximize_scalar(
         evaluations += 1
         v = f(x)
         if not math.isfinite(v):
-            raise NonFiniteObjectiveError(x, v)
+            raise ValueError(f"objective is not finite at x={x!r}: {v!r}")
         return v
 
     if f_grid is None:
@@ -94,17 +86,17 @@ def maximize_scalar(
     else:
         import numpy as np
 
-        xs = [lo + (hi - lo) * i / (_FALLBACK_GRID - 1) for i in range(_FALLBACK_GRID)]
-        approx = f_grid(np.array(xs))
+        xs = lo + (hi - lo) * np.arange(_FALLBACK_GRID) / (_FALLBACK_GRID - 1)
+        approx = f_grid(xs)
         evaluations += _FALLBACK_GRID
         finite = np.isfinite(approx)
         rescore = ~finite
         if finite.any():
             rescore |= approx >= approx[finite].max() - GRID_SLACK
-        vals = {int(i): eval_f(xs[i]) for i in np.flatnonzero(rescore)}
+        vals = {int(i): eval_f(float(xs[i])) for i in np.flatnonzero(rescore)}
         i = max(vals, key=vals.__getitem__)
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, _FALLBACK_GRID - 1)]
+        a = float(xs[max(i - 1, 0)])
+        b = float(xs[min(i + 1, _FALLBACK_GRID - 1)])
 
     # golden-section on [a, b], until it is tol wide or, with tol below
     # the float spacing there, stops shrinking
@@ -148,7 +140,7 @@ def tailored_fidelity(sq: SqueezeLevel, eta: float) -> float:
     """Unit-gain fidelity of the tailored scheme at splitter angle eta and phase gain g2*(eta)."""
     if not (0.0 <= eta <= math.pi / 4):
         raise ValueError(f"beam-splitter parameter must lie in [0, pi/4], got {eta}")
-    return avg_fidelity_unit_gain(*tailored_variances(sq, eta, tailored_g2(sq, eta, math), math))
+    return avg_fidelity_unit_gain(*tailored_variances(sq, eta, tailored_g2(sq, eta)))
 
 
 def optimize_eta_g2(sq: SqueezeLevel, tol: float = DEFAULT_TOL) -> OptimizationResult:
@@ -165,7 +157,7 @@ def optimize_eta_g2(sq: SqueezeLevel, tol: float = DEFAULT_TOL) -> OptimizationR
     def objective_grid(eta: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        v_plus, v_minus = tailored_variances(sq, eta, tailored_g2(sq, eta, np), np)
+        v_plus, v_minus = tailored_variances(sq, eta, tailored_g2(sq, eta))
         with np.errstate(all="ignore"):
             fid = 2.0 / np.sqrt((v_plus + 1.0) * (v_minus + 1.0))
         ok = (v_plus > 0.0) & (v_minus > 0.0) & (fid > 0.0) & (fid <= 1.0)
@@ -175,7 +167,7 @@ def optimize_eta_g2(sq: SqueezeLevel, tol: float = DEFAULT_TOL) -> OptimizationR
                           tol=tol, f_grid=objective_grid)
     eta_star = res.argmax[0]
     return OptimizationResult(
-        argmax=(eta_star, tailored_g2(sq, eta_star, math)),
+        argmax=(eta_star, tailored_g2(sq, eta_star)),
         value=res.value,
         evaluations=res.evaluations,
     )

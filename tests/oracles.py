@@ -241,6 +241,8 @@ def exact_average_fidelity(strategy, alpha, lam):
 def decimal_log_fidelity(strategy, ax, ay, lam, wx, wy):
     """log F of each outcome beta = alpha + w in 60-digit decimal arithmetic.
 
+    The guess is g beta for the standard rule, |beta| for the line rule and
+    radius * beta / |beta| for the circle rule, whose beta = 0 takes arg 0.
     Built from the displacement rule and the expanded transfer exponent
     -|u|^2 - lam^2 |v|^2 + 2 lam Re(u* v), u = alpha - epsilon,
     v = alpha - beta, so it shares no algebra with the kernel's guess form.
@@ -255,11 +257,16 @@ def decimal_log_fidelity(strategy, ax, ay, lam, wx, wy):
         for i, (x, y, px, py) in enumerate(np.broadcast(ax, ay, wx, wy)):
             x, y = D(float(x)), D(float(y))
             bx, by = x + D(float(px)), y + D(float(py))
+            r = (bx * bx + by * by).sqrt()
             if isinstance(strategy, Standard):
                 g = D(strategy.gain)
                 ex, ey = g * bx, g * by
+            elif isinstance(strategy, CircleTailored):
+                # guess radius * beta / |beta|; beta = 0 takes arg 0
+                rad = D(strategy.radius)
+                gx, gy = (rad * bx / r, rad * by / r) if r else (rad, D(0))
+                ex, ey = (1 - lam_d) * gx + lam_d * bx, (1 - lam_d) * gy + lam_d * by
             else:
-                r = (bx * bx + by * by).sqrt()
                 ex, ey = (1 - lam_d) * r + lam_d * bx, lam_d * by
             ux, uy, vx, vy = x - ex, y - ey, x - bx, y - by
             out[i] = float(

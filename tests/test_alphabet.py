@@ -40,9 +40,9 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             gaussian_weighted_fidelity_quadrature(sq, 1.0, 1.0, 1.0, order=8)
         # both forms take their gain check from variance_standard_gain
-        with pytest.raises(ValueError, match="gain must be non-negative, got -0.5"):
+        with pytest.raises(ValueError, match="gain must be non-negative and finite, got -0.5"):
             gaussian_weighted_fidelity_quadrature(sq, -0.5, 1.0, 1.0, order=32)
-        with pytest.raises(ValueError, match="gain must be non-negative, got -0.5"):
+        with pytest.raises(ValueError, match="gain must be non-negative and finite, got -0.5"):
             gaussian_weighted_fidelity(sq, -0.5, 1.0)
 
     @pytest.mark.parametrize(

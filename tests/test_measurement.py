@@ -42,6 +42,27 @@ from oracles import (
 ALPHA5 = complex(5.0, 0.0)
 # test ids of parametrised targets; pytest would otherwise print each complex
 TARGET_IDS = [f"alpha{i}" for i in range(6)]
+# the targets and squeezing levels the kernel is held to the decimal oracle at
+ORACLE_TARGETS = [
+    ALPHA5,
+    complex(1.3, -0.7),
+    complex(6e7, -8e7),
+    complex(1e16, 0.0),
+    complex(-2.0, 0.5),
+    complex(0.0, -1.5),
+]
+ORACLE_LAMBDAS = [0.0, 0.35, 0.999]
+# the (target, lam) where the circle's expanded form on beta = alpha + w
+# misses the oracle: every target at lam = 0.999 (1e-12), and |alpha| = 1e8
+# and 1e16, where forming beta rounds the noise away
+CIRCLE_MISSES = {(t, 0.999) for t in TARGET_IDS} | {
+    ("alpha2", 0.0), ("alpha2", 0.35), ("alpha3", 0.35)
+}
+CIRCLE_MISS = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the circle rule still uses the expanded form",
+)
 
 
 class TestOutcomeModel:
@@ -279,24 +300,28 @@ class TestChunkKernel:
         assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("strategy", ORACLE_STRATEGIES)
-    @pytest.mark.parametrize(
-        "alpha",
-        [
-            ALPHA5,
-            complex(1.3, -0.7),
-            complex(6e7, -8e7),
-            complex(1e16, 0.0),
-            complex(-2.0, 0.5),
-            complex(0.0, -1.5),
-        ],
-        ids=TARGET_IDS,
-    )
-    @pytest.mark.parametrize("lam", [0.0, 0.35, 0.999])
+    @pytest.mark.parametrize("alpha", ORACLE_TARGETS, ids=TARGET_IDS)
+    @pytest.mark.parametrize("lam", ORACLE_LAMBDAS)
     def test_matches_decimal_oracle(self, strategy, alpha, lam):
         wx, wy = self._noise(alpha, lam, 58)
         ref = decimal_log_fidelity(strategy, alpha.real, alpha.imag, lam, wx, wy)
         got = self._kernel_row(strategy, alpha, lam, wx, wy)
         assert oracle_excess(got, ref) <= ORACLE_BOUND
+
+    @pytest.mark.parametrize(
+        "alpha, lam",
+        [
+            pytest.param(
+                alpha, lam, id=f"{lam}-{target_id}",
+                marks=CIRCLE_MISS if (target_id, lam) in CIRCLE_MISSES else (),
+            )
+            for alpha, target_id in zip(ORACLE_TARGETS, TARGET_IDS)
+            for lam in ORACLE_LAMBDAS
+        ],
+    )
+    def test_circle_matches_decimal_oracle(self, alpha, lam):
+        # the circle through the target, so the guess is alpha at beta = alpha
+        self.test_matches_decimal_oracle(CircleTailored(abs(alpha)), alpha, lam)
 
     @pytest.mark.parametrize(
         "alpha, lam", [(ALPHA5, 0.999), (complex(1e16, 0.0), 0.0)],

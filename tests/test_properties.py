@@ -121,7 +121,7 @@ _gain = st.floats(0.0, 2.0)
 def test_uncertainty_product_and_fidelity_bound(lam, eta, g, g2):
     sq = SqueezeLevel(lam)
     v = variance_standard_gain(sq, g)
-    for v_plus, v_minus in (tailored_variances(sq, eta, g2, math), (v, v)):
+    for v_plus, v_minus in (tailored_variances(sq, eta, g2), (v, v)):
         assert v_plus * v_minus >= 1.0 - 1e-12
         assert avg_fidelity_unit_gain(v_plus, v_minus) <= 1.0
 
