@@ -12,7 +12,8 @@ Grid points are independent; the per-point Monte Carlo seed is
 ``seed XOR point_index``, so :func:`map_points` runs the Monte Carlo
 runners' points on up to ``threads`` threads without changing the result.
 The fig3 and gaussian points are pure-Python optimiser calls that hold the
-GIL, so those runners evaluate them in a loop and ignore ``threads``.
+GIL and load no numpy, so those runners evaluate them in a loop and ignore
+``threads``.
 """
 
 from __future__ import annotations

@@ -43,8 +43,9 @@ significant digit follows the last bits of the samples, and the
 benchmark's reference CSVs (perfbench/reference) pin the circle's value.
 
 This is the one module besides ``acceptance`` that imports numpy at load
-time; ``measurement`` imports it on the first estimate, so the CLI and
-the closed-form runners start without numpy.
+time; ``measurement`` imports it on the first estimate, so the CLI starts
+without numpy and the closed-form runners (``fig3``, ``gaussian``) never
+load it.
 """
 
 from __future__ import annotations

@@ -1,40 +1,34 @@
 """Derivative-free maximisation used to tune the protocol parameters.
 
 Golden-section search on a bracketed scalar objective, with an optional
-1024-point grid stage for objectives whose unimodality is not guaranteed.
-Returned solutions always dominate the search-box endpoints and centre
-(those points are evaluated explicitly), so boundary optima such as
-eta* = 0 at no squeezing come out exact rather than tol-close.
+1024-point grid stage that brackets the grid maximum first.  Returned
+solutions always dominate the search-box endpoints and centre (those
+points are evaluated explicitly), so boundary optima such as eta* = 0 at
+no squeezing come out exact rather than tol-close.
 
-The grid stage scores all grid points in one call of a numpy mirror of
-the objective and takes from it only the bracketing grid index.  Every
-returned value comes from the scalar objective, so the results are
-bit-identical to a scalar scan of the grid whenever the mirror is within
-GRID_SLACK / 2 of the scalar objective at every grid point.
+The grid stage bisects on the slope of the objective over the grid: it
+finds the first grid index i with f(x_i) >= f(x_{i+1}) from 20 scalar
+evaluations.  That i is the first maximiser a full scan of the grid would
+take whenever the grid values rise and then never rise again, so the
+results are bit-identical to a scalar scan under that precondition.
+``tests/test_optimize.py::TestOptimizeEtaG2::test_grid_values_rise_then_fall``
+checks it for ``optimize_eta_g2`` over the whole squeezing range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .alphabet import gaussian_weighted_fidelity
 from .fidelity import avg_fidelity_unit_gain
 from .protocol import SqueezeLevel, tailored_g2, tailored_variances
 
-if TYPE_CHECKING:
-    import numpy as np
-
 DEFAULT_TOL = 1e-8
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_FALLBACK_GRID = 1024
-
-# Grid indices whose vectorised value is this close to the grid maximum are
-# rescored by the scalar objective; must exceed twice the largest gap
-# between the two objectives on the grid (2.7e-13 for optimize_eta_g2).
-GRID_SLACK = 1e-9
+_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -51,20 +45,18 @@ def maximize_scalar(
     lo: float,
     hi: float,
     tol: float = DEFAULT_TOL,
-    f_grid: Callable[[np.ndarray], np.ndarray] | None = None,
+    grid: bool = False,
 ) -> OptimizationResult:
     """Maximise f on [lo, hi] to abscissa tolerance tol.
 
-    Without ``f_grid``, golden-section search brackets the maximiser of a
-    unimodal f to within tol.  With ``f_grid``, f's numpy version (NaN
-    wherever f would raise), a 1024-point grid scan localises the global
-    maximum and golden-section refines the bracketing sub-interval.  f
-    rescores, in index order, the grid points where ``f_grid`` is not
-    finite or within GRID_SLACK of its maximum; the first scalar maximum
-    wins, as in a scalar scan.  The endpoints and midpoint are always
-    candidates, so boundary maxima are returned exactly.  ``evaluations``
-    counts the grid points and every scalar evaluation.  A non-finite
-    value of f raises ValueError naming its abscissa.
+    Golden-section search brackets the maximiser of a unimodal f to within
+    tol.  With ``grid``, it searches only the two grid steps around the
+    first grid point x_i = lo + (hi - lo) i / 1023 whose right neighbour
+    is no higher, found by bisection on i; if the 1024 grid values rise
+    and then never rise, that is the first maximum of the grid.  The
+    endpoints and midpoint are always candidates, so boundary maxima are
+    returned exactly.  ``evaluations`` counts every evaluation of f.  A
+    non-finite value of f raises ValueError naming its abscissa.
     """
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -81,22 +73,23 @@ def maximize_scalar(
             raise ValueError(f"objective is not finite at x={x!r}: {v!r}")
         return v
 
-    if f_grid is None:
-        a, b = lo, hi
-    else:
-        import numpy as np
+    if grid:
 
-        xs = lo + (hi - lo) * np.arange(_FALLBACK_GRID) / (_FALLBACK_GRID - 1)
-        approx = f_grid(xs)
-        evaluations += _FALLBACK_GRID
-        finite = np.isfinite(approx)
-        rescore = ~finite
-        if finite.any():
-            rescore |= approx >= approx[finite].max() - GRID_SLACK
-        vals = {int(i): eval_f(float(xs[i])) for i in np.flatnonzero(rescore)}
-        i = max(vals, key=vals.__getitem__)
-        a = float(xs[max(i - 1, 0)])
-        b = float(xs[min(i + 1, _FALLBACK_GRID - 1)])
+        def x_at(i: int) -> float:
+            return lo + (hi - lo) * i / (_GRID - 1)
+
+        # the first i with f(x_i) >= f(x_{i+1}) lies in [i_lo, i_hi];
+        # i_hi = _GRID - 1 stands for "the grid values rise throughout"
+        i_lo, i_hi = 0, _GRID - 1
+        while i_lo < i_hi:
+            m = (i_lo + i_hi) // 2
+            if eval_f(x_at(m)) >= eval_f(x_at(m + 1)):
+                i_hi = m
+            else:
+                i_lo = m + 1
+        a, b = x_at(max(i_lo - 1, 0)), x_at(min(i_lo + 1, _GRID - 1))
+    else:
+        a, b = lo, hi
 
     # golden-section on [a, b], until it is tol wide or, with tol below
     # the float spacing there, stops shrinking
@@ -148,23 +141,11 @@ def optimize_eta_g2(sq: SqueezeLevel, tol: float = DEFAULT_TOL) -> OptimizationR
 
     The inner g2 problem is the exact quadratic minimiser
     :func:`cvteleport.protocol.tailored_g2`, leaving the reduced objective
-    :func:`tailored_fidelity` to maximise over eta in [0, pi/4].  Its
-    unimodality is not taken for granted, so the grid stage runs on
-    ``objective_grid``, its numpy mirror: the same protocol helpers
-    evaluated with numpy, NaN where the scalar objective would raise or
-    clamp.  Returns argmax = (eta*, g2*).
+    :func:`tailored_fidelity` to maximise over eta in [0, pi/4], with the
+    grid stage of :func:`maximize_scalar`.  Returns argmax = (eta*, g2*).
     """
-    def objective_grid(eta: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        v_plus, v_minus = tailored_variances(sq, eta, tailored_g2(sq, eta))
-        with np.errstate(all="ignore"):
-            fid = 2.0 / np.sqrt((v_plus + 1.0) * (v_minus + 1.0))
-        ok = (v_plus > 0.0) & (v_minus > 0.0) & (fid > 0.0) & (fid <= 1.0)
-        return np.where(ok, fid, np.nan)
-
     res = maximize_scalar(lambda eta: tailored_fidelity(sq, eta), 0.0, math.pi / 4,
-                          tol=tol, f_grid=objective_grid)
+                          tol=tol, grid=True)
     eta_star = res.argmax[0]
     return OptimizationResult(
         argmax=(eta_star, tailored_g2(sq, eta_star)),

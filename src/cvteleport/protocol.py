@@ -97,35 +97,31 @@ def output_coefficients_tailored(
     return plus, minus
 
 
-def tailored_variances(sq: SqueezeLevel, eta, g2) -> tuple:
+def tailored_variances(sq: SqueezeLevel, eta: float, g2) -> tuple:
     """Unchecked (V+, V-) of the tailored scheme, g1 fixed by eta.
 
     V+ = 2G - 4 tan(eta) sqrt(G(G-1)) + tan^2(eta) (2G - 1)
     V- = 2G - 1 - 8 g2 cos(eta) sqrt(G(G-1))
          + 4 g2^2 (cos^2(eta) (2G - 1) + sin^2(eta))
 
-    A float eta is evaluated with ``math`` and a numpy array eta with
-    numpy, so the optimiser's grid stage evaluates this same expression;
-    g2 may be an array either way.  V+ and V- agree with the
-    coefficient-sum oracle of :func:`output_coefficients_tailored` to
-    better than 1e-12.
+    eta is a float, evaluated with ``math``; g2 may be a numpy array.  V+
+    and V- agree with the coefficient-sum oracle of
+    :func:`output_coefficients_tailored` to better than 1e-12.
     """
-    # a float eta (numpy's float64 included) stays on math, bit for bit
-    xp = math if isinstance(eta, (int, float)) else eta.__array_namespace__()
     G = sq.G
     root = math.sqrt(G * (G - 1.0))
-    tan_eta, cos_eta = xp.tan(eta), xp.cos(eta)
+    tan_eta, cos_eta = math.tan(eta), math.cos(eta)
     v_plus = 2.0 * G - 4.0 * tan_eta * root + tan_eta ** 2 * (2.0 * G - 1.0)
     v_minus = (
         2.0 * G
         - 1.0
         - 8.0 * g2 * cos_eta * root
-        + 4.0 * g2 ** 2 * (cos_eta ** 2 * (2.0 * G - 1.0) + xp.sin(eta) ** 2)
+        + 4.0 * g2 ** 2 * (cos_eta ** 2 * (2.0 * G - 1.0) + math.sin(eta) ** 2)
     )
     return v_plus, v_minus
 
 
-def tailored_g2(sq: SqueezeLevel, eta):
+def tailored_g2(sq: SqueezeLevel, eta: float) -> float:
     """Unchecked g2* = cos(eta) sqrt(G(G-1)) / (cos^2(eta) (2G - 1) + sin^2(eta)).
 
     The phase gain minimising V- at fixed eta: V- is an upward parabola in
@@ -135,13 +131,11 @@ def tailored_g2(sq: SqueezeLevel, eta):
     denominator as written is strictly positive everywhere in the domain,
     and the coefficient-sum oracle confirms the minimum (see the optimality
     tests).  g2* is 0 at G = 1 and tends to 1/sqrt(2) at eta = pi/4 as G
-    grows.  eta is a float or a numpy array, as for
-    :func:`tailored_variances`.
+    grows.
     """
-    xp = math if isinstance(eta, (int, float)) else eta.__array_namespace__()
     G = sq.G
-    cos_eta = xp.cos(eta)
-    denom = cos_eta ** 2 * (2.0 * G - 1.0) + xp.sin(eta) ** 2
+    cos_eta = math.cos(eta)
+    denom = cos_eta ** 2 * (2.0 * G - 1.0) + math.sin(eta) ** 2
     return cos_eta * math.sqrt(G * (G - 1.0)) / denom
 
 

@@ -19,7 +19,7 @@ from cvteleport import cli, experiments
 NUMPY_AT_LOAD = {"kernel.py", "acceptance.py"}
 # The only modules that import numpy at all.  ``experiments`` is not one:
 # its Monte Carlo runners reach numpy through ``measurement`` and ``kernel``.
-NUMPY_ANYWHERE = NUMPY_AT_LOAD | {"alphabet.py", "optimize.py"}
+NUMPY_ANYWHERE = NUMPY_AT_LOAD | {"alphabet.py"}
 
 
 def fresh_python(probe, cwd=None, env=None):
@@ -56,10 +56,11 @@ def test_import_loads_no_submodule_and_no_numpy():
         (["--help"], 0, False),
         (["fig1", "--samples", "10"], 2, False),
         (["gaussian", "--lambda-points", "2", "--out", "g.csv"], 0, False),
+        (["fig3", "--lambda-points", "2", "--out", "f3.csv"], 0, False),
         # the guard is not vacuous: a Monte Carlo run does load numpy
         (["fig1", "--lambda-points", "2", "--samples", "2000", "--out", "f.csv"], 0, True),
     ],
-    ids=["import", "help", "bad-input", "gaussian", "fig1"],
+    ids=["import", "help", "bad-input", "gaussian", "fig3", "fig1"],
 )
 def test_cli_start_up_loads_numpy_only_for_arrays(tmp_path, argv, code, numpy):
     probe = (

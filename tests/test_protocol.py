@@ -144,22 +144,14 @@ class TestVariancesTailored:
 
     @pytest.mark.parametrize("G", [1.0, 2.0, 500.0, 1e6])
     def test_numpy_evaluation_matches_the_scalar_one(self, G):
-        # the optimiser's grid stage evaluates the same helpers with numpy;
-        # numpy's tan may differ from libm's by an ulp, which the O(G) terms
-        # of V+- carry, so agreement is to a few ulps of 2G
+        # a numpy float64 eta is a float, so it is evaluated with math, bit
+        # for bit
         sq = squeeze_from_G(G)
         eta = np.linspace(0.0, math.pi / 4, 257)
-        g2 = tailored_g2(sq, eta)
-        v_plus, v_minus = tailored_variances(sq, eta, g2)
-        ulps = 16.0 * G * 2.0 ** -52
         for i, x in enumerate(eta.tolist()):
             g2_x = tailored_g2(sq, x)
-            assert g2[i] == pytest.approx(g2_x, rel=4 * 2.0 ** -52, abs=0.0)
-            v_plus_x, v_minus_x = tailored_variances(sq, x, g2_x)
-            # a numpy float64 eta is a float, so it stays on math, bit for bit
-            assert tailored_variances(sq, eta[i], g2_x) == (v_plus_x, v_minus_x)
-            assert v_plus[i] == pytest.approx(v_plus_x, rel=0.0, abs=ulps)
-            assert v_minus[i] == pytest.approx(v_minus_x, rel=0.0, abs=ulps)
+            assert tailored_g2(sq, eta[i]) == g2_x
+            assert tailored_variances(sq, eta[i], g2_x) == tailored_variances(sq, x, g2_x)
 
 
 class TestGains:
