@@ -16,8 +16,10 @@ continue the stream bit for bit; each block's rule writes its
 fidelities over its w_x, and the chunk's sums reduce the full row as
 one array.
 
-The chunk kernel works on the centred noise w = beta - alpha, drawn as
-sigma * z, never on beta itself.  Every rule displaces by
+One function, ``_one_shot_into``, states the three rules.  Each rule
+leaves log F in scratch row 2, and one ``exp`` writes F over w_x.  The
+standard and line rules work on the centred noise w = beta - alpha, drawn
+as sigma * z, never on beta itself.  Every rule displaces by
 epsilon = (1 - lam) guess + lam beta (the standard rule with gain g is
 epsilon = g beta), so the one-shot exponent collapses to
 
@@ -32,15 +34,8 @@ of two nearly equal amplitudes never cancels.  The estimates therefore
 stay right at large amplitudes (|alpha| = 1e16 is tested), where
 subtracting beta = alpha + w from alpha would round w away; |beta|^2
 overflows only above |beta| ~ 1e154, so targets beyond MAX_AMPLITUDE
-are rejected.
-
-The circle rule is the exception: it forms beta = alpha + w, rounded as
-Generator.normal(alpha, sigma) rounds it, and evaluates the expanded
-exponent -|u|^2 - lam^2 |v|^2 + 2 lam Re(u* v) (u = alpha - epsilon,
-v = alpha - beta) in the operation order of the scalar transfer_exponent,
-bit for bit.  The reason is the standard error: at lam = 0.999 its 8th
-significant digit follows the last bits of the samples, and the
-benchmark's reference CSVs (perfbench/reference) pin the circle's value.
+are rejected.  The circle rule keeps the expanded exponent on
+beta = alpha + w; the comment on its branch says why.
 
 This is the one module besides ``acceptance`` that imports numpy at load
 time; ``measurement`` imports it on the first estimate, so the CLI starts
@@ -82,16 +77,12 @@ def _one_shot_into(strategy: Strategy, alpha, lam: float, work) -> None:
     """Overwrite ``work[0]`` with the one-shot fidelities of the outcomes alpha + w.
 
     ``alpha`` is the target as an (x, y) pair of floats and ``work`` six
-    equal-shape float64 rows, w_x in row 0 and w_y in row 1; every rule
-    may overwrite rows 1 to 5.  Every strategy but the circle is
-    evaluated in guess form on the centred noise w (see the module
-    docstring).
+    equal-shape float64 rows, w_x in row 0 and w_y in row 1.  Every rule
+    may overwrite all six rows and leaves log F in row 2; one ``exp`` then
+    writes F over row 0.
     """
     ax, ay = alpha
-    wx, wy, t2, t3, t4, _ = work
-    if isinstance(strategy, CircleTailored):
-        _circle_one_shot_into(strategy.radius, ax, ay, lam, work)
-        return
+    wx, wy, t2, t3, t4, t5 = work
     if isinstance(strategy, Standard):
         # -log F = |(1 - g) alpha - (g - lam) w|^2
         g = strategy.gain
@@ -103,82 +94,76 @@ def _one_shot_into(strategy: Strategy, alpha, lam: float, work) -> None:
         np.multiply(t3, t3, out=t3)
         np.add(t2, t3, out=t2)
         np.negative(t2, out=t2)
-        np.exp(t2, out=wx)
-        return
-    if not isinstance(strategy, LineTailored):
-        raise TypeError(f"unknown strategy: {strategy!r}")
-    # -log F = (1 - lam)^2 ((ax - |beta|)^2 + ay^2), beta = alpha + w.
-    # For ax > 0, |beta| - ax = (wx (2 ax + wx) + by^2) / (ax + |beta|),
-    # which does not cancel however large ax is; otherwise the plain
-    # difference |beta| - ax has no cancellation to lose.
-    np.add(wx, ax, out=t2)  # bx
-    np.add(wy, ay, out=t3)  # by
-    np.multiply(t3, t3, out=t3)
-    np.add(t2, ax, out=t4)  # bx + ax = 2 ax + wx
-    np.multiply(t2, t2, out=t2)
-    np.add(t2, t3, out=t2)
-    np.sqrt(t2, out=t2)  # |beta|
-    np.multiply(t4, wx, out=t4)
-    np.add(t4, t3, out=t4)  # |beta|^2 - ax^2
-    if ax > 0.0:
-        np.add(t2, ax, out=t3)
-        np.divide(t4, t3, out=t4)
+    elif isinstance(strategy, LineTailored):
+        # -log F = (1 - lam)^2 ((ax - |beta|)^2 + ay^2), beta = alpha + w.
+        # For ax > 0, |beta| - ax = (wx (2 ax + wx) + by^2) / (ax + |beta|),
+        # which does not cancel however large ax is; otherwise the plain
+        # difference |beta| - ax has no cancellation to lose.
+        np.add(wx, ax, out=t2)  # bx
+        np.add(wy, ay, out=t3)  # by
+        np.multiply(t3, t3, out=t3)
+        np.add(t2, ax, out=t4)  # bx + ax = 2 ax + wx
+        np.multiply(t2, t2, out=t2)
+        np.add(t2, t3, out=t2)
+        np.sqrt(t2, out=t2)  # |beta|
+        np.multiply(t4, wx, out=t4)
+        np.add(t4, t3, out=t4)  # |beta|^2 - ax^2
+        if ax > 0.0:
+            np.add(t2, ax, out=t3)
+            np.divide(t4, t3, out=t4)
+        else:
+            np.subtract(t2, ax, out=t4)
+        np.multiply(t4, t4, out=t4)
+        if ay != 0.0:
+            np.add(t4, ay * ay, out=t4)
+        np.multiply(t4, -(1.0 - lam) ** 2, out=t2)
+    elif isinstance(strategy, CircleTailored):
+        # Not the guess form: beta = alpha + w, rounded as
+        # Generator.normal(alpha, sigma) rounds it, and the expanded exponent
+        # -|u|^2 - lam^2 |v|^2 + 2 lam Re(u* v) (u = alpha - epsilon,
+        # v = alpha - beta) in the operation order of the scalar
+        # transfer_exponent, bit for bit.  At lam = 0.999 the 8th digit of
+        # the standard error follows the samples' last bits, and the
+        # benchmark's reference CSVs pin the circle's standard error.
+        bx, by = wx, wy
+        np.add(bx, ax, out=bx)
+        np.add(by, ay, out=by)
+        # displacement: ex -> t3, ey -> t2
+        scale = (1.0 - lam) * strategy.radius
+        np.arctan2(by, bx, out=t2)
+        np.cos(t2, out=t3)
+        np.multiply(t3, scale, out=t3)
+        np.sin(t2, out=t2)
+        np.multiply(t2, scale, out=t2)
+        np.multiply(bx, lam, out=t4)
+        np.add(t3, t4, out=t3)
+        np.multiply(by, lam, out=t4)
+        np.add(t2, t4, out=t2)
+        # u = alpha - epsilon -> (t3, t2); v = alpha - beta -> (bx, by)
+        np.subtract(ax, t3, out=t3)
+        np.subtract(ay, t2, out=t2)
+        np.subtract(ax, bx, out=bx)
+        np.subtract(ay, by, out=by)
+        # Re(u* v) -> t4
+        np.multiply(t3, bx, out=t4)
+        np.multiply(t2, by, out=t5)
+        np.add(t4, t5, out=t4)
+        # |u|^2 -> t3, |v|^2 -> bx
+        np.multiply(t3, t3, out=t3)
+        np.multiply(t2, t2, out=t2)
+        np.add(t3, t2, out=t3)
+        np.multiply(bx, bx, out=bx)
+        np.multiply(by, by, out=by)
+        np.add(bx, by, out=bx)
+        # (-|u|^2 - lam^2 |v|^2) + 2 lam Re(u* v)
+        np.negative(t3, out=t3)
+        np.multiply(bx, lam * lam, out=bx)
+        np.subtract(t3, bx, out=t3)
+        np.multiply(t4, 2.0 * lam, out=t4)
+        np.add(t3, t4, out=t2)
     else:
-        np.subtract(t2, ax, out=t4)
-    np.multiply(t4, t4, out=t4)
-    if ay != 0.0:
-        np.add(t4, ay * ay, out=t4)
-    np.multiply(t4, -(1.0 - lam) ** 2, out=t4)
-    np.exp(t4, out=wx)
-
-
-def _circle_one_shot_into(radius: float, ax, ay, lam: float, work: np.ndarray) -> None:
-    """Circle-tailored fidelities of the outcomes alpha + w over ``work[0]``.
-
-    Forms beta = alpha + w in rows 0 and 1, then evaluates the
-    displacement and ``exp(transfer_exponent(...))`` with ``out=`` ufuncs
-    in the same operation order as the scalar
-    :func:`~cvteleport.fidelity.transfer_exponent`, so every sample is
-    bit-identical to the out-of-place expression.  Rows 1 to 5 are
-    overwritten too.
-    """
-    bx, by, t2, t3, t4, t5 = work
-    np.add(bx, ax, out=bx)
-    np.add(by, ay, out=by)
-    # displacement: ex -> t3, ey -> t2
-    scale = (1.0 - lam) * radius
-    np.arctan2(by, bx, out=t2)
-    np.cos(t2, out=t3)
-    np.multiply(t3, scale, out=t3)
-    np.sin(t2, out=t2)
-    np.multiply(t2, scale, out=t2)
-    np.multiply(bx, lam, out=t4)
-    np.add(t3, t4, out=t3)
-    np.multiply(by, lam, out=t4)
-    np.add(t2, t4, out=t2)
-    # u = alpha - epsilon -> (t3, t2); w = alpha - beta -> (bx, by)
-    np.subtract(ax, t3, out=t3)
-    np.subtract(ay, t2, out=t2)
-    np.subtract(ax, bx, out=bx)
-    np.subtract(ay, by, out=by)
-    # Re(u* w) -> t4
-    np.multiply(t3, bx, out=t4)
-    np.multiply(t2, by, out=t5)
-    np.add(t4, t5, out=t4)
-    # |u|^2 -> t3, |w|^2 -> bx
-    np.multiply(t3, t3, out=t3)
-    np.multiply(t2, t2, out=t2)
-    np.add(t3, t2, out=t3)
-    np.multiply(bx, bx, out=bx)
-    np.multiply(by, by, out=by)
-    np.add(bx, by, out=bx)
-    # (-|u|^2 - lam^2 |w|^2) + 2 lam Re(u* w), then exp
-    np.negative(t3, out=t3)
-    np.multiply(bx, lam * lam, out=bx)
-    np.subtract(t3, bx, out=t3)
-    np.multiply(t4, 2.0 * lam, out=t4)
-    np.add(t3, t4, out=t3)
-    np.exp(t3, out=bx)
+        raise TypeError(f"unknown strategy: {strategy!r}")
+    np.exp(t2, out=wx)
 
 
 def _fidelities_into(strategy, alpha, lam, sigma, rng, row, scratch) -> None:

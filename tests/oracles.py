@@ -13,7 +13,8 @@ variances, as a quadratic form over the resource's covariance matrix.
 one-shot rule themselves, from the resource state in the Fock basis.
 :func:`optimal_tailoring` and :func:`optimal_gain` are the closed-form
 optima behind the optimiser columns, and :func:`golden_section_max` their
-numerical second witness.
+numerical second witness; :func:`exact_cells` gives every reference cell
+that no Monte Carlo estimate makes its exact value.
 """
 
 import decimal
@@ -112,6 +113,26 @@ def optimal_gain(lam, s):
     G = 1.0 / ((1.0 - lam) * (1.0 + lam))
     g = min(max((lam * G + 2.0 * s * s) / (G + 2.0 * s * s), 0.0), 2.0)
     return 2.0 / (2.0 * G * (g - lam) ** 2 + 2.0 + 4.0 * s * s * (1.0 - g) ** 2), g
+
+
+def exact_cells(command, lam, s):
+    """The exact value of each cell of ``command``'s CSV row at squeezing
+    ``lam`` that no Monte Carlo estimate makes, by column.
+
+    The standard and displacement-only fidelities are (1 + lam)/2 and
+    sqrt((1 + lam)/2); fig3's optimum is :func:`optimal_tailoring`'s and
+    gaussian's is :func:`optimal_gain`'s for an alphabet of standard
+    deviation ``s``.  ``circle-vs-line`` has no such cell.
+    """
+    cells = {}
+    if command in ("fig1", "fig3"):
+        cells["f_standard"] = (1.0 + lam) / 2.0
+    if command == "fig3":
+        cells["f_disp_only"] = math.sqrt((1.0 + lam) / 2.0)
+        cells["f_full"], cells["eta_star"], cells["g2_star"] = optimal_tailoring(lam)
+    if command == "gaussian":
+        cells["f_opt"], cells["g_opt"] = optimal_gain(lam, s)
+    return cells
 
 
 def golden_section_max(f, lo, hi, tol):

@@ -11,8 +11,9 @@ into a temporary directory, and compares each CSV with its reference under
 reference, command, row (0-based, data rows only), column, old and new text.
 A moved Monte Carlo cell also gets the mean and standard error of the same
 per-sample fidelities from ``math.fsum`` two-pass sums, an estimate that
-shares no reduction with the kernel's, so a regeneration can show which
-value is the more accurate.  Nothing under ``perfbench/`` is written.
+shares no reduction with the kernel's, and any other moved cell its exact
+value from ``oracles.exact_cells``, so a regeneration can show which value
+is the more accurate.  Nothing under ``perfbench/`` is written.
 
 Exit status: 1 if any cell moved, 0 if none did.
 """
@@ -29,7 +30,8 @@ from pathlib import Path
 from cvteleport import experiments
 from cvteleport.cli import main as cli_main
 from cvteleport.measurement import MC_CHUNK, CircleTailored, LineTailored, component_sigma
-from test_reference import PERFBENCH, REFERENCES, RUNNERS, _runner_argv
+from oracles import exact_cells
+from test_reference import ALPHABET_S, PERFBENCH, REFERENCES, RUNNERS, _runner_argv
 
 # The Monte Carlo columns, each with the strategy whose estimate it holds
 MC_COLUMNS = {
@@ -119,12 +121,18 @@ def report(out_dir):
             out = Path(out_dir) / f"{reference}-{command}.csv"
             estimates = run_recorded(reference, command, out)
             old = PERFBENCH / "reference" / reference / f"{command}.csv"
+            with open(out, newline="") as fh:
+                lams = [float(cells["lambda"]) for cells in csv.DictReader(fh)]
             for row, column, a, b in moved_cells(old, out):
                 line = f"{reference}\t{command}\trow {row}\t{column}\t{a}\t{b}"
                 kind = MC_COLUMNS.get(column.removesuffix("_stderr"))
                 if (kind, row) in estimates:
                     mean, stderr = fsum_estimate(*estimates[kind, row])
                     line += f"\tfsum mean {mean:.9g}\tfsum stderr {stderr:.9g}"
+                elif row < len(lams):
+                    exact = exact_cells(command, lams[row], ALPHABET_S)
+                    if column in exact:
+                        line += f"\texact {exact[column]!r}"
                 print(line)
                 count += 1
     return count

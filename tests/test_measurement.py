@@ -268,9 +268,12 @@ class TestChunkKernel:
         return wx, wy
 
     def _kernel_row(self, strategy, alpha, lam, wx, wy):
-        """Row 0 of a tail view of chunk rows after the kernel ran on w there."""
+        """Row 0 of a tail view of chunk rows after the kernel ran on w there;
+        the scratch rows 2 to 5 start as NaN, so a rule that reads one before
+        writing it fails."""
         work = np.empty((6, MC_CHUNK))[:, : self.M]
         work[0], work[1] = wx, wy
+        work[2:] = np.nan
         _one_shot_into(strategy, (alpha.real, alpha.imag), lam, work)
         return work[0]
 
@@ -376,10 +379,11 @@ class TestChunkKernel:
 
 
 def _whole_chunk(strategy, alpha, lam, seed, m):
-    """One chunk's fidelities from a single (6, m) kernel call on its stream."""
+    """One chunk's fidelities from a single (6, m) kernel call on its stream,
+    with NaN in the scratch rows 2 to 5."""
     rng = np.random.default_rng(seed)
     sigma = component_sigma(SqueezeLevel(lam))
-    work = np.empty((6, m))
+    work = np.full((6, m), np.nan)
     _scaled_normal_into(rng, sigma, work[0])
     _scaled_normal_into(rng, sigma, work[1])
     _one_shot_into(strategy, (alpha.real, alpha.imag), lam, work)
@@ -398,7 +402,7 @@ class TestBlockedChunk:
     def test_blocks_equal_whole_chunk(self, strategy, m, width):
         alpha, lam = complex(3.0, -4.0), 0.7
         sigma = component_sigma(SqueezeLevel(lam))
-        row, scratch = np.empty(m), np.empty((5, width))
+        row, scratch = np.empty(m), np.full((5, width), np.nan)
         rng = np.random.default_rng(64)
         _fidelities_into(strategy, (alpha.real, alpha.imag), lam, sigma, rng, row, scratch)
         assert np.array_equal(row, _whole_chunk(strategy, alpha, lam, 64, m))

@@ -23,6 +23,7 @@ from cvteleport.cli import main
 from cvteleport.experiments import ExperimentConfig, default_lambda_grid
 from oracles import (
     covariance_variances,
+    exact_cells,
     golden_section_max,
     line_circle_central_moments,
     optimal_gain,
@@ -32,6 +33,7 @@ from test_package import fresh_python
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCES = ["full", "smoke"]
+ALPHABET_S = ExperimentConfig().s  # the references run at the default alphabet
 
 # A Monte Carlo mean lies within PULL_BOUND standard errors of the exact
 # mean, and a standard error within PULL_BOUND of its own delta-method
@@ -64,21 +66,12 @@ def _ninth_digit(x):
 
 @pytest.mark.parametrize("reference", REFERENCES)
 def test_closed_form_columns(reference):
-    def standard(lam):
-        return (1.0 + lam) / 2.0
-
-    def displacement_only(lam):
-        return math.sqrt((1.0 + lam) / 2.0)
-
     off = []
-    for command, column, exact in [
-        ("fig1", "f_standard", standard),
-        ("fig3", "f_standard", standard),
-        ("fig3", "f_disp_only", displacement_only),
-    ]:
+    for command, column in [("fig1", "f_standard"), ("fig3", "f_standard"),
+                            ("fig3", "f_disp_only")]:
         cells = _columns(reference, command)
         for lam, text in zip(cells["lambda"], cells[column]):
-            value = exact(float(lam))
+            value = exact_cells(command, float(lam), ALPHABET_S)[column]
             if abs(float(text) - value) > _ninth_digit(value):
                 off.append(f"{command} {column} at lam={lam}: {text} != {value!r}")
     assert off == []
@@ -125,20 +118,19 @@ ARG_TOLS = 10.0
 @pytest.mark.parametrize("reference", REFERENCES)
 def test_optimiser_columns(reference):
     tol = float(_run_constant("CONFIGS")[reference]["tol"])
-    s = ExperimentConfig().s  # the references run at the default alphabet
-    optima = {
-        "fig3": (("f_full", "eta_star", "g2_star"), optimal_tailoring),
-        "gaussian": (("f_opt", "g_opt"), lambda lam: optimal_gain(lam, s)),
-    }
+    # each runner's optimum: its value's column, then its arguments'
+    optima = {"fig3": ("f_full", "eta_star", "g2_star"), "gaussian": ("f_opt", "g_opt")}
     off = []
-    for command, (columns, optimum) in optima.items():
+    for command, (value_column, *argument_columns) in optima.items():
         cells = _columns(reference, command)
         for i, lam in enumerate(cells["lambda"]):
-            value, *arguments = optimum(float(lam))
-            bounds = [_ninth_digit(value)] + [ARG_TOLS * tol] * len(arguments)
-            for column, exact, bound in zip(columns, [value, *arguments], bounds):
-                if abs(float(cells[column][i]) - exact) > bound:
-                    off.append(f"{command} {column} at lam={lam}: {cells[column][i]} != {exact!r}")
+            exact = exact_cells(command, float(lam), ALPHABET_S)
+            bounds = {value_column: _ninth_digit(exact[value_column]),
+                      **dict.fromkeys(argument_columns, ARG_TOLS * tol)}
+            for column, bound in bounds.items():
+                if abs(float(cells[column][i]) - exact[column]) > bound:
+                    off.append(f"{command} {column} at lam={lam}: "
+                               f"{cells[column][i]} != {exact[column]!r}")
     assert off == []
 
 
@@ -161,7 +153,7 @@ def test_closed_form_optima_against_golden_section(lam):
     assert abs(eta - eta_exact) <= 1e-7
     assert abs(best_g2(eta)[0] - g2_exact) <= 1e-7
 
-    G, s = 1.0 / ((1.0 - lam) * (1.0 + lam)), ExperimentConfig().s
+    G, s = 1.0 / ((1.0 - lam) * (1.0 + lam)), ALPHABET_S
     g, f = golden_section_max(
         lambda g: 2.0 / (2.0 * G - 4.0 * g * math.sqrt(G * (G - 1.0)) + 2.0 * g * g * G
                          + 4.0 * s * s * (1.0 - g) ** 2),

@@ -1,8 +1,13 @@
 """The reference-diff harness ``tests/regen.py`` and its independent estimator."""
 
+import math
+
+import pytest
+
 from cvteleport.measurement import CircleTailored
+from oracles import exact_cells
 from regen import fsum_estimate, moved_cells, run_recorded
-from test_reference import _columns
+from test_reference import ALPHABET_S, _columns
 
 
 def test_fsum_estimate_of_the_pinned_circle_stderr(tmp_path):
@@ -31,3 +36,12 @@ def test_moved_cells_names_each_cell(tmp_path):
         (2, "f", "-", "1"),
         (2, "g", "-", "3"),
     ]
+
+
+def test_exact_cells_of_fig3_without_squeezing():
+    # at lam = 0 nothing is tailored: eta* = g2* = 0, and the full tailoring
+    # gives 2/sqrt(6) against the standard 1/2 and the displacement's sqrt(1/2)
+    assert exact_cells("fig3", 0.0, ALPHABET_S) == pytest.approx({
+        "f_full": math.sqrt(2.0 / 3.0), "eta_star": 0.0, "g2_star": 0.0,
+        "f_standard": 0.5, "f_disp_only": math.sqrt(0.5),
+    }, rel=1e-15, abs=0.0)
