@@ -65,8 +65,8 @@ SETTINGS = (
     Setting("out", _output_path, "PATH", "output CSV path (default <command>.csv)"),
     Setting("tol", float, "X", "optimizer abscissa tolerance"),
     Setting("threads", int, "N",
-            "worker threads across grid points (capped at the CPU count);"
-            " fig1 and circle-vs-line use them"),
+            "threads across grid points, the calling thread included (capped"
+            " at the CPU count); fig1 and circle-vs-line use them"),
 )
 _BY_KEY = {setting.key: setting for setting in SETTINGS}
 

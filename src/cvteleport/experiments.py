@@ -10,7 +10,8 @@ Reproducibility contract: a given :class:`ExperimentConfig` (seed
 included) always produces the same rows, hence byte-identical CSV output.
 Grid points are independent; the per-point Monte Carlo seed is
 ``seed XOR point_index``, so :func:`map_points` runs the Monte Carlo
-runners' points on up to ``threads`` threads without changing the result.
+runners' points on up to ``threads`` threads, the calling thread included,
+without changing the result.
 The fig3 and gaussian points are pure-Python optimiser calls that hold the
 GIL and load no numpy, so those runners evaluate them in a loop and ignore
 ``threads``.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
@@ -132,19 +134,45 @@ def available_cpus() -> int:
 def map_points(worker: Callable[[int], T], count: int, threads: int) -> list[T]:
     """``[worker(i) for i in range(count)]`` on up to ``threads`` threads.
 
-    The package's one parallel path.  The pool never exceeds the point
-    count or :func:`available_cpus`: each running estimate holds a Monte
-    Carlo workspace, so a thread beyond the CPU count adds memory, not speed.
-    Results come back in point order, so when every point seeds its own
-    streams the list does not depend on ``threads``.
+    The package's one parallel path.  The calling thread takes points
+    beside ``threads - 1`` helper threads, capped at the point count and
+    :func:`available_cpus`: each thread that runs an estimate keeps its
+    freed Monte Carlo workspace in its own malloc arena, so a thread
+    beyond the CPU count adds memory, not speed.  One thread starts no
+    thread.  Results come back in point order, so when every point seeds
+    its own streams the list does not depend on ``threads``.  Once a
+    point raises, no further point starts, and the exception of the
+    lowest failing index is raised.
     """
     threads = min(threads, count, available_cpus())
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    results: list = [None] * count
+    errors: dict[int, BaseException] = {}
+    indices = iter(range(count))
+    lock = threading.Lock()
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, range(count)))
-    return [worker(i) for i in range(count)]
+    def run() -> None:
+        while True:
+            with lock:
+                i = None if errors else next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = worker(i)
+            except BaseException as exc:  # raised below, in the calling thread
+                errors[i] = exc
+                return
+
+    helpers = [threading.Thread(target=run) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        run()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _line_estimate(config: ExperimentConfig, i: int) -> McEstimate:

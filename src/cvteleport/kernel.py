@@ -8,13 +8,13 @@ runs on one thread; callers parallelise across independent estimates
 
 A chunk allocates no sample arrays.  Each estimate allocates one float64
 workspace, one row of MC_CHUNK values and five scratch rows of MC_BLOCK
-values (832 KiB), and lets it go when it returns, so no thread keeps a
-workspace between estimates.  A chunk's stream gives all of w_x, then
-all of w_y.  w_x fills the row; w_y is drawn MC_BLOCK values at a time
-into the scratch, where consecutive ``standard_normal(out=)`` calls
-continue the stream bit for bit; each block's rule writes its
-fidelities over its w_x, and the chunk's sums reduce the full row as
-one array.
+values (832 KiB), and lets it go when it returns; the freed memory stays
+in the malloc arena of the thread that ran the estimate.  A chunk's
+stream gives all of w_x, then all of w_y.  w_x fills the row; w_y is
+drawn MC_BLOCK values at a time into the scratch, where consecutive
+``standard_normal(out=)`` calls continue the stream bit for bit; each
+block's rule writes its fidelities over its w_x, and the chunk's sums
+reduce the full row as one array.
 
 One function, ``_one_shot_into``, states the three rules.  Each rule
 leaves log F in scratch row 2, and one ``exp`` writes F over w_x.  The

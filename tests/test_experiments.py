@@ -140,6 +140,71 @@ class TestMapPoints:
         assert [i for i, _ in results] == list(range(16))
         assert len({ident for _, ident in results}) <= 2
 
+    def test_calling_thread_runs_points(self, monkeypatch):
+        # the caller takes points beside its one helper, so two threads
+        # start one thread and use one malloc arena besides the caller's
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
+
+        def worker(i):
+            time.sleep(0.01)
+            return threading.get_ident()
+
+        assert threading.get_ident() in experiments.map_points(worker, 8, 2)
+
+    def test_shared_counter_hands_out_each_point_once(self, monkeypatch):
+        # more threads than CPUs and a short switch interval: a lost update of
+        # the point counter would run a point twice or skip one
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 8)
+        ran = []
+
+        def worker(i):
+            ran.append(i)
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = experiments.map_points(worker, 2000, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == list(range(2000))
+        assert sorted(ran) == list(range(2000))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "failing, raised", [({1}, 1), ({0, 1}, 0)], ids=["one-fails", "both-fail"]
+    )
+    def test_failure_stops_points_and_raises_the_lowest(
+        self, monkeypatch, threads, failing, raised
+    ):
+        # point 0 takes longer than point 1: no point starts after a
+        # failure, and when both fail, point 0's error is raised although
+        # point 1 failed first, as [worker(i) for i in ...] would
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
+        ran = []
+
+        def worker(i):
+            ran.append(i)
+            if i == 0:
+                time.sleep(0.05)
+            if i in failing:
+                raise ValueError(f"point {i}")
+            return i
+
+        with pytest.raises(ValueError, match=f"point {raised}"):
+            experiments.map_points(worker, 16, threads)
+        assert max(ran) <= 1
+
+    @pytest.mark.parametrize("threads, count", [(1, 16), (2, 1)])
+    def test_one_thread_starts_no_thread(self, monkeypatch, threads, count):
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
+
+        def start(thread):
+            raise AssertionError("map_points started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert experiments.map_points(lambda i: i, count, threads) == list(range(count))
+
 
 class TestFig1:
     def test_rows_and_summary(self):

@@ -83,14 +83,17 @@ def test_closed_form_runners_start_no_thread_pool(tmp_path, command):
     # their points hold the GIL, so the runners loop over them whatever
     # --threads says, and the CSV is the one-thread CSV
     probe = (
-        "import sys\n"
+        "import threading\n"
         "from cvteleport.cli import main\n"
+        "starts = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda t: (starts.append(t), start(t))\n"
         "for threads in ('1', '2'):\n"
         f"    main([{command!r}, '--lambda-points', '5', '--threads', threads,"
         " '--out', f't{threads}.csv'])\n"
-        "print('concurrent.futures' in sys.modules)\n"
+        "print(len(starts))\n"
     )
-    assert fresh_python(probe, cwd=tmp_path).splitlines()[-1] == "False"
+    assert fresh_python(probe, cwd=tmp_path).splitlines()[-1] == "0"
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 
