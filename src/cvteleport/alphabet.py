@@ -7,7 +7,10 @@ sides are Gaussian in alpha, so the integral has the closed form
 implemented in :func:`gaussian_weighted_fidelity`;
 :func:`gaussian_weighted_fidelity_quadrature` evaluates the same integral
 numerically and serves as the independent oracle (it also covers
-asymmetric alphabets, which the closed form does not).
+asymmetric alphabets, which the closed form does not).  Its Gauss-Hermite
+rule, :func:`gauss_hermite`, is computed here by Newton's method in plain
+floats, for orders 16 to 128; it loads no ``numpy.polynomial`` and calls
+no LAPACK routine.
 """
 
 from __future__ import annotations
@@ -23,12 +26,72 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+# The orders gauss_hermite serves.  Numerical Recipes' starting guesses
+# lead Newton's method to every root through order 176 and fail at 177;
+# the tests hold every order here to numpy's hermgauss.
+MIN_ORDER = 16
+MAX_ORDER = 128
+
+
 @functools.cache
 def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Hermite nodes and weights of ``order``, computed once."""
+    """Read-only Gauss-Hermite nodes (ascending) and weights of ``order``, computed once.
+
+    The rule integrates against e^{-x^2}.  Each positive root of H_n is
+    found by Newton's method from Numerical Recipes' starting guesses
+    (routine ``gauher``), with the orthonormal recurrence evaluated on the
+    Hermite functions psi_j = p_j e^{-x^2/2}, so nothing overflows.  The
+    weight of root x is proportional to e^{-x^2} / psi_{n-1}(x)^2; the
+    weights are scaled to sum to sqrt(pi).  The negative roots mirror the
+    positive ones and an odd order has 0 as its middle node, so the rule
+    is exactly symmetric.  Plain float arithmetic: no LAPACK call and no
+    ``numpy.polynomial``.  ``order`` must lie in [16, 128].
+    """
+    if not MIN_ORDER <= order <= MAX_ORDER:
+        raise ValueError(
+            f"quadrature order must lie in [{MIN_ORDER}, {MAX_ORDER}], got {order}"
+        )
     import numpy as np
 
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    n = order
+    up = [math.sqrt(2.0 / j) for j in range(1, n + 1)]
+    down = [math.sqrt((j - 1) / j) for j in range(1, n + 1)]
+
+    def psi(x: float, degree: int) -> tuple[float, float]:
+        """(psi_degree(x), psi_{degree-1}(x))."""
+        p, prev = math.pi ** -0.25 * math.exp(-0.5 * x * x), 0.0
+        for j in range(degree):
+            p, prev = x * up[j] * p - down[j] * prev, p
+        return p, prev
+
+    roots: list[float] = []  # the positive roots, largest first
+    for i in range(n // 2):
+        if i == 0:
+            x = math.sqrt(2 * n + 1) - 1.85575 * (2 * n + 1) ** -0.16667
+        elif i == 1:
+            x -= 1.14 * n**0.426 / x
+        elif i == 2:
+            x = 1.86 * x - 0.86 * roots[0]
+        elif i == 3:
+            x = 1.91 * x - 0.91 * roots[1]
+        else:
+            x = 2.0 * x - roots[i - 2]
+        for _ in range(10):
+            p_n, p_prev = psi(x, n)
+            step = p_n / (math.sqrt(2.0 * n) * p_prev)
+            x -= step
+            if abs(step) <= 3e-14:
+                break
+        else:
+            raise ArithmeticError(f"Newton's method found no root {i} of order {n}")
+        roots.append(x)
+    if n % 2:
+        roots.append(0.0)
+    raw = [math.exp(-x * x) / psi(x, n - 1)[0] ** 2 for x in roots]
+    scale = math.sqrt(math.pi) / math.fsum(raw + raw[: n // 2])
+    per_root = [w * scale for w in raw]
+    nodes = np.array([-x for x in roots[: n // 2]] + roots[::-1])
+    weights = np.array(per_root[: n // 2] + per_root[::-1])
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -60,10 +123,11 @@ def gaussian_weighted_fidelity_quadrature(
     """Gauss-Hermite evaluation of the alphabet-weighted fidelity integral.
 
     Reference implementation for :func:`gaussian_weighted_fidelity`;
-    also supports asymmetric alphabets (s_x != s_y).
+    also supports asymmetric alphabets (s_x != s_y).  ``order`` is the
+    number of nodes per axis and must lie in [16, 128]
+    (:func:`gauss_hermite` checks it first).
     """
-    if order < 16:
-        raise ValueError(f"quadrature order must be at least 16, got {order}")
+    nodes, weights = gauss_hermite(order)
     if not (0.0 < s_x < math.inf and 0.0 < s_y < math.inf):
         raise ValueError(
             f"standard deviations must be positive and finite, got ({s_x}, {s_y})"
@@ -73,7 +137,6 @@ def gaussian_weighted_fidelity_quadrature(
     c = 2.0 * (1.0 - g) ** 2 / (v + 1.0)
     import numpy as np
 
-    nodes, weights = gauss_hermite(order)
     ax = math.sqrt(2.0) * s_x * nodes[:, None]
     ay = math.sqrt(2.0) * s_y * nodes[None, :]
     f = a * np.exp(-c * (ax * ax + ay * ay))

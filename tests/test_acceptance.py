@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvteleport import acceptance, experiments
+from cvteleport import acceptance, experiments, fidelity
 from cvteleport.experiments import circle_line_allowance, default_lambda_grid
 from cvteleport.measurement import MIN_SAMPLES
+from cvteleport.protocol import SqueezeLevel
 from oracles import exact_line_circle
 
 
@@ -217,6 +218,50 @@ def test_readme_quotes_the_computed_numbers(circle_line):
 
 def test_criterion_10_property_suites():
     _assert_criterion(acceptance.criterion_property_suites())
+
+
+def test_criterion_10_grid_beats_a_displacement_one_step_off(monkeypatch):
+    # the true optimum then sits one row (dx = -0.01) before the centre
+    monkeypatch.setattr(
+        acceptance,
+        "optimal_displacement",
+        lambda alpha, beta, sq: fidelity.optimal_displacement(alpha, beta, sq) + 0.01,
+    )
+    ok, detail = acceptance._property_displacement_argmax()
+    assert not ok
+    assert detail.startswith("grid beat the analytic optimum at lam=")
+
+
+def test_criterion_10_ties_away_from_the_optimum(monkeypatch):
+    # log F flat at its maximum over the rows after the centre's: the
+    # centre stays the first maximum in C order and 100 points tie with it.
+    # (A constant log F would put the first maximum at row 0, column 0.)
+    def flat_after_centre(ux, uy, wx, wy, lam):
+        dx, dy = ux - lam * wx, uy - lam * wy  # -(row, column offset)
+        return -np.maximum(dx, 0.0) ** 2 - dy**2
+
+    monkeypatch.setattr(acceptance, "transfer_exponent", flat_after_centre)
+    ok, detail = acceptance._property_displacement_argmax()
+    assert not ok
+    assert detail.startswith("ties away from the optimum at lam=")
+
+
+def test_criterion_10_strips_match_the_whole_grid():
+    # the seeded cases of the criterion, scored on the whole 201x201 grid
+    rng = np.random.default_rng(acceptance._seed(11))
+    offsets = np.linspace(-1.0, 1.0, 201)
+    for _ in range(100):
+        lam = rng.uniform(0.0, 0.999)
+        alpha = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        beta = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        eps = fidelity.optimal_displacement(alpha, beta, SqueezeLevel(lam))
+        ux = alpha.real - (eps.real + offsets[:, None])
+        uy = alpha.imag - (eps.imag + offsets[None, :])
+        w = alpha - beta
+        f = np.exp(fidelity.transfer_exponent(ux, uy, w.real, w.imag, lam))
+        best = np.unravel_index(int(np.argmax(f)), f.shape)
+        ties = int(np.count_nonzero(f >= f[best]))
+        assert acceptance._displacement_grid_argmax(alpha, beta, eps, lam) == (best, ties)
 
 
 def test_run_all_covers_every_criterion(monkeypatch):

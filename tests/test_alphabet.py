@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from cvteleport.alphabet import gaussian_weighted_fidelity, gaussian_weighted_fidelity_quadrature
+from cvteleport.alphabet import (
+    MAX_ORDER,
+    MIN_ORDER,
+    gauss_hermite,
+    gaussian_weighted_fidelity,
+    gaussian_weighted_fidelity_quadrature,
+)
 from cvteleport.fidelity import bfk_classical_limit
 from cvteleport.optimize import optimize_gain
 from cvteleport.protocol import SqueezeLevel, squeeze_from_G, variance_standard_gain
@@ -114,6 +120,38 @@ class TestQuadratureOracle:
             expected = a / math.sqrt((1 + 2 * c * s_x ** 2) * (1 + 2 * c * s_y ** 2))
             quad = gaussian_weighted_fidelity_quadrature(sq, g, s_x, s_y, order=64)
             assert quad == pytest.approx(expected, abs=1e-6)
+
+
+class TestGaussHermiteRule:
+    @pytest.mark.parametrize("order", range(MIN_ORDER, MAX_ORDER + 1))
+    def test_agrees_with_hermgauss(self, order):
+        # numpy's eigenvalue-based rule is the oracle at every supported
+        # order; the package computes its own without numpy.polynomial or LAPACK
+        nodes, weights = gauss_hermite(order)
+        ref_nodes, ref_weights = np.polynomial.hermite.hermgauss(order)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
+        assert np.max(np.abs(weights / ref_weights - 1.0)) <= 1e-12
+        assert all(nodes[k] == -nodes[-1 - k] for k in range(order))
+        root_pi = math.sqrt(math.pi)
+        assert abs(math.fsum(weights) - root_pi) <= 4 * math.ulp(root_pi)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 0.0
+
+    @pytest.mark.parametrize("order", [MIN_ORDER - 1, MAX_ORDER + 1, 399])
+    def test_order_outside_the_range_raises_first(self, order):
+        # checked before the gain (-0.5 is rejected too) and before any
+        # node is computed; order 399 used to die inside hermgauss
+        with pytest.raises(ValueError, match=r"order must lie in \[16, 128\], got"):
+            gaussian_weighted_fidelity_quadrature(SqueezeLevel(0.1), -0.5, 1.0, 1.0, order=order)
+        with pytest.raises(ValueError, match=r"order must lie in \[16, 128\]"):
+            gauss_hermite(order)
+
+    @pytest.mark.parametrize("order", [MIN_ORDER, MAX_ORDER])
+    def test_range_ends_are_accepted(self, order):
+        # at g = 1 the integrand is constant, so every rule integrates it exactly
+        val = gaussian_weighted_fidelity_quadrature(SqueezeLevel(0.0), 1.0, 0.2, 1.0, order=order)
+        assert val == pytest.approx(0.5, abs=1e-12)
 
 
 class TestRecoveryProperties:

@@ -143,6 +143,28 @@ def test_cli_unsets_its_blas_setting(tmp_path, monkeypatch, capsys, argv):
     assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_criterion_10_adds_no_memory_to_the_monte_carlo_peak():
+    # check peaks in its Monte Carlo phase.  Criterion 10 used to add about
+    # 2 MiB on top: whole 201x201 temporaries and numpy.polynomial's
+    # hermgauss, whose eigvalsh paged in LAPACK
+    probe = (
+        "import resource, sys\n"
+        "from cvteleport import acceptance\n"
+        "from cvteleport.measurement import LineTailored, mc_average_fidelity\n"
+        "from cvteleport.protocol import SqueezeLevel\n"
+        "mc_average_fidelity(LineTailored(), 5.0, SqueezeLevel(0.5), 100_000, 1)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "passed = acceptance.criterion_property_suites().passed\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(passed, 'numpy.polynomial' in sys.modules, after - before)\n"
+    )
+    passed, polynomial, grown_kib = fresh_python(probe).split()
+    assert (passed, polynomial) == ("True", "False")
+    assert int(grown_kib) < 512
+
+
 def test_tracer_wraps_every_layer():
     # perfbench/tracer.py reads each layer's metrics from the package's
     # cross-module function bindings; a refactor that drops them zeroes
