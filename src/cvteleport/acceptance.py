@@ -347,7 +347,7 @@ def _property_closed_form_vs_quadrature() -> tuple[bool, str]:
         for g in (0.0, 0.5, 1.0, 1.5, 2.0):
             for s in (0.1, 0.2, 0.5, 1.0, 2.0):
                 closed = gaussian_weighted_fidelity(sq, g, s)
-                quad = gaussian_weighted_fidelity_quadrature(sq, g, s, s, order=64)
+                quad = gaussian_weighted_fidelity_quadrature(sq, g, s, s)
                 worst = max(worst, abs(closed - quad))
     return worst <= 1e-6, f"closed form vs quadrature worst gap {worst:.2e} on 125-point grid"
 

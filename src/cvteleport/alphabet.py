@@ -7,35 +7,28 @@ sides are Gaussian in alpha, so the integral has the closed form
 implemented in :func:`gaussian_weighted_fidelity`;
 :func:`gaussian_weighted_fidelity_quadrature` evaluates the same integral
 numerically and serves as the independent oracle (it also covers
-asymmetric alphabets, which the closed form does not).  Its Gauss-Hermite
-rule, :func:`gauss_hermite`, is computed here by Newton's method in plain
-floats, for orders 16 to 128; it loads no ``numpy.polynomial`` and calls
-no LAPACK routine.
+asymmetric alphabets, which the closed form does not).  Its one
+Gauss-Hermite rule, :func:`gauss_hermite`, has ``ORDER`` nodes and is
+computed here by Newton's method in plain floats; this module imports no
+numpy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
 
 from .fidelity import checked_fidelity
 from .protocol import SqueezeLevel, variance_standard_gain
 
-if TYPE_CHECKING:
-    import numpy as np
-
-
-# The orders gauss_hermite serves.  Numerical Recipes' starting guesses
-# lead Newton's method to every root through order 176 and fail at 177;
-# the tests hold every order here to numpy's hermgauss.
-MIN_ORDER = 16
-MAX_ORDER = 128
+# Nodes per axis of the oracle's Gauss-Hermite rule.  It is even, so the
+# rule has no middle node; the tests hold it to numpy's hermgauss.
+ORDER = 64
 
 
 @functools.cache
-def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Hermite nodes (ascending) and weights of ``order``, computed once.
+def gauss_hermite() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Hermite nodes (ascending) and weights of order ``ORDER``, computed once.
 
     The rule integrates against e^{-x^2}.  Each positive root of H_n is
     found by Newton's method from Numerical Recipes' starting guesses
@@ -43,17 +36,10 @@ def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
     Hermite functions psi_j = p_j e^{-x^2/2}, so nothing overflows.  The
     weight of root x is proportional to e^{-x^2} / psi_{n-1}(x)^2; the
     weights are scaled to sum to sqrt(pi).  The negative roots mirror the
-    positive ones and an odd order has 0 as its middle node, so the rule
-    is exactly symmetric.  Plain float arithmetic: no LAPACK call and no
-    ``numpy.polynomial``.  ``order`` must lie in [16, 128].
+    positive ones, so the rule is exactly symmetric.  Plain float
+    arithmetic: no LAPACK call and no numpy.
     """
-    if not MIN_ORDER <= order <= MAX_ORDER:
-        raise ValueError(
-            f"quadrature order must lie in [{MIN_ORDER}, {MAX_ORDER}], got {order}"
-        )
-    import numpy as np
-
-    n = order
+    n = ORDER
     up = [math.sqrt(2.0 / j) for j in range(1, n + 1)]
     down = [math.sqrt((j - 1) / j) for j in range(1, n + 1)]
 
@@ -85,15 +71,11 @@ def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
         else:
             raise ArithmeticError(f"Newton's method found no root {i} of order {n}")
         roots.append(x)
-    if n % 2:
-        roots.append(0.0)
     raw = [math.exp(-x * x) / psi(x, n - 1)[0] ** 2 for x in roots]
-    scale = math.sqrt(math.pi) / math.fsum(raw + raw[: n // 2])
+    scale = math.sqrt(math.pi) / (2.0 * math.fsum(raw))  # raw holds one half of the rule
     per_root = [w * scale for w in raw]
-    nodes = np.array([-x for x in roots[: n // 2]] + roots[::-1])
-    weights = np.array(per_root[: n // 2] + per_root[::-1])
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
+    nodes = tuple([-x for x in roots] + roots[::-1])
+    weights = tuple(per_root + per_root[::-1])
     return nodes, weights
 
 
@@ -118,16 +100,16 @@ def gaussian_weighted_fidelity(sq: SqueezeLevel, g: float, s: float) -> float:
 
 
 def gaussian_weighted_fidelity_quadrature(
-    sq: SqueezeLevel, g: float, s_x: float, s_y: float, order: int
+    sq: SqueezeLevel, g: float, s_x: float, s_y: float
 ) -> float:
     """Gauss-Hermite evaluation of the alphabet-weighted fidelity integral.
 
     Reference implementation for :func:`gaussian_weighted_fidelity`;
-    also supports asymmetric alphabets (s_x != s_y).  ``order`` is the
-    number of nodes per axis and must lie in [16, 128]
-    (:func:`gauss_hermite` checks it first).
+    also supports asymmetric alphabets (s_x != s_y).  The integrand
+    A e^{-c (x^2 + y^2)} factorises, so the 2-D rule's sum is
+    A Q(s_x) Q(s_y) / pi with Q(s) = sum_i w_i e^{-2 c s^2 x_i^2}, each Q
+    a 1-D sum over the ``ORDER`` nodes of :func:`gauss_hermite`.
     """
-    nodes, weights = gauss_hermite(order)
     if not (0.0 < s_x < math.inf and 0.0 < s_y < math.inf):
         raise ValueError(
             f"standard deviations must be positive and finite, got ({s_x}, {s_y})"
@@ -135,9 +117,10 @@ def gaussian_weighted_fidelity_quadrature(
     v = variance_standard_gain(sq, g)
     a = 2.0 / (v + 1.0)
     c = 2.0 * (1.0 - g) ** 2 / (v + 1.0)
-    import numpy as np
+    nodes, weights = gauss_hermite()
 
-    ax = math.sqrt(2.0) * s_x * nodes[:, None]
-    ay = math.sqrt(2.0) * s_y * nodes[None, :]
-    f = a * np.exp(-c * (ax * ax + ay * ay))
-    return checked_fidelity(float((weights[:, None] * weights[None, :] * f).sum() / math.pi))
+    def q(s: float) -> float:
+        scaled = [math.sqrt(2.0) * s * x for x in nodes]
+        return math.fsum(w * math.exp(-c * u * u) for w, u in zip(weights, scaled))
+
+    return checked_fidelity(a * q(s_x) * q(s_y) / math.pi)

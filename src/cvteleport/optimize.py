@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .alphabet import gaussian_weighted_fidelity
 from .fidelity import avg_fidelity_unit_gain
 from .protocol import SqueezeLevel, tailored_g2, tailored_variances
 
@@ -124,6 +123,8 @@ def optimize_gain(
     The objective 2 / ((V(g) + 1) + 4 s^2 (1 - g)^2) has a convex-quadratic
     denominator in g, hence is unimodal and safe for golden-section.
     """
+    from .alphabet import gaussian_weighted_fidelity  # not at load: fig1 and fig3 need none
+
     return maximize_scalar(
         lambda g: gaussian_weighted_fidelity(sq, g, s), 0.0, 2.0, tol=tol
     )

@@ -21,7 +21,7 @@ import pytest
 
 from cvteleport import acceptance, experiments, fidelity
 from cvteleport.experiments import circle_line_allowance, default_lambda_grid
-from cvteleport.measurement import MIN_SAMPLES
+from cvteleport.measurement import MIN_SAMPLES, McEstimate
 from cvteleport.protocol import SqueezeLevel
 from oracles import exact_line_circle
 
@@ -244,6 +244,120 @@ def test_criterion_10_ties_away_from_the_optimum(monkeypatch):
     ok, detail = acceptance._property_displacement_argmax()
     assert not ok
     assert detail.startswith("ties away from the optimum at lam=")
+
+
+def test_criterion_10_two_ties_fail(monkeypatch):
+    # log F reaches its maximum at the centre and at the row after it, and
+    # nowhere else on the grid: one tie beside the optimum fails the check
+    def flat_over_two_rows(ux, uy, wx, wy, lam):
+        dx, dy = ux - lam * wx, uy - lam * wy  # -(row, column offset)
+        return -dx * (dx + 0.01) - dy**2
+
+    monkeypatch.setattr(acceptance, "transfer_exponent", flat_over_two_rows)
+    alpha, beta = complex(1.0, 2.0), complex(-0.5, 0.25)
+    eps = fidelity.optimal_displacement(alpha, beta, SqueezeLevel(0.5))
+    assert acceptance._displacement_grid_argmax(alpha, beta, eps, 0.5) == ((100, 100), 2)
+    ok, detail = acceptance._property_displacement_argmax()
+    assert not ok
+    assert detail.startswith("ties away from the optimum at lam=")
+
+
+def _edge(gap, bound, x, away):
+    """Floats ``(at, past)``, ``past`` one step from ``at`` toward ``away``,
+    with gap(at) <= bound < gap(past); the search starts at ``x``.
+
+    ``at`` is the input that puts a criterion's gap on its bound, or as
+    close below it as the floats allow.
+    """
+    while gap(x) > bound:
+        x = math.nextafter(x, -away)
+    while gap(math.nextafter(x, away)) <= bound:
+        x = math.nextafter(x, away)
+    past = math.nextafter(x, away)
+    assert gap(x) <= bound < gap(past)
+    return x, past
+
+
+# Each criterion below is fed the input at its bound, which must pass, and
+# the input one float step past it, which must fail, so a bound moved either
+# way fails one of the two.
+EDGE = pytest.mark.parametrize("past", [False, True], ids=["at-bound", "one-step-past"])
+
+
+@EDGE
+def test_criterion_01_at_its_bound(monkeypatch, past):
+    # one grid point (lam = 0) pulls 3 standard errors (of 1/8) from
+    # (1+lam)/2; the others sit on it
+    se = 0.125
+    mean = _edge(lambda m: abs(m - 0.5) / se, 3.0, 0.125, -math.inf)[past]
+
+    def estimate(strategy, alpha, sq, n, seed):
+        return McEstimate(mean if sq.lam == 0.0 else (1.0 + sq.lam) / 2.0, se)
+
+    monkeypatch.setattr(acceptance, "mc_average_fidelity", estimate)
+    assert acceptance.criterion_standard_baseline().passed is not past
+
+
+@EDGE
+def test_criterion_02_at_its_bound(monkeypatch, past):
+    target = 1.0 / math.sqrt(2.0)
+    mean = _edge(lambda m: abs(m - target), 0.005, target + 0.005, math.inf)[past]
+    monkeypatch.setattr(acceptance, "mc_average_fidelity", lambda *args: McEstimate(mean, 1e-3))
+    assert acceptance.criterion_line_limit().passed is not past
+
+
+@EDGE
+@pytest.mark.parametrize("column", ["f_full", "eta_star", "g2_star"])
+def test_criterion_03_at_its_bound(monkeypatch, column, past):
+    # fig3's lam = 0 row with one of the three checked cells at its bound
+    target = math.sqrt(2.0 / 3.0)
+    row = {"f_full": target, "eta_star": 0.0, "g2_star": 0.0}
+    if column == "f_full":
+        row[column] = _edge(lambda f: abs(f - target), 1e-9, target - 1e-9, -math.inf)[past]
+    else:
+        row[column] = _edge(abs, 1e-9, 1e-9, math.inf)[past]
+    rows = ((0.0, row["f_full"], 0.5, 0.5, row["eta_star"], row["g2_star"]),)
+    monkeypatch.setattr(acceptance, "_fig3_rows", lambda: rows)
+    assert acceptance.criterion_full_tailoring_limit().passed is not past
+
+
+@EDGE
+def test_criterion_06_at_its_bound(monkeypatch, past):
+    # fig1's Monte Carlo column, one grid point off the closed form
+    lam = 0.5
+    closed = math.sqrt((1.0 + lam) / 2.0)
+    mc = _edge(lambda m: abs(m - closed), 0.01, closed - 0.01, -math.inf)[past]
+    rows = ((0.0, 0.5, math.sqrt(0.5), 1e-3), (lam, 0.75, mc, 1e-3))
+    result = experiments.ExperimentResult(("lambda", "f_standard", "mc", "se"), rows, {})
+    monkeypatch.setattr(acceptance, "run_fig1", lambda config: result)
+    assert acceptance.criterion_cross_picture().passed is not past
+
+
+@EDGE
+def test_criterion_10_oracle_at_its_bound(monkeypatch, past):
+    # every closed-form variance against a coefficient sum of squares of 1
+    v = _edge(lambda x: abs(x - 1.0), 1e-12, 1.0 + 1e-12, math.inf)[past]
+    monkeypatch.setattr(acceptance, "output_coefficients_tailored",
+                        lambda sq, eta, g2: ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
+    monkeypatch.setattr(acceptance, "tailored_variances", lambda sq, eta, g2: (v, v))
+    monkeypatch.setattr(acceptance, "variance_standard_gain", lambda sq, g: v)
+    assert acceptance._property_oracle()[0] is not past
+
+
+@EDGE
+def test_criterion_10_perfect_knowledge_at_its_bound(monkeypatch, past):
+    f = _edge(lambda x: abs(x - 1.0), 1e-12, 1.0 - 1e-12, -math.inf)[past]
+    monkeypatch.setattr(acceptance, "one_shot_fidelity", lambda alpha, beta, eps, sq: f)
+    assert acceptance._property_perfect_knowledge()[0] is not past
+
+
+@EDGE
+def test_criterion_10_quadrature_at_its_bound(monkeypatch, past):
+    quad = _edge(lambda q: abs(0.5 - q), 1e-6, 0.5 - 1e-6, -math.inf)[past]
+    monkeypatch.setattr(acceptance, "gaussian_weighted_fidelity", lambda sq, g, s: 0.5)
+    monkeypatch.setattr(acceptance, "gaussian_weighted_fidelity_quadrature",
+                        lambda sq, g, s_x, s_y: quad)
+    assert acceptance._property_closed_form_vs_quadrature()[0] is not past
 
 
 def test_criterion_10_strips_match_the_whole_grid():

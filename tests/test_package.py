@@ -14,12 +14,11 @@ import pytest
 import cvteleport
 from cvteleport import cli, experiments
 
-# The only modules that import numpy when they load; every other module
-# imports it inside the function that computes with arrays.
+# The only modules that import numpy, and both do so when they load.
+# ``experiments`` and ``measurement`` reach it through ``kernel``, which
+# loads on the first Monte Carlo estimate; ``alphabet`` computes in plain
+# floats.
 NUMPY_AT_LOAD = {"kernel.py", "acceptance.py"}
-# The only modules that import numpy at all.  ``experiments`` is not one:
-# its Monte Carlo runners reach numpy through ``measurement`` and ``kernel``.
-NUMPY_ANYWHERE = NUMPY_AT_LOAD | {"alphabet.py"}
 
 
 def fresh_python(probe, cwd=None, env=None):
@@ -49,20 +48,32 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert fresh_python(probe).strip() == "[]"
 
 
+# The package modules ``from cvteleport.cli import main`` loads; a run adds
+# only the modules its subcommand computes with.
+AT_START = {"cli", "experiments", "fidelity", "measurement", "optimize", "protocol"}
+
+
 @pytest.mark.parametrize(
-    "argv, code, numpy",
+    "argv, code, numpy, added",
     [
-        (None, None, False),
-        (["--help"], 0, False),
-        (["fig1", "--samples", "10"], 2, False),
-        (["gaussian", "--lambda-points", "2", "--out", "g.csv"], 0, False),
-        (["fig3", "--lambda-points", "2", "--out", "f3.csv"], 0, False),
+        (None, None, False, set()),
+        (["--help"], 0, False, set()),
+        (["fig1", "--samples", "10"], 2, False, set()),
+        (["gaussian", "--lambda-points", "2", "--out", "g.csv"], 0, False, {"alphabet"}),
+        (["fig3", "--lambda-points", "2", "--out", "f3.csv"], 0, False, set()),
         # the guard is not vacuous: a Monte Carlo run does load numpy
-        (["fig1", "--lambda-points", "2", "--samples", "2000", "--out", "f.csv"], 0, True),
+        (["fig1", "--lambda-points", "2", "--samples", "2000", "--out", "f.csv"], 0, True,
+         {"kernel"}),
+        (["circle-vs-line", "--lambda-points", "2", "--samples", "2000", "--out", "c.csv"],
+         0, True, {"kernel"}),
+        # check exits 1: criterion 9 is red by its definition (README)
+        (["check"], 1, True, {"kernel", "alphabet", "acceptance"}),
     ],
-    ids=["import", "help", "bad-input", "gaussian", "fig3", "fig1"],
+    ids=["import", "help", "bad-input", "gaussian", "fig3", "fig1", "circle-vs-line", "check"],
 )
-def test_cli_start_up_loads_numpy_only_for_arrays(tmp_path, argv, code, numpy):
+def test_cli_start_up_loads_numpy_only_for_arrays(tmp_path, argv, code, numpy, added):
+    # and each subcommand loads only the package modules it runs: only
+    # gaussian and check evaluate the alphabet-weighted fidelity
     probe = (
         "import sys\n"
         "from cvteleport.cli import main\n"
@@ -72,10 +83,24 @@ def test_cli_start_up_loads_numpy_only_for_arrays(tmp_path, argv, code, numpy):
         f"        code = main({argv!r})\n"
         "    except SystemExit as exc:\n"
         "        code = exc.code\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "print(code, 'numpy' in sys.modules,"
+        " sorted(m.split('.')[1] for m in sys.modules if m.startswith('cvteleport.')))\n"
     )
     last = fresh_python(probe, cwd=tmp_path).splitlines()[-1]
-    assert last == f"{code} {numpy}"
+    assert last == f"{code} {numpy} {sorted(AT_START | added)}"
+
+
+def test_alphabet_oracle_loads_no_numpy():
+    # the Gauss-Hermite rule and the quadrature compute in plain floats
+    probe = (
+        "import sys\n"
+        "from cvteleport.alphabet import gauss_hermite, gaussian_weighted_fidelity_quadrature\n"
+        "from cvteleport.protocol import SqueezeLevel\n"
+        "nodes, weights = gauss_hermite()\n"
+        "f = gaussian_weighted_fidelity_quadrature(SqueezeLevel(0.5), 0.8, 0.3, 1.2)\n"
+        "print(len(nodes), len(weights), 0.0 < f < 1.0, 'numpy' in sys.modules)\n"
+    )
+    assert fresh_python(probe).split() == ["64", "64", "True", "False"]
 
 
 @pytest.mark.parametrize("command", ["fig3", "gaussian"])
@@ -214,13 +239,9 @@ def _imported(node):
 
 def _load_time_imports(node):
     """Import statements that run when the module loads: not those inside a
-    function or under ``if TYPE_CHECKING:``."""
+    function."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING":
-            for stmt in child.orelse:
-                yield from _load_time_imports(stmt)
             continue
         if isinstance(child, (ast.Import, ast.ImportFrom)):
             yield child
@@ -228,8 +249,8 @@ def _load_time_imports(node):
 
 
 def test_runtime_imports_only_stdlib_and_numpy():
-    # the tests may use scipy; the package itself stays numpy-only, only
-    # NUMPY_AT_LOAD import numpy when they load, and only NUMPY_ANYWHERE at all
+    # the tests may use scipy; the package itself stays numpy-only, and only
+    # NUMPY_AT_LOAD import numpy, when they load
     allowed = set(sys.stdlib_module_names) | {"numpy", "cvteleport"}
     package = Path(cvteleport.__file__).parent
     outside = []
@@ -246,4 +267,4 @@ def test_runtime_imports_only_stdlib_and_numpy():
             numpy_anywhere.add(path.name)
     assert outside == []
     assert numpy_at_load == NUMPY_AT_LOAD
-    assert numpy_anywhere == NUMPY_ANYWHERE
+    assert numpy_anywhere == NUMPY_AT_LOAD
