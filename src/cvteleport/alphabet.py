@@ -21,14 +21,18 @@ import math
 from .fidelity import checked_fidelity
 from .protocol import SqueezeLevel, variance_standard_gain
 
-# Nodes per axis of the oracle's Gauss-Hermite rule.  It is even, so the
-# rule has no middle node; the tests hold it to numpy's hermgauss.
+# Nodes per axis of the oracle's Gauss-Hermite rule.
 ORDER = 64
 
 
 @functools.cache
 def gauss_hermite() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Hermite nodes (ascending) and weights of order ``ORDER``, computed once.
+    """Gauss-Hermite nodes (ascending) and weights of order ``ORDER``, computed once."""
+    return _gauss_hermite_rule(ORDER)
+
+
+def _gauss_hermite_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Hermite nodes (ascending) and weights of order ``n``.
 
     The rule integrates against e^{-x^2}.  Each positive root of H_n is
     found by Newton's method from Numerical Recipes' starting guesses
@@ -36,10 +40,13 @@ def gauss_hermite() -> tuple[tuple[float, ...], tuple[float, ...]]:
     Hermite functions psi_j = p_j e^{-x^2/2}, so nothing overflows.  The
     weight of root x is proportional to e^{-x^2} / psi_{n-1}(x)^2; the
     weights are scaled to sum to sqrt(pi).  The negative roots mirror the
-    positive ones, so the rule is exactly symmetric.  Plain float
-    arithmetic: no LAPACK call and no numpy.
+    positive ones and an odd order has 0 as its middle node, so the rule
+    is exactly symmetric.  Plain float arithmetic: no LAPACK call and no
+    numpy.  The package uses order ``ORDER`` only; the tests hold the
+    method to numpy's hermgauss at every order from 16 to 128 (the
+    starting guesses lead Newton's method to every root through order
+    176 and fail at 177).
     """
-    n = ORDER
     up = [math.sqrt(2.0 / j) for j in range(1, n + 1)]
     down = [math.sqrt((j - 1) / j) for j in range(1, n + 1)]
 
@@ -71,11 +78,13 @@ def gauss_hermite() -> tuple[tuple[float, ...], tuple[float, ...]]:
         else:
             raise ArithmeticError(f"Newton's method found no root {i} of order {n}")
         roots.append(x)
+    if n % 2:
+        roots.append(0.0)
     raw = [math.exp(-x * x) / psi(x, n - 1)[0] ** 2 for x in roots]
-    scale = math.sqrt(math.pi) / (2.0 * math.fsum(raw))  # raw holds one half of the rule
+    scale = math.sqrt(math.pi) / math.fsum(raw + raw[: n // 2])
     per_root = [w * scale for w in raw]
-    nodes = tuple([-x for x in roots] + roots[::-1])
-    weights = tuple(per_root + per_root[::-1])
+    nodes = tuple([-x for x in roots[: n // 2]] + roots[::-1])
+    weights = tuple(per_root[: n // 2] + per_root[::-1])
     return nodes, weights
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from cvteleport.alphabet import (
     ORDER,
+    _gauss_hermite_rule,
     gauss_hermite,
     gaussian_weighted_fidelity,
     gaussian_weighted_fidelity_quadrature,
@@ -112,17 +113,23 @@ class TestQuadratureOracle:
 
 
 class TestGaussHermiteRule:
-    def test_agrees_with_hermgauss(self):
+    @pytest.mark.parametrize("order", range(16, 129))
+    def test_agrees_with_hermgauss(self, order):
         # numpy's eigenvalue-based rule is the oracle; the package computes
-        # its own without numpy
-        nodes, weights = gauss_hermite()
-        ref_nodes, ref_weights = np.polynomial.hermite.hermgauss(ORDER)
+        # its own without numpy, by a method held here at orders around ORDER
+        nodes, weights = _gauss_hermite_rule(order)
+        ref_nodes, ref_weights = np.polynomial.hermite.hermgauss(order)
         assert np.max(np.abs(np.array(nodes) - ref_nodes)) <= 1e-14
         assert np.max(np.abs(np.array(weights) / ref_weights - 1.0)) <= 1e-12
-        assert all(nodes[k] == -nodes[-1 - k] for k in range(ORDER))
+        assert all(nodes[k] == -nodes[-1 - k] for k in range(order))
         root_pi = math.sqrt(math.pi)
         assert abs(math.fsum(weights) - root_pi) <= 4 * math.ulp(root_pi)
         assert isinstance(nodes, tuple) and isinstance(weights, tuple)
+
+    def test_the_package_rule_is_order_64_computed_once(self):
+        assert ORDER == 64
+        assert gauss_hermite() == _gauss_hermite_rule(ORDER)
+        assert gauss_hermite() is gauss_hermite()
 
 
 class TestRecoveryProperties:
