@@ -279,8 +279,10 @@ def _property_oracle() -> tuple[bool, str]:
 
 
 # Criterion 10 scores its 201x201 displacement grid this many rows at a
-# time, so it never holds a whole-grid temporary.
-_GRID_STRIP_ROWS = 16
+# time: three strips, whose temporaries fit in the memory the Monte Carlo
+# phase has already paged in, where a whole-grid temporary raised check's
+# peak.  Fewer strips mean fewer numpy calls per case.
+_GRID_STRIP_ROWS = 67
 
 
 def _displacement_grid_argmax(

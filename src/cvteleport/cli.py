@@ -197,6 +197,14 @@ def main(argv: list[str] | None = None) -> int:
     pin_blas = "OPENBLAS_NUM_THREADS" not in os.environ
     if pin_blas:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    # numpy.random imports secrets, whose hmac and hashlib load OpenSSL's
+    # _hashlib and with it libcrypto (3.4 MiB resident), yet every stream
+    # here is seeded and nothing hashes.  Blocked, both fall back to
+    # CPython's built-in hashes.  Like the BLAS setting, the block is set
+    # before numpy loads and lifted on return.
+    block_openssl = "_hashlib" not in sys.modules
+    if block_openssl:
+        sys.modules["_hashlib"] = None
     try:
         args = _build_parser().parse_args(argv)  # --help prints here
         if args.command == "check":
@@ -221,6 +229,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if pin_blas:
             os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        if block_openssl and sys.modules.get("_hashlib") is None:
+            sys.modules.pop("_hashlib", None)
     return code
 
 

@@ -22,6 +22,7 @@ import pytest
 from cvteleport import acceptance, experiments, fidelity
 from cvteleport.experiments import circle_line_allowance, default_lambda_grid
 from cvteleport.measurement import MIN_SAMPLES, McEstimate
+from cvteleport.optimize import OptimizationResult
 from cvteleport.protocol import SqueezeLevel
 from oracles import exact_line_circle
 
@@ -322,6 +323,45 @@ def test_criterion_03_at_its_bound(monkeypatch, column, past):
 
 
 @EDGE
+@pytest.mark.parametrize("column", ["eta_star", "g2_star"])
+def test_criterion_04_at_its_bound(monkeypatch, column, past):
+    # a two-row fig3 curve from 0 to its last point, one end gap at its
+    # bound and the other end on its asymptote
+    ends = {"eta_star": math.pi / 4, "g2_star": 1.0 / math.sqrt(2.0)}
+    target = ends[column]
+    ends[column] = _edge(lambda x: abs(x - target), 0.01, target - 0.01, -math.inf)[past]
+    rows = ((0.0, 0.8, 0.7, 0.5, 0.0, 0.0),
+            (0.999, 0.99, 0.98, 0.97, ends["eta_star"], ends["g2_star"]))
+    monkeypatch.setattr(acceptance, "_fig3_rows", lambda: rows)
+    assert acceptance.criterion_fig3_asymptotes().passed is not past
+
+
+@EDGE
+@pytest.mark.parametrize("lam", [0.98, 0.999], ids=["strict", "weak"])
+@pytest.mark.parametrize("column", [1, 2], ids=["full-over-disp", "disp-over-std"])
+def test_criterion_05_at_its_bound(monkeypatch, column, lam, past):
+    # a column against the next in the row at lam: up to 0.98 it must exceed
+    # it, so one float step above passes and equality fails; at the 0.999
+    # cap it may equal it, and one float step below fails
+    below = 0.7 if column == 2 else 0.8
+    at = math.nextafter(below, math.inf) if lam == 0.98 else below
+    rows = [[x, 0.9, 0.8, 0.7, 0.0, 0.0] for x in (0.0, 0.98, 0.999)]
+    next(row for row in rows if row[0] == lam)[column] = (at, math.nextafter(at, -math.inf))[past]
+    monkeypatch.setattr(acceptance, "_fig3_rows", lambda: tuple(map(tuple, rows)))
+    assert acceptance.criterion_curve_ordering().passed is not past
+
+
+@EDGE
+def test_criterion_05_strict_up_to_0_98(monkeypatch, past):
+    # equal f_full and f_disp_only pass one float step above 0.98 and fail at it
+    lam = (math.nextafter(0.98, math.inf), 0.98)[past]
+    rows = ((0.0, 0.9, 0.8, 0.7, 0.0, 0.0), (lam, 0.8, 0.8, 0.7, 0.0, 0.0),
+            (0.999, 0.9, 0.8, 0.7, 0.0, 0.0))
+    monkeypatch.setattr(acceptance, "_fig3_rows", lambda: rows)
+    assert acceptance.criterion_curve_ordering().passed is not past
+
+
+@EDGE
 def test_criterion_06_at_its_bound(monkeypatch, past):
     # fig1's Monte Carlo column, one grid point off the closed form
     lam = 0.5
@@ -331,6 +371,49 @@ def test_criterion_06_at_its_bound(monkeypatch, past):
     result = experiments.ExperimentResult(("lambda", "f_standard", "mc", "se"), rows, {})
     monkeypatch.setattr(acceptance, "run_fig1", lambda config: result)
     assert acceptance.criterion_cross_picture().passed is not past
+
+
+@EDGE
+@pytest.mark.parametrize("cell", ["f0", "g0", "curve"])
+def test_criterion_07_at_its_bound(monkeypatch, cell, past):
+    # the s = 100 gaussian rows: F and g* at lam = 0, and the curve at
+    # lam = 0.5, with one of the three at its bound
+    f0, g0, f_half = 0.5, 1.0, 0.75
+    if cell == "f0":
+        f0 = _edge(lambda f: abs(f - 0.5), 1e-3, 0.5 + 1e-3, math.inf)[past]
+    elif cell == "g0":
+        g0 = _edge(lambda g: abs(g - 1.0), 1e-3, 1.0 - 1e-3, -math.inf)[past]
+    else:
+        f_half = _edge(lambda f: abs(f - 0.75), 0.01, 0.75 - 0.01, -math.inf)[past]
+    rows = ((0.0, f0, g0), (0.5, f_half, 1.0))
+    result = experiments.ExperimentResult(("lambda", "f", "g"), rows, {})
+    monkeypatch.setattr(acceptance, "run_gaussian_alphabet", lambda config: result)
+    assert acceptance.criterion_wide_alphabet().passed is not past
+
+
+@EDGE
+@pytest.mark.parametrize("cell", ["bracket-low", "bracket-high", "g-identity", "bfk-low",
+                                  "bfk-high"])
+def test_criterion_08_at_its_bound(monkeypatch, cell, past):
+    # the s = 0.2 optimum and classical limit, one checked cell at its bound.
+    # |27/29 - 0.9310345| = 1.7e-8, so a limit within 1e-12 of 27/29 is
+    # within 5e-8 of the printed value, and no input puts the 5e-8 check on
+    # its bound alone; a tighter limit than 1.7e-8 fails the bfk cases
+    g_star = 2.0 * 0.2 * 0.2 / (1.0 + 2.0 * 0.2 * 0.2)  # 2s^2 / (1 + 2s^2)
+    value, g, bfk = 0.932, g_star, 27.0 / 29.0
+    if cell == "bracket-low":
+        value = _edge(lambda f: 0.928 - f, 0.0, 0.928, -math.inf)[past]
+    elif cell == "bracket-high":
+        value = _edge(lambda f: f - 0.936, 0.0, 0.936, math.inf)[past]
+    elif cell == "g-identity":
+        g = _edge(lambda x: abs(x - g_star), 1e-6, g_star + 1e-6, math.inf)[past]
+    else:
+        away = -math.inf if cell == "bfk-low" else math.inf
+        bfk = _edge(lambda x: abs(x - 27.0 / 29.0), 1e-12, 27.0 / 29.0, away)[past]
+    monkeypatch.setattr(acceptance, "optimize_gain",
+                        lambda sq, s: OptimizationResult((g,), value, 0))
+    monkeypatch.setattr(acceptance, "bfk_classical_limit", lambda s: bfk)
+    assert acceptance.criterion_narrow_alphabet().passed is not past
 
 
 @EDGE

@@ -2,7 +2,7 @@
 package itself imports."""
 
 import ast
-import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -73,7 +73,8 @@ AT_START = {"cli", "experiments", "fidelity", "measurement", "optimize", "protoc
 )
 def test_cli_start_up_loads_numpy_only_for_arrays(tmp_path, argv, code, numpy, added):
     # and each subcommand loads only the package modules it runs: only
-    # gaussian and check evaluate the alphabet-weighted fidelity
+    # gaussian and check evaluate the alphabet-weighted fidelity.  No run
+    # loads OpenSSL's _hashlib, which numpy.random's secrets import pulls in
     probe = (
         "import sys\n"
         "from cvteleport.cli import main\n"
@@ -83,11 +84,11 @@ def test_cli_start_up_loads_numpy_only_for_arrays(tmp_path, argv, code, numpy, a
         f"        code = main({argv!r})\n"
         "    except SystemExit as exc:\n"
         "        code = exc.code\n"
-        "print(code, 'numpy' in sys.modules,"
+        "print(code, 'numpy' in sys.modules, '_hashlib' in sys.modules,"
         " sorted(m.split('.')[1] for m in sys.modules if m.startswith('cvteleport.')))\n"
     )
     last = fresh_python(probe, cwd=tmp_path).splitlines()[-1]
-    assert last == f"{code} {numpy} {sorted(AT_START | added)}"
+    assert last == f"{code} {numpy} False {sorted(AT_START | added)}"
 
 
 def test_alphabet_oracle_loads_no_numpy():
@@ -152,9 +153,29 @@ def test_cli_starts_no_blas_threads(tmp_path, preset):
         assert [value for _, value in probes] == [preset, preset]
 
 
-@pytest.mark.parametrize("argv", [["gaussian", "--lambda-points", "2"],
-                                  ["gaussian", "--samples", "1"], ["--help"]],
-                         ids=["ok", "bad-input", "help"])
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads /proc/self/maps")
+def test_cli_maps_no_libcrypto(tmp_path):
+    # numpy.random imports secrets, whose hashlib and hmac would load
+    # OpenSSL's _hashlib and map libcrypto; main blocks it while it runs
+    probe = (
+        "from cvteleport.cli import main\n"
+        "for argv in (['fig1', '--lambda-points', '2', '--samples', '1000', '--out', 'f.csv'],"
+        " ['check']):\n"
+        "    main(argv)\n"
+        "    with open('/proc/self/maps') as maps:\n"
+        "        print('probe', sum('libcrypto' in line for line in maps))\n"
+    )
+    out = fresh_python(probe, cwd=tmp_path).splitlines()
+    assert [line for line in out if line.startswith("probe ")] == ["probe 0", "probe 0"]
+
+
+IN_PROCESS = pytest.mark.parametrize(
+    "argv", [["gaussian", "--lambda-points", "2"], ["gaussian", "--samples", "1"], ["--help"]],
+    ids=["ok", "bad-input", "help"],
+)
+
+
+@IN_PROCESS
 def test_cli_unsets_its_blas_setting(tmp_path, monkeypatch, capsys, argv):
     # the one-thread setting is for main's own numpy import; a caller that
     # runs main in-process must not pass it on to its later subprocesses
@@ -166,6 +187,32 @@ def test_cli_unsets_its_blas_setting(tmp_path, monkeypatch, capsys, argv):
     except SystemExit:
         pass
     assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None,
+                    reason="a Python built without OpenSSL")
+@IN_PROCESS
+def test_cli_leaves_hashlib_as_it_found_it(tmp_path, monkeypatch, capsys, argv):
+    # main blocks OpenSSL's _hashlib only while it runs: a module the caller
+    # already imported stays, and a process that had none is left without
+    # the block, so a later `import _hashlib` loads it
+    hashlib_module = importlib.import_module("_hashlib")
+    monkeypatch.chdir(tmp_path)
+    try:
+        cli.main(argv)
+    except SystemExit:
+        pass
+    assert sys.modules["_hashlib"] is hashlib_module
+    probe = (
+        "import sys\n"
+        "from cvteleport.cli import main\n"
+        "try:\n"
+        f"    main({argv!r})\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    assert fresh_python(probe, cwd=tmp_path).splitlines()[-1] == "False"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
