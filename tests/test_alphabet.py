@@ -5,13 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cvteleport.alphabet import (
-    ORDER,
-    _gauss_hermite_rule,
-    gauss_hermite,
-    gaussian_weighted_fidelity,
-    gaussian_weighted_fidelity_quadrature,
-)
+from cvteleport.alphabet import gaussian_weighted_fidelity, gaussian_weighted_fidelity_quadrature
 from cvteleport.fidelity import bfk_classical_limit
 from cvteleport.optimize import optimize_gain
 from cvteleport.protocol import SqueezeLevel, squeeze_from_G, variance_standard_gain
@@ -94,7 +88,7 @@ class TestQuadratureOracle:
                     closed = gaussian_weighted_fidelity(sq, g, s)
                     quad = gaussian_weighted_fidelity_quadrature(sq, g, s, s)
                     worst = max(worst, abs(closed - quad))
-        assert worst <= 1e-6
+        assert worst <= 1e-15
 
     def test_asymmetric_against_analytic(self):
         # product of two 1-D Gaussian integrals: A / sqrt((1+2c sx^2)(1+2c sy^2))
@@ -109,27 +103,23 @@ class TestQuadratureOracle:
             c = 2.0 * (1.0 - g) ** 2 / (v + 1.0)
             expected = a / math.sqrt((1 + 2 * c * s_x ** 2) * (1 + 2 * c * s_y ** 2))
             quad = gaussian_weighted_fidelity_quadrature(sq, g, s_x, s_y)
-            assert quad == pytest.approx(expected, abs=1e-6)
+            assert abs(quad - expected) <= 1e-15
 
-
-class TestGaussHermiteRule:
-    @pytest.mark.parametrize("order", range(16, 129))
-    def test_agrees_with_hermgauss(self, order):
-        # numpy's eigenvalue-based rule is the oracle; the package computes
-        # its own without numpy, by a method held here at orders around ORDER
-        nodes, weights = _gauss_hermite_rule(order)
-        ref_nodes, ref_weights = np.polynomial.hermite.hermgauss(order)
-        assert np.max(np.abs(np.array(nodes) - ref_nodes)) <= 1e-14
-        assert np.max(np.abs(np.array(weights) / ref_weights - 1.0)) <= 1e-12
-        assert all(nodes[k] == -nodes[-1 - k] for k in range(order))
-        root_pi = math.sqrt(math.pi)
-        assert abs(math.fsum(weights) - root_pi) <= 4 * math.ulp(root_pi)
-        assert isinstance(nodes, tuple) and isinstance(weights, tuple)
-
-    def test_the_package_rule_is_order_64_computed_once(self):
-        assert ORDER == 64
-        assert gauss_hermite() == _gauss_hermite_rule(ORDER)
-        assert gauss_hermite() is gauss_hermite()
+    @pytest.mark.parametrize("past", [False, True], ids=["at-bound", "one-step-past"])
+    def test_widest_alphabet_at_its_bound(self, past):
+        # at lam = 0 this gain (the float nearest 2 - sqrt(3)) makes c exactly
+        # 1/2, so s = 4 puts 2 c s^2 on 16; a wider alphabet would alias on
+        # the fixed grid, so one float wider, on either axis, raises
+        sq, g = SqueezeLevel(0.0), 0.2679491924311227
+        assert 2.0 * (1.0 - g) ** 2 / (variance_standard_gain(sq, g) + 1.0) == 0.5
+        if not past:
+            quad = gaussian_weighted_fidelity_quadrature(sq, g, 4.0, 4.0)
+            assert abs(quad - gaussian_weighted_fidelity(sq, g, 4.0)) <= 1e-15
+            return
+        wide = math.nextafter(4.0, math.inf)
+        for s_x, s_y in ((wide, 0.2), (0.2, wide)):
+            with pytest.raises(ValueError, match=r"holds for 2 c s\^2 <= 16"):
+                gaussian_weighted_fidelity_quadrature(sq, g, s_x, s_y)
 
 
 class TestRecoveryProperties:
