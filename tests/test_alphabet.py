@@ -122,6 +122,30 @@ class TestQuadratureOracle:
                 gaussian_weighted_fidelity_quadrature(sq, g, s_x, s_y)
 
 
+class TestGaussHermiteRule:
+    @pytest.mark.parametrize("order", range(16, 129))
+    def test_agrees_with_hermgauss(self, order):
+        # numpy's eigenvalue-based Gauss-Hermite rule of this order is a second,
+        # independent quadrature of the same integral, A Q(s_x) Q(s_y) / pi.
+        # It resolves the fidelity factor e^{-2 c s^2 y^2} to rounding up to
+        # about 2 c s^2 = order / 20, so each order is held at the wider
+        # 2 c s^2 = (order - 8) / 40 on x and a quarter of that on y
+        nodes, weights = np.polynomial.hermite.hermgauss(order)
+        width = (order - 8) / 40
+        for lam, g in ((0.0, 0.0), (0.5, 0.8), (0.9, 1.4)):
+            sq = SqueezeLevel(lam)
+            v = variance_standard_gain(sq, g)
+            a = 2.0 / (v + 1.0)
+            c = 2.0 * (1.0 - g) ** 2 / (v + 1.0)
+            s_x = math.sqrt(width / (2.0 * c))
+            s_y = s_x / 2.0
+            q_x, q_y = (
+                math.fsum(weights * np.exp(-2.0 * c * s * s * nodes ** 2)) for s in (s_x, s_y)
+            )
+            quad = gaussian_weighted_fidelity_quadrature(sq, g, s_x, s_y)
+            assert abs(quad - a * q_x * q_y / math.pi) <= 1e-15
+
+
 class TestRecoveryProperties:
     @pytest.mark.parametrize("s", [0.1, 0.2, 0.5, 1.0, 10.0])
     def test_classical_limit_recovered(self, s):
