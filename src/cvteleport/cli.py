@@ -49,7 +49,7 @@ def _output_path(text: str) -> Path:
 
 # The one list of settings: it defines the CLI flags, the keys a config
 # file may set and how their values parse.  Every key but ``out`` is an
-# ``ExperimentConfig`` field, which holds its default; ``out`` defaults to
+# ``ExperimentConfig`` keyword, which holds its default; ``out`` defaults to
 # ``<command>.csv``.  ``--s`` is a flag of ``gaussian`` only.
 SETTINGS = (
     Setting("lambda_points", int, "N",

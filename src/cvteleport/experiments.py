@@ -23,16 +23,15 @@ import cmath
 import math
 import os
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .measurement import (
     MAX_AMPLITUDE, MAX_SAMPLES, MIN_SAMPLES, CircleTailored, LineTailored, McEstimate,
     mc_average_fidelity,
 )
 from .optimize import DEFAULT_TOL, optimize_eta_g2, optimize_gain, tailored_fidelity
-from .protocol import LAMBDA_MAX, SqueezeLevel
+from .protocol import LAMBDA_MAX, SqueezeLevel, _Frozen, _require_integers
 
 DEFAULT_LAMBDA_POINTS = 50
 MAX_LAMBDA_POINTS = 100_000  # 2,000 times the benchmark's 50-point grid
@@ -59,51 +58,42 @@ def default_lambda_grid(points: int = DEFAULT_LAMBDA_POINTS) -> tuple[float, ...
     return tuple(grid)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated settings of one run; the field defaults are the run defaults.
+class ExperimentConfig(_Frozen):
+    """Validated settings of one run; the keyword defaults are the run defaults.
 
-    The init fields are the CLI's setting keys other than ``out``, and
+    The init keywords are the CLI's setting keys other than ``out``, and
     ``lambda_grid`` is derived once: ``default_lambda_grid(lambda_points)``.
     """
 
-    lambda_points: int = DEFAULT_LAMBDA_POINTS
-    samples: int = 100_000
-    seed: int = 123456789
-    alpha: float = 5.0
-    s: float = 0.2
-    tol: float = DEFAULT_TOL
-    threads: int = 1
-    lambda_grid: tuple[float, ...] = field(init=False)
+    __slots__ = ("lambda_points", "samples", "seed", "alpha", "s", "tol", "threads", "lambda_grid")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambda_grid", default_lambda_grid(self.lambda_points))
-        if not MIN_SAMPLES <= self.samples <= MAX_SAMPLES:
-            raise ValueError(
-                f"need {MIN_SAMPLES} to {MAX_SAMPLES} samples per point, got {self.samples}"
-            )
-        if not (0 <= self.seed < _U64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if not (0.0 < self.alpha <= MAX_AMPLITUDE):
-            raise ValueError(
-                f"line amplitude must be positive, finite and at most "
-                f"{MAX_AMPLITUDE:g}, got {self.alpha}"
-            )
-        if not (0.0 < self.s < math.inf):
-            raise ValueError(
-                f"alphabet standard deviation must be positive and finite, got {self.s}"
-            )
-        if not (0.0 < self.tol < math.inf):
-            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
-        if self.threads < 1:
-            raise ValueError(f"thread count must be at least 1, got {self.threads}")
+    def __init__(self, lambda_points: int = DEFAULT_LAMBDA_POINTS, samples: int = 100_000,
+                 seed: int = 123456789, alpha: float = 5.0, s: float = 0.2,
+                 tol: float = DEFAULT_TOL, threads: int = 1) -> None:
+        _require_integers(lambda_points=lambda_points, samples=samples, seed=seed,
+                          threads=threads)
+        lambda_grid = default_lambda_grid(lambda_points)
+        if not MIN_SAMPLES <= samples <= MAX_SAMPLES:
+            raise ValueError(f"need {MIN_SAMPLES} to {MAX_SAMPLES} samples per point, "
+                             f"got {samples}")
+        if not (0 <= seed < _U64):
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        if not (0.0 < alpha <= MAX_AMPLITUDE):
+            raise ValueError(f"line amplitude must be positive, finite and at most "
+                             f"{MAX_AMPLITUDE:g}, got {alpha}")
+        if not (0.0 < s < math.inf):
+            raise ValueError(f"alphabet standard deviation must be positive and finite, got {s}")
+        if not (0.0 < tol < math.inf):
+            raise ValueError(f"tolerance must be positive and finite, got {tol}")
+        if threads < 1:
+            raise ValueError(f"thread count must be at least 1, got {threads}")
+        self._set(lambda_points, samples, seed, alpha, s, tol, threads, lambda_grid)
 
     def point_seed(self, index: int) -> int:
         return self.seed ^ index
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     """Column names, rows and the summary block of headline numbers."""
 
     header: tuple[str, ...]

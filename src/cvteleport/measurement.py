@@ -34,10 +34,9 @@ samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
-from .protocol import LAMBDA_MAX, SqueezeLevel
+from .protocol import LAMBDA_MAX, SqueezeLevel, _Frozen, _require_integers
 
 # Fixed chunk size of the Monte Carlo reduction; part of the determinism
 # contract, so changing it changes the streams.
@@ -52,31 +51,32 @@ MAX_SAMPLES = 1_000_000_000
 MAX_AMPLITUDE = 1e150
 
 
-@dataclass(frozen=True)
-class Standard:
+class Standard(_Frozen):
     """Plain scaled displacement epsilon = gain * beta."""
 
-    gain: float = 1.0
+    __slots__ = ("gain",)
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.gain < math.inf):
-            raise ValueError(f"gain must be non-negative and finite, got {self.gain}")
+    def __init__(self, gain: float = 1.0) -> None:
+        if not (0.0 <= gain < math.inf):
+            raise ValueError(f"gain must be non-negative and finite, got {gain}")
+        self._set(gain)
 
 
-@dataclass(frozen=True)
-class LineTailored:
+class LineTailored(_Frozen):
     """Targets on the positive real axis: phase known, amplitude guessed as |beta|."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class CircleTailored:
+
+class CircleTailored(_Frozen):
     """Targets of known amplitude (the radius), phase guessed as arg(beta)."""
 
-    radius: float
+    __slots__ = ("radius",)
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.radius < math.inf):
-            raise ValueError(f"radius must be non-negative and finite, got {self.radius}")
+    def __init__(self, radius: float) -> None:
+        if not (0.0 <= radius < math.inf):
+            raise ValueError(f"radius must be non-negative and finite, got {radius}")
+        self._set(radius)
 
 
 Strategy = Union[Standard, LineTailored, CircleTailored]
@@ -92,18 +92,15 @@ def component_sigma(sq: SqueezeLevel) -> float:
     return 1.0 / math.sqrt(2.0 * (1.0 - sq.lam * sq.lam))
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(_Frozen):
     """A seeded Monte Carlo mean with its standard error."""
 
-    mean: float
-    std_error: float
+    __slots__ = ("mean", "std_error")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean) and self.std_error >= 0.0):
-            raise ValueError(
-                f"bad estimate: mean={self.mean}, std_error={self.std_error}"
-            )
+    def __init__(self, mean: float, std_error: float) -> None:
+        if not (math.isfinite(mean) and std_error >= 0.0):
+            raise ValueError(f"bad estimate: mean={mean}, std_error={std_error}")
+        self._set(mean, std_error)
 
 
 def mc_average_fidelity(
@@ -122,6 +119,7 @@ def mc_average_fidelity(
     uses its own derived generator and the partial sums are added in
     chunk order, so the result depends only on (seed, n).
     """
+    _require_integers(n=n, seed=seed)
     if not MIN_SAMPLES <= n <= MAX_SAMPLES:
         raise ValueError(f"need {MIN_SAMPLES} to {MAX_SAMPLES} samples, got {n}")
     # hypot, not abs(): abs raises OverflowError once |alpha| passes the float range

@@ -18,8 +18,7 @@ checks it for ``optimize_eta_g2`` over the whole squeezing range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .fidelity import avg_fidelity_unit_gain
 from .protocol import SqueezeLevel, tailored_g2, tailored_variances
@@ -30,8 +29,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID = 1024
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     """Argmax (1 or 2 coordinates), objective value and search metadata."""
 
     argmax: tuple[float, ...]

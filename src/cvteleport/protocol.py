@@ -26,15 +26,52 @@ phase quadrature (eta = pi/4) at g2 = g/sqrt(2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 # Hard cap on the squeezing parameter for anything that samples or scans
 # over lam: the measurement-outcome distribution degenerates as lam -> 1.
 LAMBDA_MAX = 0.999
 
 
-@dataclass(frozen=True)
-class SqueezeLevel:
+class _Frozen:
+    """Base of the validated value types: ``__slots__`` that ``__init__`` sets
+    once through ``_set`` and that are read-only after, compared by value."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state) -> None:  # copy and pickle restore the slots here
+        self._set(*(state[1][name] for name in self.__slots__))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _require_integers(**values) -> None:
+    """Raise ValueError naming the first of the values that is not an integer."""
+    for name, value in values.items():
+        if not hasattr(type(value), "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+class SqueezeLevel(_Frozen):
     """Entanglement strength of the two-mode squeezed vacuum resource.
 
     Held as the squeezing parameter ``lam`` in [0, 1); the parametric gain
@@ -42,15 +79,14 @@ class SqueezeLevel:
     optimisers read it on every objective evaluation.
     """
 
-    lam: float
-    G: float = field(init=False)
+    __slots__ = ("lam", "G")
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.lam < 1.0):
-            raise ValueError(f"squeezing parameter must lie in [0, 1), got {self.lam}")
+    def __init__(self, lam: float) -> None:
+        if not (0.0 <= lam < 1.0):
+            raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
         # (1 - lam) is exact for lam >= 0.5 (Sterbenz), which keeps the
         # map as well conditioned as float64 allows near lam -> 1.
-        object.__setattr__(self, "G", 1.0 / ((1.0 - self.lam) * (1.0 + self.lam)))
+        self._set(lam, 1.0 / ((1.0 - lam) * (1.0 + lam)))
 
 
 def squeeze_from_G(G: float) -> SqueezeLevel:

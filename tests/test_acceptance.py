@@ -417,6 +417,21 @@ def test_criterion_08_at_its_bound(monkeypatch, cell, past):
 
 
 @EDGE
+def test_criterion_09_at_its_bound(monkeypatch, past):
+    # criterion 9 stays as defined, and red at its own seeds.  Fed a grid
+    # point whose |line - circle| is exactly its allowance 3 (se_line +
+    # se_circle), written out here, it passes; one float step further it fails
+    se_line, se_circle = 1.0 / 64.0, 1.0 / 32.0
+    allowance = 3.0 * (se_line + se_circle)
+    line = _edge(lambda m: abs(m - 0.5), allowance, 0.5 + allowance, math.inf)[past]
+    assert past or abs(line - 0.5) == allowance
+    estimates = [(0.0, McEstimate(0.5, se_line), McEstimate(0.5, se_circle)),
+                 (0.5, McEstimate(line, se_line), McEstimate(0.5, se_circle))]
+    monkeypatch.setattr(acceptance, "circle_line_estimates", lambda: estimates)
+    assert acceptance.criterion_circle_line_equivalence().passed is not past
+
+
+@EDGE
 def test_criterion_10_oracle_at_its_bound(monkeypatch, past):
     # every closed-form variance against a coefficient sum of squares of 1
     v = _edge(lambda x: abs(x - 1.0), 1e-12, 1.0 + 1e-12, math.inf)[past]

@@ -1,6 +1,6 @@
 """Experiment runners, CSV reproducibility, config handling and the CLI."""
 
-import dataclasses
+import inspect
 import io
 import math
 import os
@@ -90,6 +90,15 @@ class TestConfigValidation:
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(ValueError):
             ExperimentConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("samples", 1e4), ("threads", 1.5), ("seed", 1.5), ("lambda_points", 4.0)],
+    )
+    def test_rejects_non_integer_counts_and_seed(self, key, value):
+        # each used to fail later, inside a runner, with a TypeError
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            ExperimentConfig(**{key: value})
 
     def test_point_seed_is_xor(self):
         config = ExperimentConfig(seed=0b1100)
@@ -423,14 +432,14 @@ class TestSettingsTable:
         config = ExperimentConfig(**from_file)
         assert out == (Path(value) if setting.key == "out" else Path("gaussian.csv"))
         if setting.key != "out":  # that one setting is set, the rest keep the field defaults
-            expected = dataclasses.replace(ExperimentConfig(), **{setting.key: setting.type(value)})
+            expected = ExperimentConfig(**{setting.key: setting.type(value)})
             assert config == expected != ExperimentConfig()
 
     def test_settings_are_the_config_fields(self):
-        # every setting but ``out`` is an ExperimentConfig field of the same
-        # name, and that field holds the default
+        # every setting but ``out`` is an ExperimentConfig keyword of the
+        # same name, and that keyword holds the default
         keys = {s.key for s in cli.SETTINGS} - {"out"}
-        assert keys == {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
+        assert keys == set(inspect.signature(ExperimentConfig).parameters)
         defaults = cli._merge_settings(cli._build_parser().parse_args(["gaussian"]))
         assert defaults == {"out": Path("gaussian.csv")}
 

@@ -118,6 +118,12 @@ class TestMcAverageFidelity:
                 Standard(1.0), ALPHA5, SqueezeLevel(0.5), MAX_SAMPLES + 1, 1
             )
 
+    @pytest.mark.parametrize("n, seed, name", [(2000.0, 1, "n"), (2000, 1.5, "seed")])
+    def test_rejects_non_integer_count_and_seed(self, n, seed, name):
+        # a float passes the range check and would fail in range() or ^
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            mc_average_fidelity(Standard(1.0), ALPHA5, SqueezeLevel(0.5), n, seed)
+
     def test_unknown_strategy_raises(self):
         # the kernel's dispatch is the one guard between a wrong type and a
         # silent wrong estimate: a look-alike of Standard is none of the three

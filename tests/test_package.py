@@ -74,7 +74,8 @@ AT_START = {"cli", "experiments", "fidelity", "measurement", "optimize", "protoc
 def test_cli_start_up_loads_numpy_only_for_arrays(tmp_path, argv, code, numpy, added):
     # and each subcommand loads only the package modules it runs: only
     # gaussian and check evaluate the alphabet-weighted fidelity.  No run
-    # loads OpenSSL's _hashlib, which numpy.random's secrets import pulls in
+    # loads OpenSSL's _hashlib, which numpy.random's secrets import pulls in,
+    # or dataclasses, whose import with inspect used to be most of start-up
     probe = (
         "import sys\n"
         "from cvteleport.cli import main\n"
@@ -85,10 +86,11 @@ def test_cli_start_up_loads_numpy_only_for_arrays(tmp_path, argv, code, numpy, a
         "    except SystemExit as exc:\n"
         "        code = exc.code\n"
         "print(code, 'numpy' in sys.modules, '_hashlib' in sys.modules,"
+        " 'dataclasses' in sys.modules,"
         " sorted(m.split('.')[1] for m in sys.modules if m.startswith('cvteleport.')))\n"
     )
     last = fresh_python(probe, cwd=tmp_path).splitlines()[-1]
-    assert last == f"{code} {numpy} False {sorted(AT_START | added)}"
+    assert last == f"{code} {numpy} False False {sorted(AT_START | added)}"
 
 
 def test_alphabet_oracle_loads_no_numpy():

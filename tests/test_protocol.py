@@ -1,13 +1,17 @@
 """Squeeze-level encodings and the variance algebra against the coefficient oracle."""
 
-import dataclasses
+import copy
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from cvteleport.alphabet import gaussian_weighted_fidelity
+from cvteleport.experiments import ExperimentConfig
 from cvteleport.fidelity import avg_fidelity_unit_gain
+from cvteleport.measurement import CircleTailored, LineTailored, McEstimate, Standard
 from cvteleport.protocol import (
     SqueezeLevel,
     output_coefficients_tailored,
@@ -43,7 +47,7 @@ class TestSqueezeLevel:
         assert SqueezeLevel(0.0).G == 1.0
 
     def test_lambda_is_the_only_field(self):
-        assert [f.name for f in dataclasses.fields(SqueezeLevel) if f.init] == ["lam"]
+        assert list(inspect.signature(SqueezeLevel).parameters) == ["lam"]
 
     @pytest.mark.parametrize(
         "lam, G",
@@ -79,6 +83,42 @@ class TestSqueezeLevel:
         for lam in np.linspace(0.0, 0.9999, 500):
             sq = SqueezeLevel(float(lam))
             assert abs(sq.lam - math.sqrt((sq.G - 1.0) / sq.G)) <= 1e-12
+
+
+# builds one instance of each validated value type
+VALUE_TYPES = {
+    "SqueezeLevel": lambda: SqueezeLevel(0.5),
+    "Standard": lambda: Standard(0.7),
+    "LineTailored": LineTailored,
+    "CircleTailored": lambda: CircleTailored(2.0),
+    "McEstimate": lambda: McEstimate(0.5, 0.01),
+    "ExperimentConfig": lambda: ExperimentConfig(lambda_points=4, seed=7),
+}
+
+
+@pytest.mark.parametrize("make", VALUE_TYPES.values(), ids=VALUE_TYPES.keys())
+def test_value_types_are_read_only_values(make):
+    value, twin = make(), make()
+    assert value is not twin and value == twin and hash(value) == hash(twin)
+    assert repr(value) == repr(twin) and not hasattr(value, "__dict__")
+    for name in type(value).__slots__ + ("other",):
+        with pytest.raises(AttributeError, match="is read-only"):
+            setattr(value, name, 0.25)
+        with pytest.raises(AttributeError, match="is read-only"):
+            delattr(value, name)
+    assert value == twin
+    # copies and pickles are equal values, so the read-only guard must let
+    # them restore their attributes
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value) and clone == value and hash(clone) == hash(value)
+
+
+def test_value_types_compare_by_type_and_value():
+    assert SqueezeLevel(0.5) != SqueezeLevel(0.25)
+    assert ExperimentConfig(seed=1) != ExperimentConfig(seed=2)
+    assert Standard(2.0) != CircleTailored(2.0) and LineTailored() != ()
+    assert repr(SqueezeLevel(0.5)) == "SqueezeLevel(lam=0.5, G=1.3333333333333333)"
+    assert repr(LineTailored()) == "LineTailored()"
 
 
 class TestSettingsAndVariancesTypes:
