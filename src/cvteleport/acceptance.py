@@ -200,7 +200,7 @@ def criterion_narrow_alphabet() -> CriterionResult:
     res = optimize_gain(SqueezeLevel(0.0), 0.2)
     in_bracket = 0.928 <= res.value <= 0.936
     bfk = bfk_classical_limit(0.2)
-    bfk_exact = abs(bfk - 27.0 / 29.0) <= 1e-12 and abs(bfk - 0.9310345) <= 5e-8
+    bfk_exact = abs(bfk - 27.0 / 29.0) <= 1e-12
     s = 0.2
     g_identity = abs(res.argmax[0] - 2.0 * s * s / (1.0 + 2.0 * s * s)) <= 1e-6
     passed = in_bracket and bfk_exact and g_identity

@@ -51,6 +51,7 @@ def default_lambda_grid(points: int = DEFAULT_LAMBDA_POINTS) -> tuple[float, ...
     The cap is explicit: lambda = 1 would take infinite energy and the
     outcome distribution degenerates there.
     """
+    _require_integers(points=points)
     if not 2 <= points <= MAX_LAMBDA_POINTS:
         raise ValueError(f"need 2 to {MAX_LAMBDA_POINTS} grid points, got {points}")
     grid = [0.98 * (i / (points - 1)) for i in range(points)]

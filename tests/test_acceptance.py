@@ -395,10 +395,7 @@ def test_criterion_07_at_its_bound(monkeypatch, cell, past):
 @pytest.mark.parametrize("cell", ["bracket-low", "bracket-high", "g-identity", "bfk-low",
                                   "bfk-high"])
 def test_criterion_08_at_its_bound(monkeypatch, cell, past):
-    # the s = 0.2 optimum and classical limit, one checked cell at its bound.
-    # |27/29 - 0.9310345| = 1.7e-8, so a limit within 1e-12 of 27/29 is
-    # within 5e-8 of the printed value, and no input puts the 5e-8 check on
-    # its bound alone; a tighter limit than 1.7e-8 fails the bfk cases
+    # the s = 0.2 optimum and classical limit, one checked cell at its bound
     g_star = 2.0 * 0.2 * 0.2 / (1.0 + 2.0 * 0.2 * 0.2)  # 2s^2 / (1 + 2s^2)
     value, g, bfk = 0.932, g_star, 27.0 / 29.0
     if cell == "bracket-low":
@@ -525,3 +522,11 @@ def test_available_cpus_is_the_affinity_set():
     if not hasattr(os, "sched_getaffinity"):
         pytest.skip("no sched_getaffinity on this platform")
     assert experiments.available_cpus() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("count, cpus", [(6, 6), (None, 1)])
+def test_available_cpus_falls_back_to_the_cpu_count(monkeypatch, count, cpus):
+    # macOS and Windows have no sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert experiments.available_cpus() == cpus

@@ -53,6 +53,12 @@ class TestLambdaGrid:
         with pytest.raises(ValueError):
             default_lambda_grid(1)
 
+    @pytest.mark.parametrize("points", [2.5, "3", None])
+    def test_rejects_non_integer_points(self, points):
+        # each used to raise TypeError, from range or from <=
+        with pytest.raises(ValueError, match="^points must be an integer"):
+            default_lambda_grid(points)
+
     def test_maximum_points(self):
         assert len(default_lambda_grid(experiments.MAX_LAMBDA_POINTS)) == (
             experiments.MAX_LAMBDA_POINTS + 1
