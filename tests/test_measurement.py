@@ -289,8 +289,9 @@ class TestChunkKernel:
     )
     @pytest.mark.parametrize(
         "alpha",
-        [ALPHA5, complex(1.3, -0.7), complex(6e7, -8e7)],
-        ids=TARGET_IDS[:3],
+        # 0.5 + 0.25i pins which form the line rule takes for 0 < alpha_x <= 1
+        [ALPHA5, complex(1.3, -0.7), complex(6e7, -8e7), complex(0.5, 0.25)],
+        ids=TARGET_IDS[:3] + ["alpha-small"],
     )
     @pytest.mark.parametrize("lam", [0.0, 0.35, 0.999])
     def test_bit_identical_to_reference(self, strategy, alpha, lam):

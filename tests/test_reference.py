@@ -6,7 +6,8 @@ and each Monte Carlo cell against the exact moments of the one-shot
 fidelity (``tests/oracles.py``), so a reference regenerated with a wrong
 seed, size, formula or optimiser fails here.  Each runner must also rewrite
 its smoke and full references byte for byte, also with numpy's run-time
-SIMD dispatch switched off.  The files are only read.  The bounds are
+SIMD dispatch switched off, and the closed-form runners also with no numpy
+importable.  The files are only read.  The bounds are
 fixed; a regeneration must pass them unchanged.
 """
 
@@ -217,6 +218,24 @@ def test_references_hold_without_simd_dispatch(tmp_path):
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(dispatch))
     features = json.loads(fresh_python(probe, env=env).splitlines()[0])
     assert features == {name: False for name in dispatch}  # the child really ran without them
+    changed = [run for run in runs
+               if (tmp_path / f"{run}.csv").read_bytes() != _reference_bytes(*run.split("-", 1))]
+    assert changed == []
+
+
+def test_closed_form_runners_need_no_numpy(tmp_path):
+    # fig3 and gaussian are closed forms: in an interpreter where numpy cannot
+    # be imported they still write both references byte for byte, so they
+    # hold on any supported Python, with or without the pinned numpy
+    runs = {f"{r}-{c}": _runner_argv(r, c, tmp_path / f"{r}-{c}.csv")
+            for r in REFERENCES for c in ("fig3", "gaussian")}
+    probe = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from cvteleport.cli import main\n"
+        f"assert all(main(argv) == 0 for argv in {list(runs.values())!r})\n"
+    )
+    fresh_python(probe)
     changed = [run for run in runs
                if (tmp_path / f"{run}.csv").read_bytes() != _reference_bytes(*run.split("-", 1))]
     assert changed == []
