@@ -255,13 +255,10 @@ def criterion_circle_line_equivalence() -> CriterionResult:
 
 def _property_oracle() -> tuple[bool, str]:
     rng = np.random.default_rng(_seed(10))
+    draws = rng.uniform(0.0, (0.95, math.pi / 4, 2.0, 2.0), size=(1000, 4))
     worst = 0.0
-    for _ in range(1000):
-        lam = rng.uniform(0.0, 0.95)
+    for lam, eta, g2, g in map(np.ndarray.tolist, draws):
         sq = SqueezeLevel(lam)
-        eta = rng.uniform(0.0, math.pi / 4)
-        g2 = rng.uniform(0.0, 2.0)
-        g = rng.uniform(0.0, 2.0)
         plus, minus = output_coefficients_tailored(sq, eta, g2)
         v_plus, v_minus = tailored_variances(sq, eta, g2)
         # the common-gain scheme is the 50:50 phase quadrature at g2 = g/sqrt(2)
@@ -309,10 +306,9 @@ def _displacement_grid_argmax(
 def _seeded_cases(k: int, count: int) -> Iterator[tuple[SqueezeLevel, complex, complex, complex]]:
     """``count`` (squeezing, alpha, beta, optimal displacement) cases drawn from ``_seed(k)``."""
     rng = np.random.default_rng(_seed(k))
-    for _ in range(count):
-        sq = SqueezeLevel(rng.uniform(0.0, 0.999))
-        alpha = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        beta = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+    draws = rng.uniform((0.0, -5, -5, -5, -5), (0.999, 5, 5, 5, 5), size=(count, 5))
+    for lam, ax, ay, bx, by in map(np.ndarray.tolist, draws):
+        sq, alpha, beta = SqueezeLevel(lam), complex(ax, ay), complex(bx, by)
         yield sq, alpha, beta, optimal_displacement(alpha, beta, sq)
 
 

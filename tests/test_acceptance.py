@@ -456,14 +456,18 @@ def test_criterion_10_quadrature_at_its_bound(monkeypatch, past):
 
 
 def test_criterion_10_strips_match_the_whole_grid():
-    # the seeded cases of the criterion, scored on the whole 201x201 grid
+    # the seeded cases of the criterion, drawn one scalar at a time: the
+    # suite's one array draw must yield the same cases in the same order,
+    # and each is scored on the whole 201x201 grid
     rng = np.random.default_rng(acceptance._seed(11))
     offsets = np.linspace(-1.0, 1.0, 201)
+    cases = acceptance._seeded_cases(11, 100)
     for _ in range(100):
         lam = rng.uniform(0.0, 0.999)
         alpha = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         beta = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         eps = fidelity.optimal_displacement(alpha, beta, SqueezeLevel(lam))
+        assert next(cases) == (SqueezeLevel(lam), alpha, beta, eps)
         ux = alpha.real - (eps.real + offsets[:, None])
         uy = alpha.imag - (eps.imag + offsets[None, :])
         w = alpha - beta
@@ -471,6 +475,47 @@ def test_criterion_10_strips_match_the_whole_grid():
         best = np.unravel_index(int(np.argmax(f)), f.shape)
         ties = int(np.count_nonzero(f >= f[best]))
         assert acceptance._displacement_grid_argmax(alpha, beta, eps, lam) == (best, ties)
+    assert next(cases, None) is None
+
+
+def test_criterion_10_oracle_and_perfect_knowledge_draw_in_the_scalar_order(monkeypatch):
+    # seeds 10 and 12, drawn one scalar at a time: the oracle must pass each
+    # (lam, eta, g2, g) and the perfect-knowledge suite each (lam, alpha,
+    # beta) to the functions it checks, in this order
+    rng = np.random.default_rng(acceptance._seed(10))
+    expected = [(rng.uniform(0.0, 0.95), rng.uniform(0.0, math.pi / 4), rng.uniform(0.0, 2.0),
+                 rng.uniform(0.0, 2.0)) for _ in range(1000)]
+    coefficients, gains = [], []
+
+    def recorded(calls, real):
+        def record(sq, *args):
+            calls.append((sq.lam, *args))
+            return real(sq, *args)
+
+        return record
+
+    monkeypatch.setattr(acceptance, "output_coefficients_tailored",
+                        recorded(coefficients, acceptance.output_coefficients_tailored))
+    monkeypatch.setattr(acceptance, "variance_standard_gain",
+                        recorded(gains, acceptance.variance_standard_gain))
+    assert acceptance._property_oracle()[0]
+    # per case: the tailored coefficients at (eta, g2), then the phase
+    # quadrature's at (pi/4, g/sqrt(2)), then the common-gain variance at g
+    assert len(coefficients) == 2 * len(gains)
+    assert [(*c, g) for c, (_, g) in zip(coefficients[::2], gains)] == expected
+
+    rng = np.random.default_rng(acceptance._seed(12))
+    expected = [(rng.uniform(0.0, 0.999), complex(rng.uniform(-5, 5), rng.uniform(-5, 5)),
+                 complex(rng.uniform(-5, 5), rng.uniform(-5, 5))) for _ in range(1000)]
+    cases = []
+
+    def perfect(alpha, beta, eps, sq):
+        cases.append((sq.lam, alpha, beta))
+        return fidelity.one_shot_fidelity(alpha, beta, eps, sq)
+
+    monkeypatch.setattr(acceptance, "one_shot_fidelity", perfect)
+    assert acceptance._property_perfect_knowledge()[0]
+    assert cases == expected
 
 
 def test_run_all_covers_every_criterion(monkeypatch):

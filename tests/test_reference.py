@@ -7,8 +7,10 @@ fidelity (``tests/oracles.py``), so a reference regenerated with a wrong
 seed, size, formula or optimiser fails here.  Each runner must also rewrite
 its smoke and full references byte for byte, also with numpy's run-time
 SIMD dispatch switched off, and the closed-form runners also with no numpy
-importable.  The files are only read.  The bounds are
-fixed; a regeneration must pass them unchanged.
+importable.  At another seed the Monte Carlo runners hold the references by
+the benchmark's statistical rule (``tests/match_reference.py``).  The files
+are only read.  The bounds are fixed; a regeneration must pass them
+unchanged.
 """
 
 import ast
@@ -22,6 +24,7 @@ import pytest
 
 from cvteleport.cli import main
 from cvteleport.experiments import ExperimentConfig, default_lambda_grid
+import match_reference
 from oracles import (
     covariance_variances,
     exact_cells,
@@ -239,6 +242,40 @@ def test_closed_form_runners_need_no_numpy(tmp_path):
     changed = [run for run in runs
                if (tmp_path / f"{run}.csv").read_bytes() != _reference_bytes(*run.split("-", 1))]
     assert changed == []
+
+
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_monte_carlo_runners_hold_the_reference_at_another_seed(tmp_path, capsys, reference):
+    # at seed 1 the Monte Carlo cells differ from the references, yet each
+    # mean and standard error lies where the benchmark's statistical rule
+    # puts it, and every other cell matches to 9 digits: the rule CI's smoke
+    # job applies on Pythons whose numpy may draw other bytes
+    outs = [tmp_path / f"{command}.csv" for command in ("fig1", "circle-vs-line")]
+    for out in outs:
+        argv = _runner_argv(reference, out.stem, out)
+        argv[argv.index("--seed") + 1] = "1"
+        assert main(argv) == 0, capsys.readouterr().err
+        assert out.read_bytes() != _reference_bytes(reference, out.stem)
+    capsys.readouterr()
+    assert match_reference.main([reference, *map(str, outs)]) == 0, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pulls", [4.0, 6.0])
+def test_monte_carlo_rule_bounds_a_mean_at_five_standard_errors(tmp_path, capsys, pulls):
+    # a copy of the smoke reference with its first f_circle mean moved by 4
+    # combined standard errors passes; moved by 6, past the bound of 5, it
+    # fails on that cell alone (the copy's standard error is the reference's)
+    lines = (PERFBENCH / "reference" / "smoke" / "circle-vs-line.csv").read_text().splitlines()
+    header, row = lines[0].split(","), lines[1].split(",")
+    i = header.index("f_circle")
+    mean, se = float(row[i]), float(row[header.index("f_circle_stderr")])
+    row[i] = repr(mean + pulls * math.hypot(se, se))
+    copy = tmp_path / "circle-vs-line.csv"
+    copy.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
+    expected = [f"circle-vs-line row 0 f_circle: {row[i]} vs reference {mean!r} "
+                "beyond 5 combined standard errors"] if pulls > 5.0 else []
+    assert match_reference.main(["smoke", str(copy)]) == (1 if expected else 0)
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_moments_converged_and_positive():
