@@ -102,5 +102,7 @@ def bfk_classical_limit(s: float) -> float:
     """
     if not (s > 0.0) or not math.isfinite(s):
         raise ValueError(f"alphabet standard deviation must be positive, got {s}")
-    chi = 1.0 / (2.0 * s * s)
-    return checked_fidelity((1.0 + chi) / (2.0 + chi))
+    t = 2.0 * s * s  # chi = 1/t overflows for a narrow alphabet, so use t there
+    if t < 1.0:
+        return checked_fidelity((1.0 + t) / (1.0 + 2.0 * t))
+    return checked_fidelity((1.0 + 1.0 / t) / (2.0 + 1.0 / t))

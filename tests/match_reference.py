@@ -18,15 +18,22 @@ Exit status: 1 if any CSV breaks the rule (each failure is printed), 0 if
 none does, 2 on a usage error.
 """
 
-import importlib.util
 import sys
+import types
 from pathlib import Path
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_run", Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
-)
-perfbench_run = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(perfbench_run)
+
+def load_perfbench(name):
+    """``perfbench/<name>.py`` executed from its source as a module.  An
+    import would write its bytecode under ``perfbench/``; this writes nothing."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return module
+
+
+perfbench_run = load_perfbench("run")
 
 
 def main(argv):

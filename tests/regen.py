@@ -5,15 +5,18 @@ Run from the repository root as
     PYTHONPATH=src python tests/regen.py
 
 It reruns the four runners at the ``smoke`` and ``full`` configs of
-``perfbench/run.py``, with the arguments of ``test_reference._runner_argv``,
-into a temporary directory, and compares each CSV with its reference under
-``perfbench/reference`` cell by cell.  Each moved cell is printed with its
-reference, command, row (0-based, data rows only), column, old and new text.
+``perfbench/run.py``, with the arguments the benchmark runs them with (its
+``job_argv``, as ``test_reference._runner_argv`` gives them), into one
+temporary directory per config, and compares each CSV with its reference
+under ``perfbench/reference`` cell by cell.  Each moved cell is printed with
+its reference, command, row (0-based, data rows only), column, old and new
+text.
 A moved Monte Carlo cell also gets the mean and standard error of the same
 per-sample fidelities from ``math.fsum`` two-pass sums, an estimate that
 shares no reduction with the kernel's, and any other moved cell its exact
 value from ``oracles.exact_cells``, so a regeneration can show which value
-is the more accurate.  Nothing under ``perfbench/`` is written.
+is the more accurate.  Nothing under ``perfbench/`` is written:
+``perfbench/run.py`` is executed from its source, not imported.
 
 Exit status: 1 if any cell moved, 0 if none did.
 """
@@ -31,7 +34,7 @@ from cvteleport import experiments
 from cvteleport.cli import main as cli_main
 from cvteleport.measurement import MC_CHUNK, CircleTailored, LineTailored, component_sigma
 from oracles import exact_cells
-from test_reference import ALPHABET_S, PERFBENCH, REFERENCES, RUNNERS, _runner_argv
+from test_reference import ALPHABET_S, REFERENCE, REFERENCES, RUNNERS, _runner_argv
 
 # The Monte Carlo columns, each with the strategy whose estimate it holds
 MC_COLUMNS = {
@@ -41,8 +44,9 @@ MC_COLUMNS = {
 }
 
 
-def run_recorded(reference, command, out):
-    """Run ``command`` at ``reference``'s config, writing its CSV to ``out``.
+def run_recorded(reference, command, out_dir):
+    """Run ``command`` at ``reference``'s config, writing its CSV to
+    ``out_dir/<command>.csv``.
 
     Returns the arguments (strategy, alpha, sq, n, seed) of each Monte Carlo
     estimate the run made, keyed by (strategy type, row): a runner's rows
@@ -58,7 +62,7 @@ def run_recorded(reference, command, out):
     experiments.mc_average_fidelity = recording
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(_runner_argv(reference, command, out))
+            code = cli_main(_runner_argv(reference, command, out_dir))
     finally:
         experiments.mc_average_fidelity = real
     if code != 0:
@@ -118,9 +122,9 @@ def report(out_dir):
     count = 0
     for reference in REFERENCES:
         for command in RUNNERS:
-            out = Path(out_dir) / f"{reference}-{command}.csv"
-            estimates = run_recorded(reference, command, out)
-            old = PERFBENCH / "reference" / reference / f"{command}.csv"
+            out = Path(out_dir) / reference / f"{command}.csv"
+            estimates = run_recorded(reference, command, out.parent)
+            old = REFERENCE / reference / f"{command}.csv"
             with open(out, newline="") as fh:
                 lams = [float(cells["lambda"]) for cells in csv.DictReader(fh)]
             for row, column, a, b in moved_cells(old, out):

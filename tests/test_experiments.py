@@ -26,6 +26,7 @@ from cvteleport.experiments import (
     write_csv,
 )
 from oracles import exact_line_circle, optimal_gain, optimal_tailoring
+from test_package import child_env
 
 def small_config(**overrides):
     # 11 grid points incl. 0 and 0.999
@@ -482,17 +483,13 @@ def test_readme_package_layout_names_every_module():
 
 def run_cli(*args, cwd=None, timeout=300, preexec_fn=None, stdout=subprocess.PIPE, env=None):
     # the child imports the same package as the tests, installed or not
-    src = str(Path(cvteleport.__file__).resolve().parents[1])
-    env = dict(os.environ if env is None else env)
-    path = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src if not path else src + os.pathsep + path
     return subprocess.run(
         [sys.executable, "-m", "cvteleport.cli", *args],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
         cwd=cwd,
-        env=env,
+        env=child_env(env),
         timeout=timeout,
         preexec_fn=preexec_fn,
     )

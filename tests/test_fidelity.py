@@ -134,6 +134,16 @@ class TestClassicalLimit:
             2.0 / 3.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "s, limit",
+        [(1e-160, 1.0), (1e-200, 1.0), (5e-324, 1.0), (1e200, 0.5),
+         (0.2, 0.9310344827586207)],  # the last is criterion 8's, to the bit
+    )
+    def test_extreme_widths(self, s, limit):
+        # the limit is 1 as s -> 0 and 1/2 as s -> inf; at s = 1e-160 and
+        # narrower chi = 1/(2 s^2) overflows, and (1 + chi)/(2 + chi) was nan
+        assert bfk_classical_limit(s) == limit
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf])
     def test_domain(self, bad):
         with pytest.raises(ValueError):

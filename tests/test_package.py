@@ -6,13 +6,13 @@ import importlib.util
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
 
 import cvteleport
 from cvteleport import cli, experiments
+from match_reference import load_perfbench
 
 # The only modules that import numpy, and both do so when they load.
 # ``experiments`` and ``measurement`` reach it through ``kernel``, which
@@ -21,18 +21,23 @@ from cvteleport import cli, experiments
 NUMPY_AT_LOAD = {"kernel.py", "acceptance.py"}
 
 
+def child_env(env=None):
+    """``env``, by default ours, with the package the tests import, installed
+    or not, first on ``PYTHONPATH``: a child process's environment."""
+    src = str(Path(cvteleport.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def fresh_python(probe, cwd=None, env=None):
     """Run ``python -c probe`` on the package the tests import; its stdout.
 
     ``env`` is the child's environment before ``PYTHONPATH``, by default ours.
     """
-    src = str(Path(cvteleport.__file__).resolve().parents[1])
-    env = dict(os.environ if env is None else env)
-    path = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src if not path else src + os.pathsep + path
     run = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
-        cwd=cwd, timeout=60,
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=child_env(env), cwd=cwd, timeout=60,
     )
     assert run.returncode == 0, run.stderr
     return run.stdout
@@ -243,9 +248,7 @@ def test_tracer_wraps_every_layer():
     # cross-module function bindings; a refactor that drops them zeroes
     # those metrics silently.  The tracer is executed from its source, so
     # nothing is written next to it.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    tracer = types.ModuleType("perfbench_tracer")
-    exec(compile(path.read_text(), str(path), "exec"), vars(tracer))
+    tracer = load_perfbench("tracer")
 
     package = Path(cvteleport.__file__).parent
     modules = {

@@ -4,21 +4,21 @@ Each closed-form cell under ``perfbench/reference/{full,smoke}`` is checked
 against its formula, each optimiser cell against its closed-form optimum,
 and each Monte Carlo cell against the exact moments of the one-shot
 fidelity (``tests/oracles.py``), so a reference regenerated with a wrong
-seed, size, formula or optimiser fails here.  Each runner must also rewrite
+seed, size, formula or optimiser fails here.  Each runner, run with the
+arguments the benchmark runs it with (``job_argv`` of ``perfbench/run.py``,
+loaded from its source by ``tests/match_reference.py``), must also rewrite
 its smoke and full references byte for byte, also with numpy's run-time
 SIMD dispatch switched off, and the closed-form runners also with no numpy
 importable.  At another seed the Monte Carlo runners hold the references by
-the benchmark's statistical rule (``tests/match_reference.py``).  The files
-are only read.  The bounds are fixed; a regeneration must pass them
-unchanged.
+the benchmark's statistical rule (``tests/match_reference.py``).  Nothing
+under ``perfbench/`` is written.  The bounds are fixed; a regeneration must
+pass them unchanged.
 """
 
-import ast
 import csv
 import json
 import math
 import os
-from pathlib import Path
 
 import pytest
 
@@ -35,8 +35,11 @@ from oracles import (
 )
 from test_package import fresh_python
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-REFERENCES = ["full", "smoke"]
+perfbench_run = match_reference.perfbench_run
+CONFIGS, DEFAULT_SEED = perfbench_run.CONFIGS, perfbench_run.DEFAULT_SEED
+REFERENCE = perfbench_run.REFERENCE  # a directory per config
+REFERENCES = list(CONFIGS)
+RUNNERS = list(perfbench_run.MC_COLUMNS)
 ALPHABET_S = ExperimentConfig().s  # the references run at the default alphabet
 
 # A Monte Carlo mean lies within PULL_BOUND standard errors of the exact
@@ -46,19 +49,9 @@ ALPHABET_S = ExperimentConfig().s  # the references run at the default alphabet
 PULL_BOUND = 4.0
 
 
-def _run_constant(name):
-    """A constant of ``perfbench/run.py`` read from its source: ``CONFIGS``,
-    the settings each reference was made with, or ``DEFAULT_SEED``."""
-    tree = ast.parse((PERFBENCH / "run.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name:
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"perfbench/run.py defines no {name}")
-
-
 def _columns(reference, command):
     """Each column of a reference CSV by name, as the text of its cells."""
-    with open(PERFBENCH / "reference" / reference / f"{command}.csv", newline="") as fh:
+    with open(REFERENCE / reference / f"{command}.csv", newline="") as fh:
         header, *rows = list(csv.reader(fh))
     return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
@@ -83,7 +76,7 @@ def test_closed_form_columns(reference):
 
 @pytest.mark.parametrize("reference", REFERENCES)
 def test_monte_carlo_columns(reference):
-    config = _run_constant("CONFIGS")[reference]
+    config = CONFIGS[reference]
     n, amp = config["samples"], float(config["alpha"])
     cells = _columns(reference, "circle-vs-line")
     off = []
@@ -121,7 +114,7 @@ ARG_TOLS = 10.0
 
 @pytest.mark.parametrize("reference", REFERENCES)
 def test_optimiser_columns(reference):
-    tol = float(_run_constant("CONFIGS")[reference]["tol"])
+    tol = float(CONFIGS[reference]["tol"])
     # each runner's optimum: its value's column, then its arguments'
     optima = {"fig3": ("f_full", "eta_star", "g2_star"), "gaussian": ("f_opt", "g_opt")}
     off = []
@@ -168,20 +161,16 @@ def test_closed_form_optima_against_golden_section(lam):
     assert abs(g - g_exact) <= 1e-7
 
 
-RUNNERS = ["fig1", "fig3", "gaussian", "circle-vs-line"]
-
-
-def _runner_argv(reference, command, out):
-    """The CLI arguments that made ``reference``'s ``command`` CSV, writing to ``out``."""
-    config = _run_constant("CONFIGS")[reference]
-    return [command, "--lambda-points", str(config["lambda_points"]),
-            "--samples", str(config["samples"]), "--tol", config["tol"],
-            "--alpha", config["alpha"], "--seed", str(_run_constant("DEFAULT_SEED")),
-            "--out", str(out)]
+def _runner_argv(reference, command, out_dir, seed=DEFAULT_SEED):
+    """The CLI arguments the benchmark runs ``command`` with at ``reference``'s
+    config, which made its reference at the default seed.  The CSV goes to
+    ``out_dir/<command>.csv``; ``out_dir`` is made if it is missing."""
+    out_dir.mkdir(exist_ok=True)
+    return perfbench_run.job_argv(command, [], CONFIGS[reference], seed, out_dir)
 
 
 def _reference_bytes(reference, command):
-    return (PERFBENCH / "reference" / reference / f"{command}.csv").read_bytes()
+    return (REFERENCE / reference / f"{command}.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -194,9 +183,8 @@ def test_runner_reproduces_smoke_reference(tmp_path, capsys, reference, command)
     # at the benchmark's settings, as the benchmark itself checks; the full
     # settings pin the most fragile cell, circle-vs-line's f_circle_stderr at
     # lam = 0.999, whose 8th digit follows the samples' last bits
-    out = tmp_path / f"{command}.csv"
-    assert main(_runner_argv(reference, command, out)) == 0, capsys.readouterr().err
-    assert out.read_bytes() == _reference_bytes(reference, command)
+    assert main(_runner_argv(reference, command, tmp_path)) == 0, capsys.readouterr().err
+    assert (tmp_path / f"{command}.csv").read_bytes() == _reference_bytes(reference, command)
 
 
 def test_references_hold_without_simd_dispatch(tmp_path):
@@ -209,8 +197,7 @@ def test_references_hold_without_simd_dispatch(tmp_path):
     dispatch = list(getattr(umath, "__cpu_dispatch__", []))
     if not any(umath.__cpu_features__.get(name) for name in dispatch):
         pytest.skip("numpy dispatches nothing above its baseline on this CPU")
-    runs = {f"{r}-{c}": _runner_argv(r, c, tmp_path / f"{r}-{c}.csv")
-            for r in REFERENCES for c in RUNNERS}
+    runs = {f"{r}/{c}.csv": _runner_argv(r, c, tmp_path / r) for r in REFERENCES for c in RUNNERS}
     probe = (
         "import json\n"
         "from numpy._core import _multiarray_umath as umath\n"
@@ -221,8 +208,7 @@ def test_references_hold_without_simd_dispatch(tmp_path):
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(dispatch))
     features = json.loads(fresh_python(probe, env=env).splitlines()[0])
     assert features == {name: False for name in dispatch}  # the child really ran without them
-    changed = [run for run in runs
-               if (tmp_path / f"{run}.csv").read_bytes() != _reference_bytes(*run.split("-", 1))]
+    changed = [f for f in runs if (tmp_path / f).read_bytes() != (REFERENCE / f).read_bytes()]
     assert changed == []
 
 
@@ -230,7 +216,7 @@ def test_closed_form_runners_need_no_numpy(tmp_path):
     # fig3 and gaussian are closed forms: in an interpreter where numpy cannot
     # be imported they still write both references byte for byte, so they
     # hold on any supported Python, with or without the pinned numpy
-    runs = {f"{r}-{c}": _runner_argv(r, c, tmp_path / f"{r}-{c}.csv")
+    runs = {f"{r}/{c}.csv": _runner_argv(r, c, tmp_path / r)
             for r in REFERENCES for c in ("fig3", "gaussian")}
     probe = (
         "import sys\n"
@@ -239,8 +225,7 @@ def test_closed_form_runners_need_no_numpy(tmp_path):
         f"assert all(main(argv) == 0 for argv in {list(runs.values())!r})\n"
     )
     fresh_python(probe)
-    changed = [run for run in runs
-               if (tmp_path / f"{run}.csv").read_bytes() != _reference_bytes(*run.split("-", 1))]
+    changed = [f for f in runs if (tmp_path / f).read_bytes() != (REFERENCE / f).read_bytes()]
     assert changed == []
 
 
@@ -252,8 +237,7 @@ def test_monte_carlo_runners_hold_the_reference_at_another_seed(tmp_path, capsys
     # job applies on Pythons whose numpy may draw other bytes
     outs = [tmp_path / f"{command}.csv" for command in ("fig1", "circle-vs-line")]
     for out in outs:
-        argv = _runner_argv(reference, out.stem, out)
-        argv[argv.index("--seed") + 1] = "1"
+        argv = _runner_argv(reference, out.stem, tmp_path, seed=1)
         assert main(argv) == 0, capsys.readouterr().err
         assert out.read_bytes() != _reference_bytes(reference, out.stem)
     capsys.readouterr()
@@ -265,7 +249,7 @@ def test_monte_carlo_rule_bounds_a_mean_at_five_standard_errors(tmp_path, capsys
     # a copy of the smoke reference with its first f_circle mean moved by 4
     # combined standard errors passes; moved by 6, past the bound of 5, it
     # fails on that cell alone (the copy's standard error is the reference's)
-    lines = (PERFBENCH / "reference" / "smoke" / "circle-vs-line.csv").read_text().splitlines()
+    lines = (REFERENCE / "smoke" / "circle-vs-line.csv").read_text().splitlines()
     header, row = lines[0].split(","), lines[1].split(",")
     i = header.index("f_circle")
     mean, se = float(row[i]), float(row[header.index("f_circle_stderr")])

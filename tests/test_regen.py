@@ -1,20 +1,35 @@
 """The reference-diff harness ``tests/regen.py`` and its independent estimator."""
 
 import math
+import os
+from pathlib import Path
 
 import pytest
 
 from cvteleport.measurement import CircleTailored
 from oracles import exact_cells
 from regen import fsum_estimate, moved_cells, run_recorded
+from test_package import fresh_python
 from test_reference import ALPHABET_S, _columns
+
+
+def test_loading_perfbench_writes_no_bytecode(tmp_path):
+    # regen and the reference tests execute perfbench/run.py from its source:
+    # an import would write its bytecode under perfbench/, which they promise
+    # to leave as it is.  With bytecode writing on and every .pyc sent under
+    # tmp_path, the imports write the tests' own bytecode and none of perfbench's
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(tmp_path)
+    fresh_python("import match_reference, regen", cwd=Path(__file__).parent, env=env)
+    assert list(tmp_path.glob("**/tests/regen.*.pyc"))
+    assert list(tmp_path.glob("**/perfbench/*.pyc")) == []
 
 
 def test_fsum_estimate_of_the_pinned_circle_stderr(tmp_path):
     # the full reference's circle at lam = 0.999 holds the one-pass
     # Sum f^2 - n mean^2 stderr, which cancels in its 8th digit; two-pass
     # fsum sums over the same samples keep the mean and give the exact value
-    estimates = run_recorded("full", "circle-vs-line", tmp_path / "out.csv")
+    estimates = run_recorded("full", "circle-vs-line", tmp_path)
     cells = _columns("full", "circle-vs-line")
     assert cells["lambda"][50] == "0.999"
     assert cells["f_circle_stderr"][50] == "1.08837674e-07"
