@@ -141,7 +141,7 @@ class TestClassicalLimit:
     )
     def test_extreme_widths(self, s, limit):
         # the limit is 1 as s -> 0 and 1/2 as s -> inf; at s = 1e-160 and
-        # narrower chi = 1/(2 s^2) overflows, and (1 + chi)/(2 + chi) was nan
+        # narrower chi = 1/(2 s^2) overflows, so the ratio must not be formed in chi
         assert bfk_classical_limit(s) == limit
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf])
