@@ -190,6 +190,14 @@ def _print_lines(lines: list[str]) -> None:
         raise
 
 
+# Modules numpy loads only if it can, and no run uses.  numpy.random imports
+# secrets, whose hmac and hashlib load OpenSSL's _hashlib and libcrypto (3.4
+# MiB resident), yet every stream is seeded and nothing hashes; ctypes and
+# libffi serve only ndarray.ctypes.  Blocked, hashlib falls back to CPython's
+# built-in hashes and numpy to its own no-ctypes stand-in.
+_UNUSED_IMPORTS = ("_hashlib", "ctypes")
+
+
 def main(argv: list[str] | None = None) -> int:
     # Nothing here needs a BLAS thread pool, and each idle OpenBLAS worker
     # spins ~0.1 CPU-s after numpy loads.  OpenBLAS reads this only as numpy is
@@ -197,14 +205,10 @@ def main(argv: list[str] | None = None) -> int:
     pin_blas = "OPENBLAS_NUM_THREADS" not in os.environ
     if pin_blas:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    # numpy.random imports secrets, whose hmac and hashlib load OpenSSL's
-    # _hashlib and with it libcrypto (3.4 MiB resident), yet every stream
-    # here is seeded and nothing hashes.  Blocked, both fall back to
-    # CPython's built-in hashes.  Like the BLAS setting, the block is set
-    # before numpy loads and lifted on return.
-    block_openssl = "_hashlib" not in sys.modules
-    if block_openssl:
-        sys.modules["_hashlib"] = None
+    # Set like the BLAS setting; a module already imported is left alone.
+    blocked = [name for name in _UNUSED_IMPORTS if name not in sys.modules]
+    for name in blocked:
+        sys.modules[name] = None
     try:
         args = _build_parser().parse_args(argv)  # --help prints here
         if args.command == "check":
@@ -229,8 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if pin_blas:
             os.environ.pop("OPENBLAS_NUM_THREADS", None)
-        if block_openssl and sys.modules.get("_hashlib") is None:
-            sys.modules.pop("_hashlib", None)
+        for name in blocked:
+            if sys.modules.get(name) is None:
+                sys.modules.pop(name, None)
     return code
 
 

@@ -126,12 +126,8 @@ def _angle_law_circle(quad, amp, lam):
 
 
 class TestExactLineCircle:
-    def test_converged_in_node_counts(self):
-        for lam in default_lambda_grid():
-            base = exact_line_circle(5.0, lam)
-            doubled = exact_line_circle(5.0, lam, n_r=400, n_phi=1024)
-            assert max(abs(a - b) for a, b in zip(base, doubled)) <= 1e-12
-
+    # convergence in the node counts: test_reference's
+    # test_moments_converged_and_positive, by the same rule at the same nodes
     def test_agrees_with_one_dimensional_laws(self):
         # independent 1-D references: the line fidelity depends on beta only
         # through |beta|, and the circle fidelity only through arg beta

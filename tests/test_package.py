@@ -80,7 +80,8 @@ def test_cli_start_up_loads_numpy_only_for_arrays(tmp_path, argv, code, numpy, a
     # and each subcommand loads only the package modules it runs: only
     # gaussian and check evaluate the alphabet-weighted fidelity.  No run
     # loads OpenSSL's _hashlib, which numpy.random's secrets import pulls in,
-    # or dataclasses, whose import with inspect used to be most of start-up
+    # ctypes, which numpy imports for ndarray.ctypes, or dataclasses, whose
+    # import with inspect used to be most of start-up
     probe = (
         "import sys\n"
         "from cvteleport.cli import main\n"
@@ -91,11 +92,11 @@ def test_cli_start_up_loads_numpy_only_for_arrays(tmp_path, argv, code, numpy, a
         "    except SystemExit as exc:\n"
         "        code = exc.code\n"
         "print(code, 'numpy' in sys.modules, '_hashlib' in sys.modules,"
-        " 'dataclasses' in sys.modules,"
+        " 'ctypes' in sys.modules, 'dataclasses' in sys.modules,"
         " sorted(m.split('.')[1] for m in sys.modules if m.startswith('cvteleport.')))\n"
     )
     last = fresh_python(probe, cwd=tmp_path).splitlines()[-1]
-    assert last == f"{code} {numpy} False False {sorted(AT_START | added)}"
+    assert last == f"{code} {numpy} False False False {sorted(AT_START | added)}"
 
 
 def test_alphabet_oracle_loads_no_numpy():
@@ -162,22 +163,30 @@ def test_cli_starts_no_blas_threads(tmp_path, preset):
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads /proc/self/maps")
 def test_cli_maps_no_libcrypto(tmp_path):
     # numpy.random imports secrets, whose hashlib and hmac would load
-    # OpenSSL's _hashlib and map libcrypto; main blocks it while it runs
+    # OpenSSL's _hashlib and map libcrypto, and numpy's ctypes import would
+    # map _ctypes and libffi; main blocks both while it runs, and a later
+    # import of ctypes still loads it
     probe = (
         "from cvteleport.cli import main\n"
         "for argv in (['fig1', '--lambda-points', '2', '--samples', '1000', '--out', 'f.csv'],"
         " ['check']):\n"
         "    main(argv)\n"
         "    with open('/proc/self/maps') as maps:\n"
-        "        print('probe', sum('libcrypto' in line for line in maps))\n"
+        "        print('probe', sum(name in line for line in maps"
+        " for name in ('libcrypto', '_ctypes', 'libffi')))\n"
+        "import ctypes\n"
     )
     out = fresh_python(probe, cwd=tmp_path).splitlines()
     assert [line for line in out if line.startswith("probe ")] == ["probe 0", "probe 0"]
 
 
+IN_PROCESS_ARGV = {
+    "ok": ["gaussian", "--lambda-points", "2"],
+    "bad-input": ["gaussian", "--samples", "1"],
+    "help": ["--help"],
+}
 IN_PROCESS = pytest.mark.parametrize(
-    "argv", [["gaussian", "--lambda-points", "2"], ["gaussian", "--samples", "1"], ["--help"]],
-    ids=["ok", "bad-input", "help"],
+    "argv", list(IN_PROCESS_ARGV.values()), ids=list(IN_PROCESS_ARGV)
 )
 
 
@@ -195,30 +204,35 @@ def test_cli_unsets_its_blas_setting(tmp_path, monkeypatch, capsys, argv):
     assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
-@pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None,
-                    reason="a Python built without OpenSSL")
-@IN_PROCESS
-def test_cli_leaves_hashlib_as_it_found_it(tmp_path, monkeypatch, capsys, argv):
-    # main blocks OpenSSL's _hashlib only while it runs: a module the caller
-    # already imported stays, and a process that had none is left without
-    # the block, so a later `import _hashlib` loads it
-    hashlib_module = importlib.import_module("_hashlib")
+# each IN_PROCESS run for each module main blocks; the rows of _hashlib,
+# which the test is named after, are named by their run alone
+@pytest.mark.parametrize("module, argv", [
+    pytest.param(module, argv, id=case if module == "_hashlib" else f"{case}-{module}",
+                 marks=pytest.mark.skipif(importlib.util.find_spec(module) is None,
+                                          reason=f"a Python built without {module}"))
+    for module in ("_hashlib", "ctypes") for case, argv in IN_PROCESS_ARGV.items()
+])
+def test_cli_leaves_hashlib_as_it_found_it(tmp_path, monkeypatch, capsys, module, argv):
+    # main blocks OpenSSL's _hashlib and ctypes only while it runs: a module
+    # the caller already imported stays, and a process that had none is left
+    # without the block, so a later import loads it
+    callers_module = importlib.import_module(module)
     monkeypatch.chdir(tmp_path)
     try:
         cli.main(argv)
     except SystemExit:
         pass
-    assert sys.modules["_hashlib"] is hashlib_module
+    assert sys.modules[module] is callers_module
     probe = (
-        "import sys\n"
+        "import importlib, sys\n"
         "from cvteleport.cli import main\n"
         "try:\n"
         f"    main({argv!r})\n"
         "except SystemExit:\n"
         "    pass\n"
-        "print('_hashlib' in sys.modules)\n"
+        f"print({module!r} in sys.modules, importlib.import_module({module!r}).__name__)\n"
     )
-    assert fresh_python(probe, cwd=tmp_path).splitlines()[-1] == "False"
+    assert fresh_python(probe, cwd=tmp_path).splitlines()[-1] == f"False {module}"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
