@@ -27,8 +27,8 @@ from .alphabet import gaussian_weighted_fidelity, gaussian_weighted_fidelity_qua
 from .experiments import (
     ExperimentConfig,
     available_cpus,
-    circle_estimate,
     circle_line_allowance,
+    circle_line_point,
     default_lambda_grid,
     map_points,
     run_fig1,
@@ -217,19 +217,17 @@ def criterion_narrow_alphabet() -> CriterionResult:
 def circle_line_estimates() -> list[tuple[float, McEstimate, McEstimate]]:
     """Criterion 9's (lam, line, circle) Monte Carlo estimates over the default grid.
 
-    Both strategies run at target amplitude 5 with 100,000 samples per
-    point; the circle target sits at a seeded uniform random angle.
+    Grid point ``i`` is ``circle_line_point`` at amplitude 5 with 100,000
+    samples per run, the line from ``_seed(900 + i)`` and the circle from
+    ``_seed(975 + i)`` at the angle ``default_rng(_seed(950 + i))`` draws on [0, 2 pi).
     """
-    amp = 5.0
     grid = default_lambda_grid()
 
     def point(i: int) -> tuple[float, McEstimate, McEstimate]:
-        lam = grid[i]
-        sq = SqueezeLevel(lam)
-        line = mc_average_fidelity(LineTailored(), amp, sq, 100_000, _seed(900 + i))
         theta = np.random.default_rng(_seed(950 + i)).uniform(0.0, 2.0 * math.pi)
-        circle = circle_estimate(sq, amp, theta, 100_000, _seed(975 + i))
-        return lam, line, circle
+        line, circle = circle_line_point(SqueezeLevel(grid[i]), 5.0, 100_000, _seed(900 + i),
+                                         theta, _seed(975 + i))
+        return grid[i], line, circle
 
     return map_points(point, len(grid), available_cpus())
 

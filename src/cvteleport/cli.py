@@ -73,8 +73,11 @@ _BY_KEY = {setting.key: setting for setting in SETTINGS}
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose stdout messages (``--help``) go through
-    :func:`_print_lines`, so a failed write raises ``OSError`` instead of
-    being dropped by argparse; subparsers are of the same class."""
+    :func:`_print_lines`, so a failed write raises ``OSError`` instead of being
+    dropped by argparse, and that takes no abbreviated flag; subparsers are alike."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def _print_message(self, message: str, file=None) -> None:
         if message and file is sys.stdout:

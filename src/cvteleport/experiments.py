@@ -102,16 +102,12 @@ class ExperimentResult(NamedTuple):
     summary: dict[str, float]
 
 
-def _format_real(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
     """Write rows with 9-significant-digit reals and a header line."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_format_real(x) for x in row) + "\n")
+            fh.write(",".join(format(float(x), ".9g") for x in row) + "\n")
 
 
 def available_cpus() -> int:
@@ -166,18 +162,6 @@ def map_points(worker: Callable[[int], T], count: int, threads: int) -> list[T]:
     return results
 
 
-def _line_estimate(config: ExperimentConfig, i: int) -> McEstimate:
-    """fig1's Monte Carlo column and circle-vs-line's ``f_line`` at grid point ``i``."""
-    sq = SqueezeLevel(config.lambda_grid[i])
-    seed = config.point_seed(i)
-    return mc_average_fidelity(LineTailored(), config.alpha, sq, config.samples, seed)
-
-
-def circle_estimate(sq: SqueezeLevel, amp: float, theta: float, n: int, seed: int) -> McEstimate:
-    """Circle-tailored Monte Carlo estimate for the target ``amp`` at angle ``theta``."""
-    return mc_average_fidelity(CircleTailored(radius=amp), cmath.rect(amp, theta), sq, n, seed)
-
-
 def run_fig1(config: ExperimentConfig) -> ExperimentResult:
     """Line-tailored displacement curve versus the standard scheme.
 
@@ -189,7 +173,8 @@ def run_fig1(config: ExperimentConfig) -> ExperimentResult:
 
     def point(i: int) -> tuple[float, ...]:
         lam = config.lambda_grid[i]
-        est = _line_estimate(config, i)
+        est = mc_average_fidelity(LineTailored(), config.alpha, SqueezeLevel(lam),
+                                  config.samples, config.point_seed(i))
         return (lam, (1.0 + lam) / 2.0, est.mean, est.std_error)
 
     rows = map_points(point, len(config.lambda_grid), config.threads)
@@ -256,6 +241,19 @@ def run_gaussian_alphabet(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(header, tuple(rows), summary)
 
 
+def circle_line_point(sq: SqueezeLevel, amp: float, n: int, line_seed: int, theta: float,
+                      circle_seed: int) -> tuple[McEstimate, McEstimate]:
+    """One grid point's line and circle Monte Carlo estimates, ``n`` samples each.
+
+    The line targets ``amp`` and draws from ``line_seed``; the circle
+    (radius ``amp``) targets ``rect(amp, theta)`` and draws from ``circle_seed``.
+    """
+    line = mc_average_fidelity(LineTailored(), amp, sq, n, line_seed)
+    circle = mc_average_fidelity(CircleTailored(radius=amp), cmath.rect(amp, theta), sq, n,
+                                 circle_seed)
+    return line, circle
+
+
 def circle_line_allowance(se_line: float, se_circle: float) -> float:
     """Allowance on |f_line - f_circle| at one grid point: 3 (se_line + se_circle)."""
     return 3.0 * (se_line + se_circle)
@@ -265,21 +263,20 @@ def run_circle_vs_line(config: ExperimentConfig) -> ExperimentResult:
     """Monte Carlo comparison of the line and circle tailored strategies.
 
     Columns: lambda, f_line, f_line_stderr, f_circle, f_circle_stderr,
-    both at target amplitude ``alpha``.  The circle target sits at a
-    seeded random angle (the outcome statistics are angle-invariant); the
-    two curves use independent derived streams.
+    both at target amplitude ``alpha``.  Each point is one
+    :func:`circle_line_point`, as in ``check``'s criterion 9 at its own seeds:
+    the circle target sits at a seeded random angle (the outcome statistics
+    are angle-invariant), and the two curves use independent derived streams.
     """
     from .kernel import stream  # the kernel loads here, as on the first estimate
 
-    amp = config.alpha
-
     def point(i: int) -> tuple[float, ...]:
         lam = config.lambda_grid[i]
-        sq = SqueezeLevel(lam)
-        circle_seed = config.point_seed(i) ^ _SECOND_STREAM_SALT
-        line = _line_estimate(config, i)
+        line_seed = config.point_seed(i)
+        circle_seed = line_seed ^ _SECOND_STREAM_SALT
         theta = stream(circle_seed, 0xA11CE).uniform(0.0, 2.0 * math.pi)
-        circle = circle_estimate(sq, amp, theta, config.samples, circle_seed)
+        line, circle = circle_line_point(SqueezeLevel(lam), config.alpha, config.samples,
+                                         line_seed, theta, circle_seed)
         return (lam, line.mean, line.std_error, circle.mean, circle.std_error)
 
     rows = map_points(point, len(config.lambda_grid), config.threads)

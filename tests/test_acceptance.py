@@ -12,6 +12,7 @@ offset, computed exactly by a deterministic polar quadrature, with the same
 allowance at every grid point (README, "Known acceptance result").
 """
 
+import cmath
 import math
 import os
 from pathlib import Path
@@ -21,7 +22,9 @@ import pytest
 
 from cvteleport import acceptance, experiments, fidelity
 from cvteleport.experiments import circle_line_allowance, default_lambda_grid
-from cvteleport.measurement import MIN_SAMPLES, McEstimate
+from cvteleport.measurement import (
+    MIN_SAMPLES, CircleTailored, LineTailored, McEstimate, mc_average_fidelity,
+)
 from cvteleport.optimize import OptimizationResult
 from cvteleport.protocol import SqueezeLevel
 from oracles import exact_line_circle
@@ -73,6 +76,22 @@ def circle_line():
         line, circle = exact_line_circle(5.0, lam)
         offsets.append(line - circle)
     return estimates, offsets
+
+
+@pytest.mark.parametrize("i", [0, 50])
+def test_criterion_09_estimates_are_its_documented_runs(circle_line, i):
+    # bit for bit: at grid point i the line draws from _seed(900 + i), the
+    # circle from _seed(975 + i) at the angle default_rng(_seed(950 + i))
+    # draws, 100,000 samples each at amplitude 5
+    seed = acceptance._seed
+    lam = default_lambda_grid()[i]
+    sq = SqueezeLevel(lam)
+    theta = np.random.default_rng(seed(950 + i)).uniform(0.0, 2.0 * math.pi)
+    line = mc_average_fidelity(LineTailored(), 5.0, sq, 100_000, seed(900 + i))
+    circle = mc_average_fidelity(CircleTailored(radius=5.0), cmath.rect(5.0, theta), sq,
+                                 100_000, seed(975 + i))
+    estimates, _ = circle_line
+    assert estimates[i] == (lam, line, circle)
 
 
 def _points_outside(estimates, offsets):

@@ -548,6 +548,20 @@ class TestCli:
     @pytest.mark.parametrize(
         "args",
         [
+            ("fig3", "--s", "0.2"),  # abbreviates no single flag: --samples or --seed
+            ("fig1", "--sam", "1000"),  # abbreviates --samples only
+        ],
+    )
+    def test_abbreviated_flag_exit_2(self, tmp_path, args):
+        # a flag is taken only as spelled in full, as a config key is
+        proc = run_cli(*args, "--lambda-points", "2", "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2, proc.stderr
+        assert f"unrecognized arguments: {' '.join(args[1:])}" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
             ("fig1", "--alpha", "inf"),
             ("gaussian", "--s", "inf"),
             ("fig3", "--tol", "inf"),
